@@ -8,9 +8,11 @@ oscillation) and Neville extrapolation in 1/n.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import ztbtrs
 
 from .contfrac import DiscreteMeasure, PoleError
 from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville, richardson_sum
@@ -155,14 +157,6 @@ def _scaled_add(m1: float, s1: float, m2: float, s2: float) -> tuple[float, floa
     return m, s
 
 
-def _neville_vec(hs: list[float], ys: list[np.ndarray]) -> np.ndarray:
-    vals = [np.array(y, dtype=complex) for y in ys]
-    for j in range(1, len(vals)):
-        for i in range(len(vals) - 1, j - 1, -1):
-            vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
-    return vals[-1]
-
-
 def _cached_verdict(rates: BirthDeathRates, nmax: int = 2000) -> str:
     key = "determinacy_verdict"
     if key not in rates._cache:
@@ -179,6 +173,79 @@ def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Coefficients:
+    """Rows k < size of y_{k+1} = (x/b_k - a_k/b_k) y_k - (b_{k-1}/b_k) y_{k-1},
+    with the series weights Q_k(0) = P_k(0)/alpha_k, P_k(0) = (-1)^k sqrt(pi_k)."""
+
+    a_b: np.ndarray
+    inv_b: np.ndarray
+    b_ratio: np.ndarray
+    weights: np.ndarray
+
+
+# Coefficient tables, keyed by the rates object and rebuilt larger on demand.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+# Point-steps stacked into one banded solve.
+_CHUNK = 2**13
+
+
+def _coefficients(rates: BirthDeathRates, size: int) -> _Coefficients:
+    tab = _TABLES.get(rates)
+    if tab is None or tab.inv_b.size < size:
+        lam, mu = rates.tabulate(size)
+        b = np.sqrt(lam[:-1] * mu[1:])
+        pi = np.cumprod(np.concatenate(([1.0], lam[: size - 1] / mu[1:size])))
+        ainv = np.cumsum(np.concatenate(([0.0], -1.0 / (mu[1:size] * pi[1:]))))
+        p0 = np.sqrt(pi) * (-1.0) ** np.arange(size)
+        tab = _TABLES[rates] = _Coefficients(
+            a_b=(lam[:-1] + mu[:-1]) / b,
+            inv_b=1.0 / b,
+            b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
+            weights=np.stack([p0 * ainv, p0], axis=1),
+        )
+    return tab
+
+
+def _advance(tab: _Coefficients, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
+    """Rows lo..hi-1, shape (nrhs, points, hi - lo), from rows lo-2 and lo-1 in
+    ``carry`` (nrhs, points, 2): Q and P, plus Q' and P' (the same recurrence
+    with source y_k/b_k) when nrhs is 4. All points form one block-diagonal
+    unit lower-triangular system of bandwidth 2, solved by banded LAPACK.
+    """
+    n, L = xs.size, hi - lo
+    e = tab.a_b[lo - 1 : hi - 1] - xs[:, None] * tab.inv_b[lo - 1 : hi - 1]
+    band = np.zeros((n, L, 3), dtype=complex)
+    band[:, :-1, 1] = e[:, 1:]
+    band[:, :-2, 2] = tab.b_ratio[lo + 1 : hi - 1]
+    ab = band.reshape(n * L, 3).T  # Fortran-ordered, so f2py passes it uncopied
+    rows = np.zeros((carry.shape[0], n, L), dtype=complex)
+    rows[:, :, 0] = -e[:, 0] * carry[:, :, 1] - tab.b_ratio[lo - 1] * carry[:, :, 0]
+    rows[:, :, 1:2] = -tab.b_ratio[lo] * carry[:, :, 1:]
+    for r in range(0, carry.shape[0], 2):
+        if r:  # the derivatives' source term
+            rows[2:, :, 0] += tab.inv_b[lo - 1] * carry[:2, :, 1]
+            rows[2:, :, 1:] += tab.inv_b[lo : hi - 1] * rows[:2, :, :-1]
+        # rows[r:r+2] is C-contiguous, so its transpose is the Fortran-ordered
+        # right-hand side that ztbtrs overwrites in place.
+        _, info = ztbtrs(ab, rows[r : r + 2].reshape(2, -1).T, uplo="L", diag="U", overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"banded solve failed (info={info})")
+    return rows
+
+
+def _start(tab: _Coefficients, xs: np.ndarray, nrhs: int) -> np.ndarray:
+    """Rows 0 and 1 of (Q, P), and of (Q', P') when ``nrhs`` is 4, at each x."""
+    carry = np.zeros((nrhs, xs.size, 2), dtype=complex)
+    carry[0, :, 1] = tab.inv_b[0]
+    carry[1, :, 0] = 1.0
+    carry[1, :, 1] = xs * tab.inv_b[0] - tab.a_b[0]
+    if nrhs == 4:
+        carry[3, :, 1] = tab.inv_b[0]
+    return carry
+
+
 def _nevanlinna_sums(
     rates: BirthDeathRates,
     xs: np.ndarray,
@@ -189,10 +256,12 @@ def _nevanlinna_sums(
 ):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
-    Returns (sums dict, terms_used, achieved delta, converged). The dict maps
-    'SA','SB','SC','SD' (plus primed variants when ``derivs``) to arrays over
-    the batch;  A = x SA, B = -1 + x SB, C = 1 + x SC, D = x SD, and
-    primed sums give derivative assembly d(xS)/dx = S + x S'.
+    The recurrence advances by one :func:`_advance` per checkpoint segment and
+    chunk of points. Each point stops at the first checkpoint where its own
+    extrapolation has settled, so its result does not depend on the batch.
+    Returns (sums, terms_used, achieved increment, converged) over the batch;
+    ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
+    (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     checkpoints = []
@@ -202,132 +271,69 @@ def _nevanlinna_sums(
         cp *= 2
     if not checkpoints:
         checkpoints = [nmax]
-    need = checkpoints[-1] + 3
-    lam, mu = rates.tabulate(need + 2)
-    lam_l, mu_l = lam.tolist(), mu.tolist()
+    tab = _coefficients(rates, checkpoints[-1] + 3)
+    W = tab.weights
+    carry = _start(tab, xs, 4 if derivs else 2)
+    running = carry[:, :, 0, None] * W[0] + carry[:, :, 1, None] * W[1]
 
-    names = ["SA", "SB", "SC", "SD"] + (["SAp", "SBp", "SCp", "SDp"] if derivs else [])
-    sums = {nm: np.zeros_like(xs) for nm in names}
-    sums["SD"] += 1.0  # k = 0 term: P_0(0) P_0(x)
-
-    b0 = math.sqrt(lam_l[0] * mu_l[1])
-    a0 = lam_l[0] + mu_l[0]
-    p_prev = np.ones_like(xs)
-    q_prev = np.zeros_like(xs)
-    p_cur = (xs - a0) / b0
-    q_cur = np.full_like(xs, 1.0 / b0)
-    if derivs:
-        dp_prev = np.zeros_like(xs)
-        dq_prev = np.zeros_like(xs)
-        dp_cur = np.full_like(xs, 1.0 / b0)
-        dq_cur = np.zeros_like(xs)
-    pi_k = 1.0
-    ainv = 0.0
-    b_prev = b0
-
+    result = np.zeros_like(running)
+    terms = np.zeros(xs.size, dtype=int)
+    achieved = np.full(xs.size, math.inf)
+    converged = np.zeros(xs.size, dtype=bool)
+    active = np.arange(xs.size)
     hs: list[float] = []
-    snapshots: list[dict] = []
-    buffer: list[dict] | None = None
-    buffer_cp = 0
-    prev_extrap: dict | None = None
-    achieved = math.inf
-    converged = False
-    terms = 1
-    ci = 0
-
-    k = 1
-    while True:
-        pi_k *= lam_l[k - 1] / mu_l[k]
-        ainv -= 1.0 / (mu_l[k] * pi_k)
-        pk0 = math.sqrt(pi_k) if k % 2 == 0 else -math.sqrt(pi_k)
-        qk0 = pk0 * ainv
-        sums["SA"] += qk0 * q_cur
-        sums["SB"] += qk0 * p_cur
-        sums["SC"] += pk0 * q_cur
-        sums["SD"] += pk0 * p_cur
-        if derivs:
-            sums["SAp"] += qk0 * dq_cur
-            sums["SBp"] += qk0 * dp_cur
-            sums["SCp"] += pk0 * dq_cur
-            sums["SDp"] += pk0 * dp_cur
-        terms = k + 1
-
-        if ci < len(checkpoints):
-            cp = checkpoints[ci]
-            if terms == cp:
-                buffer = []
-                buffer_cp = cp
-            if buffer is not None and cp <= terms <= cp + 3:
-                buffer.append({nm: sums[nm].copy() for nm in names})
-            if buffer is not None and terms == cp + 3:
-                avg = {nm: sum(b[nm] for b in buffer) / len(buffer) for nm in names}
-                hs.append(1.0 / (buffer_cp + 1.5))
-                snapshots.append(avg)
-                buffer = None
-                ci += 1
-                if len(snapshots) >= 3:
-                    extrap = {
-                        nm: _neville_vec(hs, [s[nm] for s in snapshots])
-                        for nm in names
-                    }
-                    if prev_extrap is not None:
-                        achieved = 0.0
-                        ok = True
-                        for nm in names:
-                            d = np.abs(extrap[nm] - prev_extrap[nm])
-                            achieved = max(achieved, float(d.max()))
-                            lim = np.maximum(
-                                tol.abs_tol, tol.rel_tol * np.abs(extrap[nm])
-                            )
-                            ok = ok and bool(np.all(d <= lim))
-                        prev_extrap = extrap
-                        if ok:
-                            converged = True
-                            break
-                    else:
-                        prev_extrap = extrap
-
-        if ci >= len(checkpoints):
+    snapshots: list[np.ndarray] = []
+    lo = 2
+    for cp in checkpoints:
+        hi = cp + 3
+        avg = np.zeros_like(running)
+        step = max(1, _CHUNK // (hi - lo))
+        for i0 in range(0, active.size, step):
+            idx = active[i0 : i0 + step]
+            rows = _advance(tab, xs[idx], carry[:, idx], lo, hi)
+            carry[:, idx] = rows[:, :, -2:]
+            # One (1, L) @ (L, 2) product per point keeps each point's sums
+            # independent of how many points share the chunk.
+            s = running[:, idx] + (rows[:, :, None, :-3] @ W[lo:cp])[:, :, 0]
+            total = s
+            for j in range(3):
+                s = s + rows[:, :, j - 3, None] * W[cp + j]
+                total = total + s
+            running[:, idx] = s
+            avg[:, idx] = total / 4
+            if not np.all(np.abs(carry[:, idx]) <= _GROWTH_LIMIT):
+                raise ConvergenceError(
+                    "Nevanlinna series terms are growing; the moment problem "
+                    "looks determinate or max_iter is far too small"
+                )
+        lo = hi
+        terms[active] = hi
+        hs.append(1.0 / (cp + 1.5))
+        snapshots.append(avg)
+        extrap = running[:, active]
+        if len(snapshots) >= 3:
+            extrap = neville(hs, [snap[:, active] for snap in snapshots])
+        if len(snapshots) > 3:
+            d = np.abs(extrap - result[:, active])
+            lim = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(extrap))
+            achieved[active] = d.max(axis=(0, 2))
+            converged[active] = np.all(d <= lim, axis=(0, 2))
+        result[:, active] = extrap
+        active = active[~converged[active]]
+        if not active.size:
             break
-
-        an = lam_l[k] + mu_l[k]
-        bn = math.sqrt(lam_l[k] * mu_l[k + 1])
-        p_new = ((xs - an) * p_cur - b_prev * p_prev) / bn
-        q_new = ((xs - an) * q_cur - b_prev * q_prev) / bn
-        if derivs:
-            dp_new = ((xs - an) * dp_cur + p_cur - b_prev * dp_prev) / bn
-            dq_new = ((xs - an) * dq_cur + q_cur - b_prev * dq_prev) / bn
-            dp_prev, dp_cur = dp_cur, dp_new
-            dq_prev, dq_cur = dq_cur, dq_new
-        p_prev, p_cur = p_cur, p_new
-        q_prev, q_cur = q_cur, q_new
-        b_prev = bn
-        k += 1
-        if k % 512 == 0 and np.max(np.abs(p_cur)) > _GROWTH_LIMIT:
-            raise ConvergenceError(
-                "Nevanlinna series terms are growing; the moment problem "
-                "looks determinate or max_iter is far too small"
-            )
-
-    result = prev_extrap if prev_extrap is not None else {
-        nm: sums[nm].copy() for nm in names
-    }
     return result, terms, achieved, converged
 
 
-def _assemble(entries: dict, xs: np.ndarray, derivs: bool = False) -> dict:
-    out = {
-        "A": xs * entries["SA"],
-        "B": -1.0 + xs * entries["SB"],
-        "C": 1.0 + xs * entries["SC"],
-        "D": xs * entries["SD"],
-    }
-    if derivs:
-        out["Ap"] = entries["SA"] + xs * entries["SAp"]
-        out["Bp"] = entries["SB"] + xs * entries["SBp"]
-        out["Cp"] = entries["SC"] + xs * entries["SCp"]
-        out["Dp"] = entries["SD"] + xs * entries["SDp"]
-    return out
+def _assemble(sums: np.ndarray, xs: np.ndarray):
+    """Rows (A, B, C, D) from :func:`_nevanlinna_sums` and, when its sums are
+    primed too, rows (A', B', C', D'); d(xS)/dx = S + x S'."""
+    s = np.stack([sums[r, :, c] for c in (0, 1) for r in (0, 1)])
+    vals = np.array([0.0, -1.0, 1.0, 0.0])[:, None] + xs * s
+    if sums.shape[0] == 2:
+        return vals, None
+    ds = np.stack([sums[r, :, c] for c in (0, 1) for r in (2, 3)])
+    return vals, s + xs * ds
 
 
 def nevanlinna_batch(
@@ -336,41 +342,34 @@ def nevanlinna_batch(
     tol: Tolerance | None = None,
     nmax: int = 16384,
 ) -> list[NevanlinnaValue]:
-    """Vectorized :func:`nevanlinna_eval` over a batch of points (one series pass)."""
+    """Vectorized :func:`nevanlinna_eval` over a batch of points.
+
+    The points share one series pass, but each stops at the first checkpoint
+    where its own extrapolation has settled, so ``terms_used`` is per point
+    and ``nevanlinna_batch(rates, xs)[i]`` equals ``nevanlinna_eval(rates,
+    xs[i])``. Raises :class:`ConvergenceError` when any point has not settled
+    by ``nmax`` terms.
+    """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    nonzero = xs != 0
-    out: list[NevanlinnaValue | None] = [None] * xs.size
-    if np.any(nonzero):
+    nonzero = np.flatnonzero(xs)
+    out = [
+        NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)
+    ] * xs.size
+    if nonzero.size:
         sub = xs[nonzero]
-        entries, terms, achieved, converged = _nevanlinna_sums(
-            rates, sub, tol, derivs=False, nmax=nmax
-        )
-        if not converged:
+        sums, terms, achieved, converged = _nevanlinna_sums(rates, sub, tol, nmax=nmax)
+        if not converged.all():
             raise ConvergenceError(
-                f"Nevanlinna series did not stabilize (achieved {achieved:.2e}); "
-                "raise nmax or loosen the tolerance"
+                f"Nevanlinna series did not stabilize (achieved "
+                f"{achieved[~converged].max():.2e}); raise nmax or loosen the tolerance"
             )
-        vals = _assemble(entries, sub)
-        j = 0
-        for i in range(xs.size):
-            if nonzero[i]:
-                A, B, C, D = (vals[nm][j] for nm in ("A", "B", "C", "D"))
-                out[i] = NevanlinnaValue(
-                    A=complex(A),
-                    B=complex(B),
-                    C=complex(C),
-                    D=complex(D),
-                    x=complex(xs[i]),
-                    terms_used=terms,
-                    det_defect=abs(A * D - B * C - 1.0),
-                )
-                j += 1
-    for i in range(xs.size):
-        if out[i] is None:
+        vals, _ = _assemble(sums, sub)
+        for j, i in enumerate(nonzero):
+            A, B, C, D = (complex(v) for v in vals[:, j])
             out[i] = NevanlinnaValue(
-                A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0
+                A, B, C, D, complex(xs[i]), int(terms[j]), abs(A * D - B * C - 1.0)
             )
     return out
 
@@ -505,28 +504,20 @@ def markov_like_limit(
 
 
 def _pq_ratio_checkpoints(rates, x, cps):
-    need = cps[-1] + 3
-    lam, mu = rates.tabulate(need + 2)
-    lam_l, mu_l = lam.tolist(), mu.tolist()
-    a0 = lam_l[0] + mu_l[0]
-    b0 = math.sqrt(lam_l[0] * mu_l[1])
-    p0, p1 = 1.0 + 0.0j, (x - a0) / b0
-    q0, q1 = 0.0 + 0.0j, complex(1.0 / b0)
-    b_prev = b0
-    buf: dict[int, list[complex]] = {cp: [] for cp in cps}
-    for n in range(1, need + 1):
-        for cp in cps:
-            if cp <= n <= cp + 3:
-                buf[cp].append(q1 / p1)
-        an = lam_l[n] + mu_l[n]
-        bn = math.sqrt(lam_l[n] * mu_l[n + 1])
-        p0, p1 = p1, ((x - an) * p1 - b_prev * p0) / bn
-        q0, q1 = q1, ((x - an) * q1 - b_prev * q0) / bn
-        b_prev = bn
-        scale = abs(p1) + abs(q1)
-        if scale > 1e140 or scale < 1e-140:
-            p0, p1, q0, q1 = p0 / scale, p1 / scale, q0 / scale, q1 / scale
-    return [sum(buf[cp]) / len(buf[cp]) for cp in cps]
+    # Q_n/P_n for n = 2..cps[-1]+3, one kernel segment per checkpoint; the
+    # carried rows are rescaled between segments, which the ratio does not see.
+    need = cps[-1] + 4
+    tab = _coefficients(rates, need)
+    xs = np.array([complex(x)])
+    carry = _start(tab, xs, 2)
+    ratio = np.empty(need, dtype=complex)
+    lo = 2
+    for cp in cps:
+        rows = _advance(tab, xs, carry, lo, cp + 4)
+        ratio[lo : cp + 4] = rows[0, 0] / rows[1, 0]
+        carry = rows[:, :, -2:] / np.abs(rows[:, 0, -1]).sum()
+        lo = cp + 4
+    return [ratio[cp : cp + 4].sum() / 4 for cp in cps]
 
 
 def _dual_ratio_checkpoints(rates, x, cps):
@@ -640,6 +631,8 @@ def nextremal_measure(
     by a scan plus safeguarded Newton refinement on the extrapolated series.
     Masses are 1/(B'(s) D(s) - B(s) D'(s)). The result is flagged
     ``normalized=False``: it is a window of an infinite discrete measure.
+    Raises :class:`ConvergenceError` when the series behind the masses have
+    not settled to ``tol``.
     """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
@@ -665,15 +658,22 @@ def nextremal_measure(
             raise ValueError("grid must be at least 2")
         xs = np.linspace(lo, hi, grid + 1)
 
-    def g_batch(points: np.ndarray, derivs: bool, nmax: int):
-        entries, _, _, _ = _nevanlinna_sums(
-            rates, points.astype(complex), tol, derivs=derivs, n0=256, nmax=nmax
+    def g_batch(points: np.ndarray, derivs: bool, nmax: int, final: bool = False):
+        # Only the final pass, which gives the masses, must converge; the scan,
+        # bisection and Newton passes need signs and deliberately run short.
+        sums, _, achieved, converged = _nevanlinna_sums(
+            rates, points, tol, derivs=derivs, n0=256, nmax=nmax
         )
-        vals = _assemble(entries, points.astype(complex), derivs=derivs)
-        g = (cB * vals["B"] + cD * vals["D"]).real
+        if final and not converged.all():
+            raise ConvergenceError(
+                f"N-extremal masses: the Nevanlinna series reached "
+                f"{achieved[~converged].max():.2e}, requested abs_tol "
+                f"{tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e}; loosen the tolerance"
+            )
+        vals, dvals = _assemble(sums, points)
+        g = (cB * vals[1] + cD * vals[3]).real
         if derivs:
-            dg = (cB * vals["Bp"] + cD * vals["Dp"]).real
-            return g, dg, vals
+            return g, (cB * dvals[1] + cD * dvals[3]).real, vals, dvals
         return g
 
     scan = g_batch(xs, False, 4096)
@@ -702,7 +702,7 @@ def nextremal_measure(
             fa = np.where(left, g, fa)
         mids = 0.5 * (a + bb)
         for _ in range(3):
-            g, dg, _ = g_batch(mids, True, 16384)
+            g, dg, _, _ = g_batch(mids, True, 16384)
             mids = mids - g / np.where(dg == 0, 1.0, dg)
         roots.extend(float(r) for r in mids)
 
@@ -713,8 +713,8 @@ def nextremal_measure(
             "densify the grid or widen the window"
         )
     pts = np.array(roots)
-    g, dg, vals = g_batch(pts, True, 16384)
-    denom = (vals["Bp"] * vals["D"] - vals["B"] * vals["Dp"]).real
+    _, _, vals, dvals = g_batch(pts, True, 16384, final=True)
+    denom = (dvals[1] * vals[3] - vals[1] * dvals[3]).real
     masses = 1.0 / denom
     bad = [float(p) for p, m in zip(pts, masses) if not m > 0]
     if bad:

@@ -303,16 +303,17 @@ def gamma_pos(x: float) -> float:
     return math.gamma(x)
 
 
-def neville(hs: Sequence[float], ys: Sequence[complex]) -> complex:
-    """Polynomial extrapolation of samples ``(h_i, y_i)`` to h = 0."""
-    vals = [complex(y) for y in ys]
+def neville(hs: Sequence[float], ys: Sequence) -> complex | np.ndarray:
+    """Polynomial extrapolation of samples ``(h_i, y_i)`` to h = 0, elementwise
+    when the ``y_i`` are arrays of one shape; scalar samples give a ``complex``."""
+    vals = list(np.asarray(ys, dtype=complex))
     n = len(vals)
     if len(hs) != n or n == 0:
         raise ValueError("need equally many abscissae and values")
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
-    return vals[-1]
+    return complex(vals[-1]) if vals[-1].ndim == 0 else vals[-1]
 
 
 def richardson_sum(

@@ -36,8 +36,7 @@ class BirthDeathRates:
         self._mu = mu
         self.family = family
         self.params = dict(params or {})
-        self._tab_lam: list[float] = []
-        self._tab_mu: list[float] = []
+        self._tab = np.empty((2, 0))
         self._cache: dict = {}
         mu0 = float(mu(0))
         if mu0 < 0:
@@ -60,18 +59,16 @@ class BirthDeathRates:
 
     def tabulate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Arrays (lambda_0..lambda_n, mu_0..mu_n), cached and grown on demand."""
-        while len(self._tab_lam) <= n:
-            k = len(self._tab_lam)
-            lam_k = float(self._lam(k))
-            mu_k = float(self._mu(k))
-            if not lam_k > 0 or (k >= 1 and not mu_k > 0):
-                raise ValueError(f"rates lose positivity at index {k}")
-            self._tab_lam.append(lam_k)
-            self._tab_mu.append(mu_k)
-        return (
-            np.asarray(self._tab_lam[: n + 1]),
-            np.asarray(self._tab_mu[: n + 1]),
-        )
+        if self._tab.shape[1] <= n:
+            lam: list[float] = []
+            mu: list[float] = []
+            for k in range(self._tab.shape[1], n + 1):
+                lam.append(float(self._lam(k)))
+                mu.append(float(self._mu(k)))
+                if not lam[-1] > 0 or (k >= 1 and not mu[-1] > 0):
+                    raise ValueError(f"rates lose positivity at index {k}")
+            self._tab = np.concatenate([self._tab, [lam, mu]], axis=1)
+        return self._tab[0, : n + 1].copy(), self._tab[1, : n + 1].copy()
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())

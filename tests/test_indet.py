@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from bdspec import (
     DET_H,
     DET_S_INDET_H,
     INDET_S_INDET_H,
+    ConvergenceError,
     PoleError,
     Tolerance,
     alpha_limit,
@@ -26,6 +28,7 @@ from bdspec import (
     stieltjes_dn_rates,
 )
 
+from bdspec.indet import _advance, _coefficients, _start
 from conftest import ALPHA_QUARTIC_REF
 
 
@@ -304,11 +307,59 @@ class TestNextremalMeasure:
         with pytest.raises(ValueError):
             nextremal_measure(dn_half, 0.0, window=(0, 10))
 
+    def test_unconverged_masses_raise(self, quartic0):
+        # 1e-15 is below what 16384 terms reach, so the pass that gives the
+        # masses cannot settle.
+        with pytest.raises(ConvergenceError, match="requested"):
+            nextremal_measure(quartic0, 0.0, window=(-0.5, 200), tol=Tolerance(1e-15, 1e-15))
+
+
+def _stalls(x: complex) -> bool:
+    # Where the series is known to stall short of 1e-11: large |x| near the
+    # positive axis.
+    return abs(x) >= 5e3 and abs(cmath.phase(x)) <= math.radians(6)
+
 
 def test_nevanlinna_batch_matches_scalar(quartic0):
-    xs = [1 + 1j, 4.0, 0.0]
-    batch = nevanlinna_batch(quartic0, xs)
-    for x, nv in zip(xs, batch):
-        single = nevanlinna_eval(quartic0, x)
-        assert abs(nv.A - single.A) < 1e-12 * max(1.0, abs(single.A))
-        assert abs(nv.D - single.D) < 1e-12 * max(1.0, abs(single.D))
+    # Each batch point stops on its own, so the batch reproduces single-point
+    # evaluation: same values, same number of terms.
+    rng = np.random.default_rng(11)
+    for rates in (quartic0, quartic_rates(0.5, 0.0)):
+        mags = 10.0 ** ((np.arange(6) + rng.uniform(size=(4, 6))) * 5 / 6)
+        phases = (np.arange(4)[:, None] + rng.uniform(0.02, 0.98, size=(4, 6))) * math.pi / 2
+        xs = [0.0] + [x for x in (mags * np.exp(1j * phases)).ravel() if not _stalls(x)]
+        batch = nevanlinna_batch(rates, xs)
+        for x, nv in zip(xs, batch):
+            single = nevanlinna_eval(rates, x)
+            assert nv.terms_used == single.terms_used
+            for a, b in zip((nv.A, nv.B, nv.C, nv.D), (single.A, single.B, single.C, single.D)):
+                assert abs(a - b) <= 1e-13 * abs(b)
+
+
+class TestSeriesKernel:
+    def test_coefficient_table(self, quartic0):
+        n = 2000
+        weights = _coefficients(quartic0, n + 1).weights[: n + 1]
+        pis, ainv = pi_alpha(quartic0, n)
+        P, Q = eval_pq(quartic0, n, 0.0)
+        for k in range(n + 1):
+            p0 = (-1.0) ** k * math.sqrt(pis.value(k).real)
+            q0 = p0 * ainv.value(k).real
+            assert abs(weights[k, 1] - p0) <= 1e-13 * abs(p0)
+            assert abs(weights[k, 0] - q0) <= 1e-13 * abs(q0)
+            # the recurrence at 0 drifts by up to 2e-12 relative over 2000
+            # steps, so this comparison is absolute; |P_k(0)| <= 1
+            assert abs(weights[k, 1] - P.value(k)) < 1e-13
+            assert abs(weights[k, 0] - Q.value(k)) < 1e-13
+
+    def test_kernel_rows_match_recurrence(self, quartic0):
+        n = 300
+        tab = _coefficients(quartic0, n + 1)
+        for x in (2.2 + 0.7j, -30 + 5j, 1e3 - 2e3j, 7.5):
+            xs = np.array([complex(x)])
+            rows = _advance(tab, xs, _start(tab, xs, 4), 2, n + 1)[:, 0]
+            P, Q = eval_pq(quartic0, n, x, with_deriv=True)
+            for k in range(2, n + 1):
+                refs = (Q.value(k), P.value(k), Q.deriv(k), P.deriv(k))
+                for got, ref in zip(rows[:, k - 2], refs):
+                    assert abs(got - ref) <= 1e-12 * abs(ref)

@@ -237,6 +237,10 @@ def test_neville_recovers_polynomial_limit():
     hs = [1.0 / n for n in (8, 16, 32, 64, 128)]
     ys = [3.0 - 2.0 * h + 5.0 * h**2 - h**3 for h in hs]
     assert abs(neville(hs, ys) - 3.0) < 1e-12
+    assert isinstance(neville(hs, ys), complex)
+    # array samples are extrapolated elementwise
+    arrays = [np.array([y, 2.0 * y, 1j * y]) for y in ys]
+    assert np.allclose(neville(hs, arrays), [3.0, 6.0, 3j], rtol=0, atol=1e-11)
 
 
 def test_compensated_sum_vs_mpmath():
