@@ -78,7 +78,6 @@ from .recurrence import (
     custom_rates,
     dual_rates,
     eval_f,
-    eval_fhat,
     eval_pq,
     generalized_c_rates,
     jacobi_from_rates,

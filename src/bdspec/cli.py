@@ -2,7 +2,8 @@
 
 Reports are deterministic JSON: floats rendered with 17 significant digits,
 keys sorted, no timestamps. Exit codes: 0 success, 2 input error, 3 mode vs
-classification conflict, 4 I/O error.
+classification conflict, 4 I/O error, 5 numerical failure (a series or a
+quadrature did not reach its tolerance).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .indet import (
     nextremal_transform,
 )
 from .contfrac import gauss_measure
-from .numerics import Tolerance
+from .numerics import ConvergenceError, QuadratureError, Tolerance
 from .quartic import border_measure, make_quartic_spec, quartic_rates
 from .recurrence import (
     BirthDeathRates,
@@ -40,6 +41,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MODE = 3
 EXIT_IO = 4
+EXIT_NUMERIC = 5
 
 
 class CliError(Exception):
@@ -502,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
+    except (ConvergenceError, QuadratureError) as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

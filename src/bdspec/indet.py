@@ -4,19 +4,26 @@ The four Nevanlinna series converge like 1/n for quartic-growth rate
 families, so every series here is summed with geometric checkpoints
 (averaged over four consecutive partial sums to damp bounded-period
 oscillation) and Neville extrapolation in 1/n.
+
+The Krein border limit and the dual series run on the dual system's rows
+(lambda~_n = mu_{n+1}, mu~_n = lambda_n). The zero-related dual differs from
+the dual only in mu_0 (0 instead of lambda_0), so the recurrence being linear
+gives Phat_n = Ptilde_n + lambda_0 Qtilde_n. With F_n = (-1)^n sqrt(pi_n) P_n
+for any system and pihat_n = pitilde_n, Ftilde_n = w_n Ptilde_n and
+Fhat_n = w_n (Ptilde_n + lambda_0 Qtilde_n), where w_n = (-1)^n sqrt(pitilde_n).
 """
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import ztbtrs
 
 from .contfrac import DiscreteMeasure, PoleError
 from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville, richardson_sum
-from .recurrence import BirthDeathRates, dual_rates
+from .recurrence import BirthDeathRates, _scaled_add
 
 DET_H = "DET_H"
 INDET_S_INDET_H = "INDET_S_INDET_H"
@@ -144,19 +151,6 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
     )
 
 
-def _scaled_add(m1: float, s1: float, m2: float, s2: float) -> tuple[float, float]:
-    if m1 == 0.0:
-        return m2, s2
-    if m2 == 0.0:
-        return m1, s1
-    s = max(s1, s2)
-    m = m1 * math.exp(s1 - s) + m2 * math.exp(s2 - s)
-    if m != 0.0 and not (1e-120 < abs(m) < 1e120):
-        s += math.log(abs(m))
-        m = math.copysign(1.0, m)
-    return m, s
-
-
 def _cached_verdict(rates: BirthDeathRates, nmax: int = 2000) -> str:
     key = "determinacy_verdict"
     if key not in rates._cache:
@@ -176,7 +170,9 @@ def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
 @dataclass(frozen=True)
 class _Coefficients:
     """Rows k < size of y_{k+1} = (x/b_k - a_k/b_k) y_k - (b_{k-1}/b_k) y_{k-1},
-    with the series weights Q_k(0) = P_k(0)/alpha_k, P_k(0) = (-1)^k sqrt(pi_k)."""
+    with the weights (-1)^k sqrt(pi_k) / alpha_k and (-1)^k sqrt(pi_k). When
+    mu_0 = 0 these are Q_k(0) and P_k(0); for the dual system only the second,
+    F_k / P_k, is used."""
 
     a_b: np.ndarray
     inv_b: np.ndarray
@@ -184,22 +180,35 @@ class _Coefficients:
     weights: np.ndarray
 
 
-# Coefficient tables, keyed by the rates object and rebuilt larger on demand.
+# Coefficient tables of a rates object and of its dual system, keyed by the
+# rates object and rebuilt larger on demand.
 _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_DUAL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 # Point-steps stacked into one banded solve.
 _CHUNK = 2**13
 
+# Terms of a dual series: through the four-sum average at 16384, the last
+# checkpoint of the Nevanlinna series.
+_DUAL_TERMS = 16384 + 4
 
-def _coefficients(rates: BirthDeathRates, size: int) -> _Coefficients:
-    tab = _TABLES.get(rates)
+
+def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coefficients:
+    """The table of ``rates``, or with ``dual`` that of its dual system, built
+    from the tabulation of ``rates`` itself."""
+    memo = _DUAL_TABLES if dual else _TABLES
+    tab = memo.get(rates)
     if tab is None or tab.inv_b.size < size:
-        lam, mu = rates.tabulate(size)
+        if dual:
+            lam, mu = rates.tabulate(size + 1)
+            lam, mu = mu[1:], lam[:-1]
+        else:
+            lam, mu = rates.tabulate(size)
         b = np.sqrt(lam[:-1] * mu[1:])
         pi = np.cumprod(np.concatenate(([1.0], lam[: size - 1] / mu[1:size])))
         ainv = np.cumsum(np.concatenate(([0.0], -1.0 / (mu[1:size] * pi[1:]))))
         p0 = np.sqrt(pi) * (-1.0) ** np.arange(size)
-        tab = _TABLES[rates] = _Coefficients(
+        tab = memo[rates] = _Coefficients(
             a_b=(lam[:-1] + mu[:-1]) / b,
             inv_b=1.0 / b,
             b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
@@ -468,9 +477,10 @@ def markov_like_limit(
     """Iterated border-measure transforms for indet-S families.
 
     ``friedrichs`` iterates Q_n/P_n; ``krein`` iterates the zero-related dual
-    ratio Fhat_n / (x Ftilde_n). Both converge like 1/n, so checkpointed
-    iterates are Neville-extrapolated; diagnostics report the extrapolation
-    increment.
+    ratio Fhat_n / (x Ftilde_n) = (1 + lambda_0 Qtilde_n / Ptilde_n) / x, from
+    the dual system's rows on the same banded kernel. Both converge like 1/n,
+    so checkpointed iterates are Neville-extrapolated; diagnostics report the
+    extrapolation increment.
     """
     x = complex(x)
     if x.imag == 0:
@@ -485,10 +495,10 @@ def markov_like_limit(
     levels = 5
     cps = sorted({max(8, N // (2**j)) for j in range(levels)})
 
-    if mode == "friedrichs":
-        ratios = _pq_ratio_checkpoints(rates, x, cps)
-    else:
-        ratios = _dual_ratio_checkpoints(rates, x, cps)
+    dual = mode == "krein"
+    ratios = _pq_ratio_checkpoints(_coefficients(rates, cps[-1] + 4, dual=dual), x, cps)
+    if dual:
+        ratios = [(1.0 + rates.lam(0) * r) / x for r in ratios]
 
     hs = [1.0 / (cp + 1.5) for cp in cps]
     prev = None
@@ -503,11 +513,10 @@ def markov_like_limit(
     return ConvergedLimit(value, cps[-1], inc, converged)
 
 
-def _pq_ratio_checkpoints(rates, x, cps):
+def _pq_ratio_checkpoints(tab: _Coefficients, x, cps):
     # Q_n/P_n for n = 2..cps[-1]+3, one kernel segment per checkpoint; the
     # carried rows are rescaled between segments, which the ratio does not see.
     need = cps[-1] + 4
-    tab = _coefficients(rates, need)
     xs = np.array([complex(x)])
     carry = _start(tab, xs, 2)
     ratio = np.empty(need, dtype=complex)
@@ -520,44 +529,18 @@ def _pq_ratio_checkpoints(rates, x, cps):
     return [ratio[cp : cp + 4].sum() / 4 for cp in cps]
 
 
-def _dual_ratio_checkpoints(rates, x, cps):
-    need = cps[-1] + 3
-    tilde = dual_rates(rates)
-    hat = dual_rates(rates, zero_related=True)
-    lt, mt = tilde.tabulate(need + 2)
-    lh, mh = hat.tabulate(need + 2)
-    lt_l, mt_l = lt.tolist(), mt.tolist()
-    lh_l, mh_l = lh.tolist(), mh.tolist()
-    ft0, ft1 = 0.0 + 0.0j, 1.0 + 0.0j
-    fh0, fh1 = 0.0 + 0.0j, 1.0 + 0.0j
-    st = sh = 0.0  # separate log scales
-    buf: dict[int, list[complex]] = {cp: [] for cp in cps}
-    for n in range(0, need + 1):
-        for cp in cps:
-            if cp <= n <= cp + 3:
-                buf[cp].append((fh1 / ft1) * math.exp(sh - st) / x)
-        f2 = ((lt_l[n] + mt_l[n] - x) * ft1 - (lt_l[n - 1] if n >= 1 else 0.0) * ft0) / mt_l[n + 1]
-        ft0, ft1 = ft1, f2
-        g2 = ((lh_l[n] + mh_l[n] - x) * fh1 - (lh_l[n - 1] if n >= 1 else 0.0) * fh0) / mh_l[n + 1]
-        fh0, fh1 = fh1, g2
-        m = abs(ft1)
-        if m > 1e140 or (0 < m < 1e-140):
-            ft0, ft1, st = ft0 / m, ft1 / m, st + math.log(m)
-        m = abs(fh1)
-        if m > 1e140 or (0 < m < 1e-140):
-            fh0, fh1, sh = fh0 / m, fh1 / m, sh + math.log(m)
-    return [sum(buf[cp]) / len(buf[cp]) for cp in cps]
-
-
 def modified_entries_dual(
     rates: BirthDeathRates, x: complex, tol: Tolerance | None = None
 ) -> tuple[complex, complex]:
     """(B - D/alpha, A - C/alpha) evaluated through the dual-polynomial series.
 
     B - D/alpha = -1 + (x/mu~_0) sum Ftilde_n(x) and
-    A - C/alpha = (1/mu~_0) sum Fhat_n(x); both series are Richardson
-    accelerated. This is the strongest cross-check against the direct
-    Nevanlinna summation.
+    A - C/alpha = (1/mu~_0) sum Fhat_n(x), with mu~_0 = lambda_0. The terms
+    come from one pass of the banded kernel over the dual system's rows, at
+    most min(``tol.max_iter``, 16388) of them, the term cap of the Nevanlinna
+    series; both series are Richardson accelerated and raise
+    :class:`ConvergenceError` when they have not settled. This is the
+    strongest cross-check against the direct Nevanlinna summation.
     """
     _require_indet(rates)
     if rates.mu0 != 0:
@@ -566,39 +549,21 @@ def modified_entries_dual(
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=200_000)
     mu_t0 = rates.lam(0)
 
-    s_tilde = _f_series_sum(dual_rates(rates), x, tol)
-    s_hat = _f_series_sum(dual_rates(rates, zero_related=True), x, tol)
-    b_tilde = -1.0 + (x / mu_t0) * s_tilde
-    a_tilde = s_hat / mu_t0
-    return b_tilde, a_tilde
-
-
-def _f_series_sum(rates: BirthDeathRates, x: complex, tol: Tolerance) -> complex:
-    lam_l: list[float] = []
-    mu_l: list[float] = []
-    state = {"f0": 0.0 + 0.0j, "f1": 1.0 + 0.0j, "k": -1}
-
-    def term(_n: int) -> complex:
-        k = state["k"]
-        if k == -1:
-            state["k"] = 0
-            return state["f1"]
-        while len(lam_l) <= k + 1:
-            lam, mu = rates.tabulate(max(2 * (k + 2), 64))
-            lam_l[:] = lam.tolist()
-            mu_l[:] = mu.tolist()
-        f2 = (
-            (lam_l[k] + mu_l[k] - x) * state["f1"]
-            - (lam_l[k - 1] if k >= 1 else 0.0) * state["f0"]
-        ) / mu_l[k + 1]
-        state["f0"], state["f1"] = state["f1"], f2
-        state["k"] = k + 1
-        return f2
-
-    res = richardson_sum(term, tol, n0=256)
-    if not res.converged:
+    n = min(tol.max_iter, _DUAL_TERMS)
+    tab = _coefficients(rates, n, dual=True)
+    xs = np.array([x])
+    carry = _start(tab, xs, 2)
+    q, p = np.concatenate([carry[:, 0], _advance(tab, xs, carry, 2, n)[:, 0]], axis=1)
+    w = tab.weights[:n, 1]
+    s_tilde, s_hat = (
+        richardson_sum(f.item, replace(tol, max_iter=n), n0=256)
+        for f in (w * p, w * (p + mu_t0 * q))
+    )
+    if not (s_tilde.converged and s_hat.converged):
         raise ConvergenceError("dual polynomial series did not stabilize")
-    return res.value
+    b_tilde = -1.0 + (x / mu_t0) * s_tilde.value
+    a_tilde = s_hat.value / mu_t0
+    return b_tilde, a_tilde
 
 
 def _default_grid(rates: BirthDeathRates, window: tuple[float, float]) -> np.ndarray:

@@ -301,17 +301,6 @@ def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySe
     return PolySequence(values=fv, scaling_log=fs)
 
 
-def eval_fhat(rates: BirthDeathRates, n: int, x: complex) -> PolySequence:
-    """Zero-related dual sequence, evaluated by its own recurrence.
-
-    The combination identity against the plain dual and its order-one
-    associated family is asserted by the test suite, not recomputed here.
-    """
-    if rates.mu0 != 0:
-        raise ValueError("zero-related duals require mu_0 = 0")
-    return eval_f(dual_rates(rates, zero_related=True), n, x)
-
-
 def _scaled_add(m1: float, s1: float, m2: float, s2: float) -> tuple[float, float]:
     # (m1 e^{s1}) + (m2 e^{s2}) in mantissa/log form.
     if m1 == 0.0:

@@ -209,6 +209,19 @@ class TestSpectrumCommand:
         )
         assert code == 4
 
+    def test_numerical_failure_exit_5(self, capsys, tmp_path):
+        # 1e-15 is below what the series behind the masses reach
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(
+            capsys,
+            "spectrum", "--family", "quartic", "--c", "0", "--mu", "0",
+            "--mode", "nextremal:0", "--window=-0.5,200", "--tol", "1e-15",
+            "--out", str(out_path),
+        )
+        assert code == 5
+        assert err.startswith("error:") and "requested" in err
+        assert not out_path.exists()
+
 
 def test_version_flag(capsys):
     code = main(["--version"])

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -24,11 +25,12 @@ from bdspec import (
     nextremal_measure,
     nextremal_transform,
     pi_alpha,
+    pi_sequence,
     quartic_rates,
     stieltjes_dn_rates,
 )
 
-from bdspec.indet import _advance, _coefficients, _start
+from bdspec.indet import _advance, _coefficients, _pq_ratio_checkpoints, _start
 from conftest import ALPHA_QUARTIC_REF
 
 
@@ -218,14 +220,41 @@ class TestMarkovLike:
         assert res.converged
         assert abs(res.value - ref) < 1e-7
 
-    def test_krein_matches_cd(self, quartic0):
+    def test_krein_matches_cd(self, quartic0, sweep):
+        for rates, x in [(quartic0, 10 + 10j)] + sweep:
+            nv = nevanlinna_eval(rates, x)
+            res = markov_like_limit(
+                rates, x, "krein", Tolerance(abs_tol=1e-7, rel_tol=1e-7, max_iter=5000)
+            )
+            assert res.converged
+            assert abs(res.value - nv.C / nv.D) < 1e-7 * abs(nv.C / nv.D)
+
+    def test_krein_ratios_match_mpmath(self):
+        # Fhat_n / (x Ftilde_n) averaged at each checkpoint, against both dual
+        # F recurrences stepped in 50-digit arithmetic.
         x = 10 + 10j
-        nv = nevanlinna_eval(quartic0, x)
-        res = markov_like_limit(
-            quartic0, x, "krein", Tolerance(abs_tol=1e-7, rel_tol=1e-7, max_iter=5000)
-        )
-        assert res.converged
-        assert abs(res.value - nv.C / nv.D) < 1e-7
+        cps = sorted({3000 // 2**j for j in range(5)})
+        for c in (0.0, 0.5):
+            rates = quartic_rates(c, 0.0)
+            lam0 = rates.lam(0)
+            ratios = _pq_ratio_checkpoints(_coefficients(rates, cps[-1] + 4, dual=True), x, cps)
+            got = [(1.0 + lam0 * r) / x for r in ratios]
+            lt, mt = (v.tolist() for v in dual_rates(rates).tabulate(cps[-1] + 5))
+            with mp.workdps(50):
+                xm = mp.mpc(x.real, x.imag)
+                f = [mp.mpc(0), mp.mpc(1)]  # Ftilde_{n-1}, Ftilde_n
+                g = [mp.mpc(0), mp.mpc(1)]  # Fhat_{n-1}, Fhat_n
+                ref = {cp: 0 for cp in cps}
+                for n in range(cps[-1] + 4):
+                    for cp in cps:
+                        if cp <= n <= cp + 3:
+                            ref[cp] += g[1] / (xm * f[1]) / 4
+                    lm = mp.mpf(lt[n - 1]) if n else 0
+                    mhat = mp.mpf(mt[n]) if n else 0
+                    f = [f[1], ((lt[n] + mp.mpf(mt[n]) - xm) * f[1] - lm * f[0]) / mt[n + 1]]
+                    g = [g[1], ((lt[n] + mhat - xm) * g[1] - lm * g[0]) / mt[n + 1]]
+            for cp, v in zip(cps, got):
+                assert abs(v - complex(ref[cp])) <= 5e-12 * abs(complex(ref[cp]))
 
     def test_herglotz_both_modes(self, quartic0):
         for mode in ("friedrichs", "krein"):
@@ -249,13 +278,13 @@ class TestModifiedEntriesDual:
         alpha = alpha_limit(quartic0)
         assert at == pytest.approx(-1.0 / alpha, rel=1e-9)
 
-    def test_cross_path_agreement(self, quartic0):
-        alpha = alpha_limit(quartic0)
-        x = 3 + 2j
-        bt, at = modified_entries_dual(quartic0, x)
-        nv = nevanlinna_eval(quartic0, x)
-        assert abs(bt - (nv.B - nv.D / alpha)) < 1e-8 * abs(bt)
-        assert abs(at - (nv.A - nv.C / alpha)) < 1e-8 * abs(at)
+    def test_cross_path_agreement(self, quartic0, sweep):
+        for rates, x in [(quartic0, 3 + 2j)] + sweep:
+            alpha = alpha_limit(rates)
+            bt, at = modified_entries_dual(rates, x)
+            nv = nevanlinna_eval(rates, x)
+            assert abs(bt - (nv.B - nv.D / alpha)) < 1e-8 * abs(bt)
+            assert abs(at - (nv.A - nv.C / alpha)) < 1e-8 * abs(at)
 
     def test_real_on_real_axis(self, quartic0):
         bt, at = modified_entries_dual(quartic0, 0.75)
@@ -320,6 +349,14 @@ def _stalls(x: complex) -> bool:
     return abs(x) >= 5e3 and abs(cmath.phase(x)) <= math.radians(6)
 
 
+@pytest.fixture(scope="module")
+def sweep(quartic0):
+    """(rates, x) for c in {0, 0.5, 1}, one x per quadrant and |x| in {1, 1e2, 1e4}."""
+    xs = [m * cmath.exp(1j * (q + 0.1) * math.pi / 2) for q in range(4) for m in (1.0, 1e2, 1e4)]
+    families = (quartic0, quartic_rates(0.5, 0.0), quartic_rates(1.0, 0.0))
+    return [(rates, x) for rates in families for x in xs if not _stalls(x)]
+
+
 def test_nevanlinna_batch_matches_scalar(quartic0):
     # Each batch point stops on its own, so the batch reproduces single-point
     # evaluation: same values, same number of terms.
@@ -351,6 +388,26 @@ class TestSeriesKernel:
             # steps, so this comparison is absolute; |P_k(0)| <= 1
             assert abs(weights[k, 1] - P.value(k)) < 1e-13
             assert abs(weights[k, 0] - Q.value(k)) < 1e-13
+
+    def test_dual_rows(self):
+        # The dual table comes from the base tabulation, bit for bit, and its
+        # rows give both dual F sequences: Ftilde_k = w_k Ptilde_k and
+        # Fhat_k = w_k (Ptilde_k + lambda_0 Qtilde_k), w_k = (-1)^k sqrt(pitilde_k).
+        n = 20
+        for c in (0.0, 0.5):
+            rates = quartic_rates(c, 0.0)
+            tilde, hat = dual_rates(rates), dual_rates(rates, zero_related=True)
+            got, ref = _coefficients(rates, 400, dual=True), _coefficients(tilde, 400)
+            for field in ("a_b", "inv_b", "b_ratio", "weights"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
+            pis = pi_sequence(tilde, n)
+            for x in (2.0 + 1.0j, -40 - 15j, 3e3 + 1e2j):
+                P, Q = eval_pq(tilde, n, x)
+                Ft, Fh = eval_f(tilde, n, x), eval_f(hat, n, x)
+                for k in range(n + 1):
+                    w = (-1.0) ** k * math.sqrt(pis.value(k).real)
+                    for F, y in ((Ft, P.value(k)), (Fh, P.value(k) + rates.lam(0) * Q.value(k))):
+                        assert abs(F.value(k) - w * y) <= 1e-12 * abs(F.value(k))
 
     def test_kernel_rows_match_recurrence(self, quartic0):
         n = 300

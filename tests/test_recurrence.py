@@ -7,7 +7,6 @@ from bdspec import (
     custom_rates,
     dual_rates,
     eval_f,
-    eval_fhat,
     eval_pq,
     gauss_measure,
     jacobi_from_rates,
@@ -251,7 +250,7 @@ class TestDuals:
 
     def test_fhat_initial_and_combination(self, quartic0):
         x = 2.0 + 1.0j
-        Fh = eval_fhat(quartic0, 15, x)
+        Fh = eval_f(dual_rates(quartic0, zero_related=True), 15, x)
         assert Fh.value(0) == 1.0
         tilde = dual_rates(quartic0)
         mu_t0, mu_t1 = tilde.mu(0), tilde.mu(1)
