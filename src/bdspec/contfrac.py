@@ -174,11 +174,9 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
         nodes = np.array([jc.a[0]])
     else:
         nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
-    weights = np.empty(n)
-    for i, xk in enumerate(nodes):
-        pseq, _ = eval_pq(rates, n, xk)
-        sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
-        weights[i] = 1.0 / float(sq.sum())
+    pseq, _ = eval_pq(rates, n, nodes)
+    sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
+    weights = 1.0 / sq.sum(axis=0)
     return DiscreteMeasure(
         support=nodes,
         mass=weights,

@@ -2,7 +2,10 @@
 
 Markov's theorem as a numerical limit of Q_n/P_n, the discrete dn spectral
 measure, and the continuous-parameter c > 0 family whose transform is a
-ratio of two singular-weight quadratures.
+ratio of two singular-weight quadratures. The double-precision iterates
+Q_n/P_n come from the segment solver of :mod:`bdspec.recurrence`, with each
+solution rescaled by exact powers of two; the extended-precision iterates
+from ``eval_pq_mp``.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from scipy.special import roots_jacobi
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
 from .numerics import ConvergedLimit, QuadratureError, Tolerance, gamma_pos
-from .recurrence import BirthDeathRates, eval_pq_mp
+from .recurrence import BirthDeathRates, _coefficients, _qp_ratios, eval_pq_mp
 
 
 def markov_limit(
@@ -23,43 +26,28 @@ def markov_limit(
 ) -> ConvergedLimit:
     """Limit of r_n = Q_n(x)/P_n(x) for x off the real axis.
 
-    Stops once |r_n - r_(n-1)| and |r_n - r_(n-2)| both fall below the
-    tolerance bound (the ratio can oscillate with period two in magnitude).
-    Exceeding ``max_iter`` returns ``converged=False`` with the best value.
+    Stops at the first n >= 8 where |r_n - r_(n-1)| and |r_n - r_(n-2)| both
+    fall below the tolerance bound (the ratio can oscillate with period two in
+    magnitude), searched over doubling blocks of iterates. Exceeding
+    ``max_iter`` returns ``converged=False`` with the best value.
     """
     x = complex(x)
     if x.imag == 0:
         raise ValueError("markov_limit requires Im x != 0")
     tol = tol or Tolerance()
-    lam, mu = rates.tabulate(256)
-    a0 = lam[0] + mu[0]
-    b0 = math.sqrt(lam[0] * mu[1])
-    p0, p1 = 1.0 + 0.0j, (x - a0) / b0
-    q0, q1 = 0.0 + 0.0j, 1.0 / b0 + 0.0j
-    r2 = r1 = cmath.inf
-    r = q1 / p1
-    n = 1
-    bprev = b0
-    while n < tol.max_iter:
-        if n + 1 >= lam.size:
-            lam, mu = rates.tabulate(2 * lam.size)
-        an = lam[n] + mu[n]
-        bn = math.sqrt(lam[n] * mu[n + 1])
-        p0, p1 = p1, ((x - an) * p1 - bprev * p0) / bn
-        q0, q1 = q1, ((x - an) * q1 - bprev * q0) / bn
-        bprev = bn
-        scale = abs(p1) + abs(q1)
-        if scale > 1e140 or scale < 1e-140:
-            p0, p1, q0, q1 = p0 / scale, p1 / scale, q0 / scale, q1 / scale
-        n += 1
-        r2, r1, r = r1, r, q1 / p1
-        if n >= 8:
-            bound = tol.bound(r)
-            inc1 = abs(r - r1)
-            inc2 = abs(r - r2)
-            if inc1 <= bound and inc2 <= bound:
-                return ConvergedLimit(r, n, inc1, True)
-    return ConvergedLimit(r, n, abs(r - r1), False)
+    n = 32
+    while True:
+        n = min(2 * n, tol.max_iter)
+        r = _qp_ratios(_coefficients(rates, n + 1), x, np.arange(n + 1))
+        inc1 = np.abs(r[8:] - r[7:-1])
+        inc2 = np.abs(r[8:] - r[6:-2])
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(r[8:]))
+        done = np.flatnonzero((inc1 <= bound) & (inc2 <= bound))
+        if done.size:
+            k = done[0]
+            return ConvergedLimit(complex(r[k + 8]), int(k) + 8, float(inc1[k]), True)
+        if n == tol.max_iter:
+            return ConvergedLimit(complex(r[n]), n, float(inc1[-1]), False)
 
 
 def markov_iterates(
@@ -80,28 +68,7 @@ def markov_iterates(
         table = eval_pq_mp(rates, max(ns), x, dps)
         with mp.workdps(dps):
             return [table[n][1] / table[n][0] for n in ns]
-    x = complex(x)
-    lam, mu = rates.tabulate(max(ns) + 1)
-    a0 = lam[0] + mu[0]
-    b0 = math.sqrt(lam[0] * mu[1])
-    p0, p1 = 1.0 + 0.0j, (x - a0) / b0
-    q0, q1 = 0.0 + 0.0j, 1.0 / b0 + 0.0j
-    out = {}
-    if 1 in ns:
-        out[1] = q1 / p1
-    bprev = b0
-    for n in range(1, max(ns)):
-        an = lam[n] + mu[n]
-        bn = math.sqrt(lam[n] * mu[n + 1])
-        p0, p1 = p1, ((x - an) * p1 - bprev * p0) / bn
-        q0, q1 = q1, ((x - an) * q1 - bprev * q0) / bn
-        bprev = bn
-        scale = abs(p1) + abs(q1)
-        if scale > 1e140 or scale < 1e-140:
-            p0, p1, q0, q1 = p0 / scale, p1 / scale, q0 / scale, q1 / scale
-        if n + 1 in ns:
-            out[n + 1] = q1 / p1
-    return [out[n] for n in ns]
+    return [complex(r) for r in _qp_ratios(_coefficients(rates, ns[-1] + 1), x, ns)]
 
 
 def dn_spectral_measure(ctx: EllipticContext, nmax: int) -> DiscreteMeasure:

@@ -5,6 +5,13 @@ families, so every series here is summed with geometric checkpoints
 (averaged over four consecutive partial sums to damp bounded-period
 oscillation) and Neville extrapolation in 1/n.
 
+Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
+Nevanlinna series advance one checkpoint segment at a time on its banded
+solver, and so does the dual series in one segment; the border limits read
+their rows from its segment solver; ``classify`` and ``alpha_limit`` read
+pi_n and the partial sums 1/alpha_n from its log columns. The verdict and
+alpha are memoized per rates object next to the tables.
+
 The Krein border limit and the dual series run on the dual system's rows
 (lambda~_n = mu_{n+1}, mu~_n = lambda_n). The zero-related dual differs from
 the dual only in mu_0 (0 instead of lambda_0), so the recurrence being linear
@@ -15,15 +22,22 @@ Fhat_n = w_n (Ptilde_n + lambda_0 Qtilde_n), where w_n = (-1)^n sqrt(pitilde_n).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
 
 from .contfrac import DiscreteMeasure, PoleError
 from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville, richardson_sum
-from .recurrence import BirthDeathRates, _scaled_add
+from .recurrence import (
+    _CHUNK,
+    BirthDeathRates,
+    _advance,
+    _coefficients,
+    _log_columns,
+    _memo,
+    _qp_ratios,
+    _start,
+)
 
 DET_H = "DET_H"
 INDET_S_INDET_H = "INDET_S_INDET_H"
@@ -87,13 +101,9 @@ def _tail_behavior(logs: np.ndarray, ns: np.ndarray) -> tuple[str, bool, float]:
     return ("conv" if p > 1.0 else "div"), False, math.inf
 
 
-def _scaled_value(m: float, s: float) -> float:
-    if m == 0.0:
-        return 0.0
-    ln = math.log(abs(m)) + s
-    if ln > 709.0:
-        return math.inf if m > 0 else -math.inf
-    return math.copysign(math.exp(ln), m)
+def _log_sum(logs: np.ndarray) -> float:
+    top = logs.max()
+    return top + math.log(np.exp(logs - top).sum())
 
 
 def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
@@ -110,25 +120,14 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
         raise ValueError("classification requires mu_0 = 0")
     if nmax < 100:
         raise ValueError("nmax must be at least 100")
-    lam, mu = rates.tabulate(nmax + 1)
-    lam_l, mu_l = lam.tolist(), mu.tolist()
-    log_t = [np.empty(nmax), np.empty(nmax), np.empty(nmax)]
-    sums = [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)]  # (mantissa, log-scale) pairs
-    s3m, s3s = 0.0, 0.0  # running sum_{k<=n} 1/(mu_k pi_k), scaled
-    lp = 0.0  # log pi_n
-    for k in range(1, nmax + 1):
-        lp += math.log(lam_l[k - 1]) - math.log(mu_l[k])
-        log_inv = -(math.log(mu_l[k]) + lp)
-        log_t1 = np.logaddexp(lp, log_inv)
-        s3m, s3s = _scaled_add(s3m, s3s, 1.0, log_inv)
-        log_s3 = math.log(s3m) + s3s
-        log_t2 = lp + 2.0 * log_s3
-        log_t[0][k - 1] = log_t1
-        log_t[1][k - 1] = log_t2
-        log_t[2][k - 1] = log_inv
-        for i, lt in enumerate((log_t1, log_t2, log_inv)):
-            m, s = sums[i]
-            sums[i] = _scaled_add(m, s, 1.0, lt)
+    # The table's log columns, computed without memoizing a table: the rates
+    # of a determinate family never need one.
+    lam, mu = rates.tabulate(nmax)
+    log_pi, log_ainv = _log_columns(lam, mu, nmax + 1)
+    lp = log_pi[1:]
+    log_inv = -(np.log(mu[1:]) + lp)
+    # log_ainv holds log sum_{k<=n} 1/(mu_k pi_k)
+    log_t = (np.logaddexp(lp, log_inv), lp + 2.0 * log_ainv[1:], log_inv)
     ns = np.arange(1, nmax + 1, dtype=float)
     behav = [_tail_behavior(log_t[i], ns) for i in range(3)]
     if behav[0][0] == "conv":
@@ -140,7 +139,9 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
     else:
         verdict = DET_H
         confident = behav[0][1] and behav[1][1]
-    values = tuple(_scaled_value(m, s) for m, s in sums)
+    values = tuple(
+        math.inf if ln > 709.0 else math.exp(ln) for ln in map(_log_sum, log_t)
+    )
     tails = tuple(b[2] for b in behav)
     return Determinacy(
         verdict=verdict,
@@ -152,10 +153,10 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
 
 
 def _cached_verdict(rates: BirthDeathRates, nmax: int = 2000) -> str:
-    key = "determinacy_verdict"
-    if key not in rates._cache:
-        rates._cache[key] = classify(rates, nmax=nmax).verdict
-    return rates._cache[key]
+    memo = _memo(rates)
+    if "verdict" not in memo:
+        memo["verdict"] = classify(rates, nmax=nmax).verdict
+    return memo["verdict"]
 
 
 def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
@@ -167,92 +168,9 @@ def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
         )
 
 
-@dataclass(frozen=True)
-class _Coefficients:
-    """Rows k < size of y_{k+1} = (x/b_k - a_k/b_k) y_k - (b_{k-1}/b_k) y_{k-1},
-    with the weights (-1)^k sqrt(pi_k) / alpha_k and (-1)^k sqrt(pi_k). When
-    mu_0 = 0 these are Q_k(0) and P_k(0); for the dual system only the second,
-    F_k / P_k, is used."""
-
-    a_b: np.ndarray
-    inv_b: np.ndarray
-    b_ratio: np.ndarray
-    weights: np.ndarray
-
-
-# Coefficient tables of a rates object and of its dual system, keyed by the
-# rates object and rebuilt larger on demand.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_DUAL_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-# Point-steps stacked into one banded solve.
-_CHUNK = 2**13
-
 # Terms of a dual series: through the four-sum average at 16384, the last
 # checkpoint of the Nevanlinna series.
 _DUAL_TERMS = 16384 + 4
-
-
-def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coefficients:
-    """The table of ``rates``, or with ``dual`` that of its dual system, built
-    from the tabulation of ``rates`` itself."""
-    memo = _DUAL_TABLES if dual else _TABLES
-    tab = memo.get(rates)
-    if tab is None or tab.inv_b.size < size:
-        if dual:
-            lam, mu = rates.tabulate(size + 1)
-            lam, mu = mu[1:], lam[:-1]
-        else:
-            lam, mu = rates.tabulate(size)
-        b = np.sqrt(lam[:-1] * mu[1:])
-        pi = np.cumprod(np.concatenate(([1.0], lam[: size - 1] / mu[1:size])))
-        ainv = np.cumsum(np.concatenate(([0.0], -1.0 / (mu[1:size] * pi[1:]))))
-        p0 = np.sqrt(pi) * (-1.0) ** np.arange(size)
-        tab = memo[rates] = _Coefficients(
-            a_b=(lam[:-1] + mu[:-1]) / b,
-            inv_b=1.0 / b,
-            b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
-            weights=np.stack([p0 * ainv, p0], axis=1),
-        )
-    return tab
-
-
-def _advance(tab: _Coefficients, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
-    """Rows lo..hi-1, shape (nrhs, points, hi - lo), from rows lo-2 and lo-1 in
-    ``carry`` (nrhs, points, 2): Q and P, plus Q' and P' (the same recurrence
-    with source y_k/b_k) when nrhs is 4. All points form one block-diagonal
-    unit lower-triangular system of bandwidth 2, solved by banded LAPACK.
-    """
-    n, L = xs.size, hi - lo
-    e = tab.a_b[lo - 1 : hi - 1] - xs[:, None] * tab.inv_b[lo - 1 : hi - 1]
-    band = np.zeros((n, L, 3), dtype=complex)
-    band[:, :-1, 1] = e[:, 1:]
-    band[:, :-2, 2] = tab.b_ratio[lo + 1 : hi - 1]
-    ab = band.reshape(n * L, 3).T  # Fortran-ordered, so f2py passes it uncopied
-    rows = np.zeros((carry.shape[0], n, L), dtype=complex)
-    rows[:, :, 0] = -e[:, 0] * carry[:, :, 1] - tab.b_ratio[lo - 1] * carry[:, :, 0]
-    rows[:, :, 1:2] = -tab.b_ratio[lo] * carry[:, :, 1:]
-    for r in range(0, carry.shape[0], 2):
-        if r:  # the derivatives' source term
-            rows[2:, :, 0] += tab.inv_b[lo - 1] * carry[:2, :, 1]
-            rows[2:, :, 1:] += tab.inv_b[lo : hi - 1] * rows[:2, :, :-1]
-        # rows[r:r+2] is C-contiguous, so its transpose is the Fortran-ordered
-        # right-hand side that ztbtrs overwrites in place.
-        _, info = ztbtrs(ab, rows[r : r + 2].reshape(2, -1).T, uplo="L", diag="U", overwrite_b=1)
-        if info != 0:
-            raise ValueError(f"banded solve failed (info={info})")
-    return rows
-
-
-def _start(tab: _Coefficients, xs: np.ndarray, nrhs: int) -> np.ndarray:
-    """Rows 0 and 1 of (Q, P), and of (Q', P') when ``nrhs`` is 4, at each x."""
-    carry = np.zeros((nrhs, xs.size, 2), dtype=complex)
-    carry[0, :, 1] = tab.inv_b[0]
-    carry[1, :, 0] = 1.0
-    carry[1, :, 1] = xs * tab.inv_b[0] - tab.a_b[0]
-    if nrhs == 4:
-        carry[3, :, 1] = tab.inv_b[0]
-    return carry
 
 
 def _nevanlinna_sums(
@@ -299,7 +217,7 @@ def _nevanlinna_sums(
         step = max(1, _CHUNK // (hi - lo))
         for i0 in range(0, active.size, step):
             idx = active[i0 : i0 + step]
-            rows = _advance(tab, xs[idx], carry[:, idx], lo, hi)
+            rows = _advance(tab, xs[idx], carry[:, idx], lo, hi)[:, :, 2:]
             carry[:, idx] = rows[:, :, -2:]
             # One (1, L) @ (L, 2) product per point keeps each point's sums
             # independent of how many points share the chunk.
@@ -401,23 +319,20 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     (a det-S family) raises.
     """
     _require_indet(rates)
-    key = "alpha_limit"
-    if key in rates._cache:
-        return rates._cache[key]
+    memo = _memo(rates)
+    if "alpha" in memo:
+        return memo["alpha"]
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=300_000)
-    state = {"pi": 1.0, "k": 0}
-    lam_l: list[float] = []
-    mu_l: list[float] = []
+    terms = np.empty(0)
 
-    def term(_n: int) -> float:
-        state["k"] += 1
-        k = state["k"]
-        while len(lam_l) <= k:
-            lam, mu = rates.tabulate(max(2 * k, 64))
-            lam_l[:] = lam.tolist()
-            mu_l[:] = mu.tolist()
-        state["pi"] *= lam_l[k - 1] / mu_l[k]
-        return 1.0 / (mu_l[k] * state["pi"])
+    def term(n: int) -> float:
+        # 1/(mu_k pi_k) for k = n + 1, from a table grown to twice the need
+        nonlocal terms
+        if n >= terms.size:
+            size = max(2 * n, 1024)
+            _, mu = rates.tabulate(size)
+            terms = np.exp(-(np.log(mu[1:]) + _coefficients(rates, size + 1).log_pi[1 : size + 1]))
+        return terms[n]
 
     res = richardson_sum(term, tol, n0=256)
     if not res.converged:
@@ -427,8 +342,7 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     total = res.value.real
     if not total > 0:
         raise ConvergenceError("accelerated sum lost positivity; cannot form alpha")
-    alpha = -1.0 / total
-    rates._cache[key] = alpha
+    alpha = memo["alpha"] = -1.0 / total
     return alpha
 
 
@@ -496,7 +410,9 @@ def markov_like_limit(
     cps = sorted({max(8, N // (2**j)) for j in range(levels)})
 
     dual = mode == "krein"
-    ratios = _pq_ratio_checkpoints(_coefficients(rates, cps[-1] + 4, dual=dual), x, cps)
+    ks = np.add.outer(cps, np.arange(4)).ravel()
+    ratio = _qp_ratios(_coefficients(rates, cps[-1] + 4, dual=dual), x, ks)
+    ratios = list(ratio.reshape(-1, 4).sum(axis=1) / 4)
     if dual:
         ratios = [(1.0 + rates.lam(0) * r) / x for r in ratios]
 
@@ -513,22 +429,6 @@ def markov_like_limit(
     return ConvergedLimit(value, cps[-1], inc, converged)
 
 
-def _pq_ratio_checkpoints(tab: _Coefficients, x, cps):
-    # Q_n/P_n for n = 2..cps[-1]+3, one kernel segment per checkpoint; the
-    # carried rows are rescaled between segments, which the ratio does not see.
-    need = cps[-1] + 4
-    xs = np.array([complex(x)])
-    carry = _start(tab, xs, 2)
-    ratio = np.empty(need, dtype=complex)
-    lo = 2
-    for cp in cps:
-        rows = _advance(tab, xs, carry, lo, cp + 4)
-        ratio[lo : cp + 4] = rows[0, 0] / rows[1, 0]
-        carry = rows[:, :, -2:] / np.abs(rows[:, 0, -1]).sum()
-        lo = cp + 4
-    return [ratio[cp : cp + 4].sum() / 4 for cp in cps]
-
-
 def modified_entries_dual(
     rates: BirthDeathRates, x: complex, tol: Tolerance | None = None
 ) -> tuple[complex, complex]:
@@ -537,23 +437,23 @@ def modified_entries_dual(
     B - D/alpha = -1 + (x/mu~_0) sum Ftilde_n(x) and
     A - C/alpha = (1/mu~_0) sum Fhat_n(x), with mu~_0 = lambda_0. The terms
     come from one pass of the banded kernel over the dual system's rows, at
-    most min(``tol.max_iter``, 16388) of them, the term cap of the Nevanlinna
-    series; both series are Richardson accelerated and raise
-    :class:`ConvergenceError` when they have not settled. This is the
-    strongest cross-check against the direct Nevanlinna summation.
+    most 16388 of them, the term cap of the Nevanlinna series and the default
+    ``tol.max_iter``; a larger ``max_iter`` is clipped to it. Both series are
+    Richardson accelerated and raise :class:`ConvergenceError` when they have
+    not settled. This is the strongest cross-check against the direct
+    Nevanlinna summation.
     """
     _require_indet(rates)
     if rates.mu0 != 0:
         raise ValueError("dual-series entries require mu_0 = 0")
     x = complex(x)
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=200_000)
+    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_DUAL_TERMS)
     mu_t0 = rates.lam(0)
 
     n = min(tol.max_iter, _DUAL_TERMS)
     tab = _coefficients(rates, n, dual=True)
     xs = np.array([x])
-    carry = _start(tab, xs, 2)
-    q, p = np.concatenate([carry[:, 0], _advance(tab, xs, carry, 2, n)[:, 0]], axis=1)
+    q, p = _advance(tab, xs, _start(tab, xs, 2), 2, n)[:, 0]
     w = tab.weights[:n, 1]
     s_tilde, s_hat = (
         richardson_sum(f.item, replace(tol, max_iter=n), n0=256)

@@ -1,20 +1,33 @@
 """Birth-death coefficient families and polynomial sequence evaluation.
 
-Evaluates the orthonormal pair (P_n, Q_n), the monic-normalized F_n and its
-order-one associated family, dual and zero-related dual systems, and the
-products pi_n with the partial sums 1/alpha_n, all with per-index dynamic
-rescaling so that quartic-growth coefficient families stay representable.
+Every double-precision evaluation of the orthonormal pair (P_n, Q_n) runs on
+one kernel: a per-rates coefficient table (the recurrence coefficients, the
+log columns log pi_n and log|1/alpha_n|, and the closed forms P_n(0) and
+Q_n(0)) and one segment solver that solves the recurrence as banded forward
+substitutions over cache-sized segments, rescaling each solution by an exact
+power of two wherever its rows leave [1e-150, 1e150]. The products pi_n and
+the partial sums 1/alpha_n are read from the log columns, so determinate
+families neither underflow nor overflow there. ``eval_f`` (the monic F_n,
+its order-one associated family and the dual systems) and ``eval_pq_mp``
+step their recurrences index by index; they are the independent references
+the kernel is checked against.
 """
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg.lapack import ztbtrs
 
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
+_LN2 = math.log(2.0)
+
+# Point-steps stacked into one banded solve.
+_CHUNK = 2**13
 
 
 class BirthDeathRates:
@@ -37,7 +50,6 @@ class BirthDeathRates:
         self.family = family
         self.params = dict(params or {})
         self._tab = np.empty((2, 0))
-        self._cache: dict = {}
         mu0 = float(mu(0))
         if mu0 < 0:
             raise ValueError("mu_0 must be nonnegative")
@@ -169,7 +181,8 @@ class PolySequence:
     """Evaluated polynomial sequence with per-index log scaling.
 
     The true k-th value is ``values[k] * exp(scaling_log[k])`` (and likewise
-    for ``derivs``, which shares the same scaling). Reconstruction may
+    for ``derivs``, which shares the same scaling). Evaluated at an array of
+    points, each ``[k]`` holds index k at every point. Reconstruction may
     overflow for genuinely huge values; detecting that is the caller's task.
     """
 
@@ -178,7 +191,7 @@ class PolySequence:
     derivs: np.ndarray | None = None
 
     def __len__(self):
-        return self.values.size
+        return len(self.values)
 
     def value(self, k: int) -> complex:
         return self.values[k] * np.exp(self.scaling_log[k])
@@ -189,8 +202,8 @@ class PolySequence:
         return self.derivs[k] * np.exp(self.scaling_log[k])
 
     def log_abs(self, k: int) -> float:
-        v = abs(self.values[k])
-        return math.log(v) + self.scaling_log[k] if v else -math.inf
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(self.values[k])) + self.scaling_log[k]
 
     def ratio(self, k: int, other: "PolySequence", j: int | None = None) -> complex:
         """self[k] / other[j] evaluated through the scaling logs."""
@@ -200,74 +213,215 @@ class PolySequence:
         )
 
 
-def _rescale(v0, v1, d0, d1, shift):
-    m = max(abs(v0), abs(v1))
-    if m > _RESCALE_HI or (0 < m < _RESCALE_LO):
-        v0 /= m
-        v1 /= m
-        if d0 is not None:
-            d0 /= m
-            d1 /= m
-        shift += math.log(m)
-    return v0, v1, d0, d1, shift
+@dataclass(frozen=True)
+class _Coefficients:
+    """Rows k < size of y_{k+1} = (x/b_k - a_k/b_k) y_k - (b_{k-1}/b_k) y_{k-1},
+    log pi_k, log|1/alpha_k| (1/alpha_k = -sum_{1<=j<=k} 1/(mu_j pi_j), so -inf
+    at k = 0), and the weights (-1)^k sqrt(pi_k) / alpha_k and (-1)^k sqrt(pi_k).
+    When mu_0 = 0 the weights are Q_k(0) and P_k(0); for the dual system only
+    the second, F_k / P_k, is used. Every entry depends on its index alone, not
+    on the size of the table."""
+
+    a_b: np.ndarray
+    inv_b: np.ndarray
+    b_ratio: np.ndarray
+    log_pi: np.ndarray
+    log_ainv: np.ndarray
+    weights: np.ndarray
+
+
+# Per-rates memo, weakly keyed by the rates object: the coefficient tables of
+# the system ("table") and of its dual ("dual"), rebuilt larger on demand, and
+# the determinacy verdict and alpha of the indeterminate half.
+_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _memo(rates: BirthDeathRates) -> dict:
+    return _MEMO.setdefault(rates, {})
+
+
+def _log_columns(lam: np.ndarray, mu: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """log pi_k and log|1/alpha_k| for k < size from a tabulation of the rates."""
+    # Summed in extended precision, log pi_k carries the rounding of the
+    # ratios alone, about as little as a running product would.
+    steps = np.log(lam[: size - 1] / mu[1:size]).astype(np.longdouble)
+    log_pi = np.concatenate(([0.0], np.cumsum(steps).astype(float)))
+    log_ainv = np.concatenate(
+        ([-np.inf], np.logaddexp.accumulate(-(np.log(mu[1:size]) + log_pi[1:])))
+    )
+    return log_pi, log_ainv
+
+
+def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coefficients:
+    """The table of ``rates`` with at least ``size`` rows, or with ``dual`` that
+    of its dual system, built from the tabulation of ``rates`` itself."""
+    memo = _memo(rates)
+    key = "dual" if dual else "table"
+    tab = memo.get(key)
+    if tab is None or tab.inv_b.size < size:
+        if dual:
+            lam, mu = rates.tabulate(size + 1)
+            lam, mu = mu[1:], lam[:-1]
+        else:
+            lam, mu = rates.tabulate(size)
+        b = np.sqrt(lam[:-1] * mu[1:])
+        log_pi, log_ainv = _log_columns(lam, mu, size)
+        sign = (-1.0) ** np.arange(size)
+        # Only determinate families overflow here, and they never use the weights.
+        with np.errstate(over="ignore"):
+            p0 = sign * np.exp(0.5 * log_pi)
+            q0 = -sign * np.exp(0.5 * log_pi + log_ainv)
+        tab = memo[key] = _Coefficients(
+            a_b=(lam[:-1] + mu[:-1]) / b,
+            inv_b=1.0 / b,
+            b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
+            log_pi=log_pi,
+            log_ainv=log_ainv,
+            weights=np.stack([q0, p0], axis=1),
+        )
+    return tab
+
+
+def _start(tab: _Coefficients, xs: np.ndarray, nrhs: int) -> np.ndarray:
+    """Rows 0 and 1 of (Q, P), and of (Q', P') when ``nrhs`` is 4, at each x."""
+    carry = np.zeros((nrhs, xs.size, 2), dtype=complex)
+    carry[0, :, 1] = tab.inv_b[0]
+    carry[1, :, 0] = 1.0
+    carry[1, :, 1] = xs * tab.inv_b[0] - tab.a_b[0]
+    if nrhs == 4:
+        carry[3, :, 1] = tab.inv_b[0]
+    return carry
+
+
+def _advance(tab: _Coefficients, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
+    """Rows lo-2..hi-1, shape (nrhs, points, hi - lo + 2), from rows lo-2 and
+    lo-1 in ``carry`` (nrhs, points, 2): Q and P, plus Q' and P' (the same
+    recurrence with source y_k/b_k) when nrhs is 4. All points form one
+    block-diagonal unit lower-triangular system of bandwidth 2, solved by
+    banded LAPACK. The carried rows are its first two (identity) rows, so a
+    row is computed by the same operations wherever a segment starts.
+    """
+    n, L = xs.size, hi - lo + 2
+    band = np.empty((n, L, 3), dtype=complex)  # the unit diagonal, band[:, :, 0], is not read
+    band[:, 1:-1, 1] = tab.a_b[lo - 1 : hi - 1] - xs[:, None] * tab.inv_b[lo - 1 : hi - 1]
+    band[:, :-2, 2] = tab.b_ratio[lo - 1 : hi - 1]
+    band[:, [0, -1], 1] = band[:, -2:, 2] = 0.0
+    ab = band.reshape(n * L, 3).T  # Fortran-ordered, so f2py passes it uncopied
+    rows = np.zeros((carry.shape[0], n, L), dtype=complex)
+    rows[:, :, :2] = carry
+    for r in range(0, carry.shape[0], 2):
+        if r:  # the derivatives' source term; rows past an overflow are discarded
+            with np.errstate(invalid="ignore"):
+                rows[2:, :, 2:] = tab.inv_b[lo - 1 : hi - 1] * rows[:2, :, 1:-1]
+        # rows[r:r+2] is C-contiguous, so its transpose is the Fortran-ordered
+        # right-hand side that ztbtrs overwrites in place.
+        _, info = ztbtrs(ab, rows[r : r + 2].reshape(2, -1).T, uplo="L", diag="U", overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"banded solve failed (info={info})")
+    return rows
+
+
+def _solve(tab: _Coefficients, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
+    """Rows ``ks`` (ascending indices) of (Q, P), and of (Q', P') when ``nrhs``
+    is 4, at each point of ``xs``, as ``(rows, exps)``: the true value of
+    solution r at point i and index ``ks[j]`` is ``rows[r, i, j] *
+    2**exps[r % 2, i, j]`` (a derivative shares the exponent of its solution).
+
+    Chunks of points are solved in segments of at most ``_CHUNK`` point-steps.
+    A segment ends after the first row at which, for some point, a solution
+    and its derivative leave [1e-150, 1e150] over the last two rows; the
+    carried rows of each such solution are scaled by an exact power of two
+    back to [0.5, 1), and the next segment starts there. Scaling by a power of
+    two is exact and every row is computed by the same operations wherever a
+    segment starts, so where the segments break changes no bit: each point's
+    rows and exponents are those of a lone evaluation.
+    """
+    n = int(ks[-1])
+    rows = np.empty((nrhs, xs.size, ks.size), dtype=complex)
+    exps = np.zeros((2, xs.size, ks.size), dtype=int)
+    start = _start(tab, xs, nrhs)
+    head = np.searchsorted(ks, 2)
+    rows[:, :, :head] = start[:, :, ks[:head]]
+    span = max(1, min(n - 1, _CHUNK))
+    step = max(1, _CHUNK // span)
+    for i0 in range(0, xs.size, step):
+        pts = slice(i0, i0 + step)
+        carry = start[:, pts]
+        scale = np.zeros((2, carry.shape[1]), dtype=int)
+        lo, j = 2, head
+        while lo <= n:
+            hi = min(lo + span, n + 1)
+            while True:
+                seg = _advance(tab, xs[pts], carry, lo, hi)
+                cut, rescale = hi - lo, False
+                parts = np.abs(seg[:, :, 2:].view(float))
+                # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
+                # inside; only otherwise (nan included) are the moduli needed.
+                if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
+                    mag = np.abs(seg[:, :, 1:])
+                    if nrhs == 4:
+                        mag = np.maximum(mag[:2], mag[2:])
+                    pair = np.maximum(mag[:, :, 1:], mag[:, :, :-1])
+                    out = (pair > _RESCALE_HI) | (pair < _RESCALE_LO)
+                    hit = out.any(axis=(0, 1))
+                    rescale = hit.any()
+                    if rescale:
+                        cut = int(hit.argmax()) + 1
+                # A point whose rows overflowed by the end of the segment spoils
+                # the points solved after it (inf * 0 is nan): solve again, up
+                # to the first row that leaves the range.
+                if cut == hi - lo or np.isfinite(seg[:, :-1, -2:]).all():
+                    break
+                hi = lo + cut
+            lo += cut
+            j1 = np.searchsorted(ks, lo)
+            rows[:, pts, j:j1] = seg[:, :, ks[j:j1] - (lo - cut - 2)]
+            exps[:, pts, j:j1] = scale[:, :, None]
+            j = j1
+            carry = seg[:, :, cut : cut + 2]
+            if rescale:
+                e = np.where(out[:, :, cut - 1], np.frexp(pair[:, :, cut - 1])[1], 0)
+                carry = carry * np.ldexp(1.0, -e)[np.arange(nrhs) % 2, :, None]
+                scale = scale + e
+    return rows, exps
+
+
+def _qp_ratios(tab: _Coefficients, x: complex, ks) -> np.ndarray:
+    """Q_k(x) / P_k(x) at the ascending indices ``ks``."""
+    (q, p), (eq, ep) = (a[:, 0] for a in _solve(tab, np.array([complex(x)]), np.asarray(ks)))
+    return q / p * np.ldexp(1.0, eq - ep)
 
 
 def eval_pq(
-    rates: BirthDeathRates, n: int, x: complex, with_deriv: bool = False
+    rates: BirthDeathRates, n: int, x, with_deriv: bool = False
 ) -> tuple[PolySequence, PolySequence]:
-    """Evaluate P_0..P_n and Q_0..Q_n at ``x`` by the forward recurrence.
+    """Evaluate P_0..P_n and Q_0..Q_n at ``x``, a point or a 1-D array of points.
 
     Derivatives, when requested, come from the exactly differentiated
-    recurrence (no finite differences).
+    recurrence (no finite differences). At an array of points ``values[k]``,
+    ``scaling_log[k]`` and ``derivs[k]`` hold index k at every point, and each
+    point gets exactly what it gets on its own.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    x = complex(x)
-    lam, mu = rates.tabulate(n)
-    a = lam + mu
-    b = np.sqrt(lam[:-1] * mu[1:]) if n >= 1 else np.empty(0)
-
-    pv = np.zeros(n + 1, dtype=complex)
-    qv = np.zeros(n + 1, dtype=complex)
-    ps = np.zeros(n + 1)
-    qs = np.zeros(n + 1)
-    pd = np.zeros(n + 1, dtype=complex) if with_deriv else None
-    qd = np.zeros(n + 1, dtype=complex) if with_deriv else None
-
-    p0, p1 = 1.0 + 0.0j, (x - a[0]) / b[0]
-    q0, q1 = 0.0 + 0.0j, 1.0 / b[0] + 0.0j
-    dp0, dp1 = (0.0j, 1.0 / b[0] + 0.0j) if with_deriv else (None, None)
-    dq0, dq1 = (0.0j, 0.0j) if with_deriv else (None, None)
-    pshift = qshift = 0.0
-    pv[0], qv[0] = p0, q0
-    if with_deriv:
-        pd[0], qd[0] = dp0, dq0
-    pv[1], qv[1] = p1, q1
-    if with_deriv:
-        pd[1], qd[1] = dp1, dq1
-
-    for k in range(1, n):
-        ak, bk, bkm = a[k], b[k], b[k - 1]
-        p2 = ((x - ak) * p1 - bkm * p0) / bk
-        q2 = ((x - ak) * q1 - bkm * q0) / bk
-        if with_deriv:
-            dp2 = ((x - ak) * dp1 + p1 - bkm * dp0) / bk
-            dq2 = ((x - ak) * dq1 + q1 - bkm * dq0) / bk
-            dp0, dp1 = dp1, dp2
-            dq0, dq1 = dq1, dq2
-        p0, p1 = p1, p2
-        q0, q1 = q1, q2
-        p0, p1, dp0, dp1, pshift = _rescale(p0, p1, dp0, dp1, pshift)
-        q0, q1, dq0, dq1, qshift = _rescale(q0, q1, dq0, dq1, qshift)
-        pv[k + 1], qv[k + 1] = p1, q1
-        ps[k + 1], qs[k + 1] = pshift, qshift
-        if with_deriv:
-            pd[k + 1], qd[k + 1] = dp1, dq1
-
-    return (
-        PolySequence(values=pv, scaling_log=ps, derivs=pd),
-        PolySequence(values=qv, scaling_log=qs, derivs=qd),
+    xs = np.asarray(x, dtype=complex)
+    if xs.ndim > 1:
+        raise ValueError("x must be a point or a 1-D array of points")
+    rows, exps = _solve(
+        _coefficients(rates, n + 1), xs.reshape(-1), np.arange(n + 1), 4 if with_deriv else 2
     )
+
+    def indexed(a):  # (points, n + 1) -> index first
+        return a[0] if xs.ndim == 0 else a.T
+
+    def seq(r):
+        return PolySequence(
+            values=indexed(rows[r]),
+            scaling_log=indexed(exps[r] * _LN2),
+            derivs=indexed(rows[r + 2]) if with_deriv else None,
+        )
+
+    return seq(1), seq(0)
 
 
 def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySequence:
@@ -295,47 +449,26 @@ def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySe
         lam_km = lam[k - 1 + shift] if k >= 1 else 0.0
         f2 = ((lam_k + mu_k - x) * f1 - lam_km * f0) / mu[k + 1 + shift]
         f0, f1 = f1, f2
-        f0, f1, _, _, sh = _rescale(f0, f1, None, None, sh)
+        m = max(abs(f0), abs(f1))
+        if m > _RESCALE_HI or 0 < m < _RESCALE_LO:
+            f0, f1, sh = f0 / m, f1 / m, sh + math.log(m)
         fv[k + 1] = f1
         fs[k + 1] = sh
     return PolySequence(values=fv, scaling_log=fs)
 
 
-def _scaled_add(m1: float, s1: float, m2: float, s2: float) -> tuple[float, float]:
-    # (m1 e^{s1}) + (m2 e^{s2}) in mantissa/log form.
-    if m1 == 0.0:
-        return m2, s2
-    if m2 == 0.0:
-        return m1, s1
-    s = max(s1, s2)
-    m = m1 * math.exp(s1 - s) + m2 * math.exp(s2 - s)
-    if m != 0.0 and not (_RESCALE_LO < abs(m) < _RESCALE_HI):
-        s += math.log(abs(m))
-        m = math.copysign(1.0, m)
-    return m, s
-
-
 def pi_sequence(rates: BirthDeathRates, n: int) -> PolySequence:
-    """pi_0..pi_n in log-scaled form (pi_0 = 1, pi_k = pi_{k-1} lambda_{k-1}/mu_k)."""
+    """pi_0..pi_n (pi_0 = 1, pi_k = pi_{k-1} lambda_{k-1}/mu_k), read from the
+    table's log column: ``values`` are 1 and ``scaling_log[k]`` is log pi_k."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    lam, mu = rates.tabulate(n + 1)
-    vals = np.zeros(n + 1)
-    slog = np.zeros(n + 1)
-    m, s = 1.0, 0.0
-    vals[0] = 1.0
-    for k in range(1, n + 1):
-        m *= lam[k - 1] / mu[k]
-        if not (_RESCALE_LO < m < _RESCALE_HI):
-            s += math.log(m)
-            m = 1.0
-        vals[k] = m
-        slog[k] = s
-    return PolySequence(values=vals.astype(complex), scaling_log=slog)
+    log_pi = _coefficients(rates, n + 1).log_pi[: n + 1]
+    return PolySequence(values=np.ones(n + 1, dtype=complex), scaling_log=log_pi.copy())
 
 
 def pi_alpha(rates: BirthDeathRates, n: int) -> tuple[PolySequence, PolySequence]:
-    """pi_0..pi_n and the partial sums 1/alpha_0..1/alpha_n (log-scaled).
+    """pi_0..pi_n and the partial sums 1/alpha_0..1/alpha_n, read from the
+    table's log columns (``values`` 1 and -1, ``scaling_log`` the logs).
 
     1/alpha_k = -sum_{j<=k} 1/(mu_j pi_j); defined only for mu_0 = 0.
     """
@@ -343,26 +476,10 @@ def pi_alpha(rates: BirthDeathRates, n: int) -> tuple[PolySequence, PolySequence
         raise ValueError("alpha_n requires mu_0 = 0")
     if n < 1:
         raise ValueError("n must be positive")
-    lam, mu = rates.tabulate(n + 1)
-    piv = np.zeros(n + 1)
-    pis = np.zeros(n + 1)
-    av = np.zeros(n + 1)
-    asl = np.zeros(n + 1)
-    pm, psl = 1.0, 0.0
-    am, asum = 0.0, 0.0
-    piv[0] = 1.0
-    for k in range(1, n + 1):
-        pm *= lam[k - 1] / mu[k]
-        if not (_RESCALE_LO < pm < _RESCALE_HI):
-            psl += math.log(pm)
-            pm = 1.0
-        piv[k], pis[k] = pm, psl
-        # term -1/(mu_k pi_k) in mantissa/log form
-        am, asum = _scaled_add(am, asum, -1.0 / (mu[k] * pm), -psl)
-        av[k], asl[k] = am, asum
+    tab = _coefficients(rates, n + 1)
     return (
-        PolySequence(values=piv.astype(complex), scaling_log=pis),
-        PolySequence(values=av.astype(complex), scaling_log=asl),
+        PolySequence(values=np.ones(n + 1, dtype=complex), scaling_log=tab.log_pi[: n + 1].copy()),
+        PolySequence(values=np.full(n + 1, -1.0 + 0j), scaling_log=tab.log_ainv[: n + 1].copy()),
     )
 
 
@@ -370,7 +487,8 @@ def eval_pq_mp(rates: BirthDeathRates, n: int, x, dps: int):
     """P_k, Q_k iterates at ``x`` in mpmath arithmetic; returns (P_n, Q_n) pairs.
 
     Used by the extended-precision mode where truncation errors far below
-    double rounding must stay resolvable. Returns a dict {k: (P_k, Q_k)} for
+    double rounding must stay resolvable. Returns a dict {k: (P_k, Q_k)} of
+    true values (mpmath has no exponent limit, so nothing is rescaled) for
     every k in 1..n.
     """
     import mpmath as mp
@@ -387,8 +505,5 @@ def eval_pq_mp(rates: BirthDeathRates, n: int, x, dps: int):
         for k in range(1, n):
             p0, p1 = p1, ((xm - a[k]) * p1 - b[k - 1] * p0) / b[k]
             q0, q1 = q1, ((xm - a[k]) * q1 - b[k - 1] * q0) / b[k]
-            m = abs(p1)
-            if m > mp.mpf(10) ** 200:
-                p0, p1, q0, q1 = p0 / m, p1 / m, q0 / m, q1 / m
             out[k + 1] = (p1, q1)
     return out

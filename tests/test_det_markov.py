@@ -20,8 +20,10 @@ from bdspec import (
     measure_stieltjes,
     pi_sequence,
     s_fraction,
+    stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec.recurrence import eval_pq_mp
 
 
 def _chebyshev_like_oracle(x: complex) -> complex:
@@ -69,6 +71,33 @@ class TestMarkovLimit:
         # monotonicity check runs at 60 digits
         errs = _mp_markov_errors(dn_half, ns=(10, 20, 40, 80), dps=60)
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("family", [stieltjes_dn_rates, stieltjes_cn_rates], ids=["dn", "cn"])
+@pytest.mark.parametrize("k2", [0.1, 0.5, 0.9])
+def test_markov_limit_stops_at_first_index_meeting_rule(family, k2):
+    # The rule, applied to 30-digit iterates: the returned index is the first
+    # n >= 8 with |r_n - r_(n-1)| and |r_n - r_(n-2)| both within the bound.
+    # With a budget one short of it, the search runs out at the budget.
+    rates = family(k2)
+    tol = Tolerance()
+    for x in (1.3 + 0.7j, -2 + 1.5j, -0.4 - 2.2j, 2.5 - 0.3j):
+        res = markov_limit(rates, x, tol)
+        assert res.converged
+        n = res.terms_used
+        table = eval_pq_mp(rates, n, x, dps=30)
+        r = {k: complex(table[k][1] / table[k][0]) for k in range(6, n + 1)}
+
+        def meets(k):
+            return max(abs(r[k] - r[k - 1]), abs(r[k] - r[k - 2])) <= tol.bound(r[k])
+
+        assert meets(n) and not any(meets(k) for k in range(8, n))
+        assert abs(res.value - r[n]) <= 1e-12 * abs(r[n])
+        if n > 8:
+            short = markov_limit(rates, x, Tolerance(max_iter=n - 1))
+            assert not short.converged
+            assert short.terms_used == n - 1
+            assert abs(short.value - r[n - 1]) <= 1e-12 * abs(r[n - 1])
 
 
 def _mp_markov_errors(rates, ns, dps):

@@ -27,10 +27,11 @@ from bdspec import (
     pi_alpha,
     pi_sequence,
     quartic_rates,
+    stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
 
-from bdspec.indet import _advance, _coefficients, _pq_ratio_checkpoints, _start
+from bdspec.recurrence import _advance, _coefficients, _qp_ratios, _start, eval_pq_mp
 from conftest import ALPHA_QUARTIC_REF
 
 
@@ -237,7 +238,9 @@ class TestMarkovLike:
         for c in (0.0, 0.5):
             rates = quartic_rates(c, 0.0)
             lam0 = rates.lam(0)
-            ratios = _pq_ratio_checkpoints(_coefficients(rates, cps[-1] + 4, dual=True), x, cps)
+            ks = np.add.outer(cps, np.arange(4)).ravel()
+            ratio = _qp_ratios(_coefficients(rates, cps[-1] + 4, dual=True), x, ks)
+            ratios = ratio.reshape(-1, 4).sum(axis=1) / 4
             got = [(1.0 + lam0 * r) / x for r in ratios]
             lt, mt = (v.tolist() for v in dual_rates(rates).tabulate(cps[-1] + 5))
             with mp.workdps(50):
@@ -375,19 +378,45 @@ def test_nevanlinna_batch_matches_scalar(quartic0):
 
 class TestSeriesKernel:
     def test_coefficient_table(self, quartic0):
+        # pi_k, 1/alpha_k, P_k(0) and Q_k(0) against 30-digit products and sums
         n = 2000
-        weights = _coefficients(quartic0, n + 1).weights[: n + 1]
-        pis, ainv = pi_alpha(quartic0, n)
+        tab = _coefficients(quartic0, n + 1)
         P, Q = eval_pq(quartic0, n, 0.0)
-        for k in range(n + 1):
-            p0 = (-1.0) ** k * math.sqrt(pis.value(k).real)
-            q0 = p0 * ainv.value(k).real
-            assert abs(weights[k, 1] - p0) <= 1e-13 * abs(p0)
-            assert abs(weights[k, 0] - q0) <= 1e-13 * abs(q0)
-            # the recurrence at 0 drifts by up to 2e-12 relative over 2000
-            # steps, so this comparison is absolute; |P_k(0)| <= 1
-            assert abs(weights[k, 1] - P.value(k)) < 1e-13
-            assert abs(weights[k, 0] - Q.value(k)) < 1e-13
+        lam, mu = (v.tolist() for v in quartic0.tabulate(n))
+        with mp.workdps(30):
+            pi, ainv = mp.mpf(1), mp.mpf(0)
+            for k in range(n + 1):
+                if k:
+                    pi *= mp.mpf(lam[k - 1]) / mu[k]
+                    ainv -= 1 / (mu[k] * pi)
+                    assert abs(math.exp(tab.log_pi[k]) - pi) <= 1e-13 * pi
+                    assert abs(-math.exp(tab.log_ainv[k]) - ainv) <= 1e-13 * abs(ainv)
+                p0 = (-1) ** k * mp.sqrt(pi)
+                q0 = p0 * ainv
+                assert abs(tab.weights[k, 1] - p0) <= 1e-13 * abs(p0)
+                assert abs(tab.weights[k, 0] - q0) <= 1e-13 * abs(q0)
+                # the recurrence at 0 drifts by up to 2e-12 relative over 2000
+                # steps, so this comparison is absolute; |P_k(0)| <= 1
+                assert abs(tab.weights[k, 1] - P.value(k)) < 1e-13
+                assert abs(tab.weights[k, 0] - Q.value(k)) < 1e-13
+
+    @pytest.mark.parametrize(
+        "rates", [stieltjes_dn_rates(0.5), stieltjes_cn_rates(0.3)], ids=["dn", "cn"]
+    )
+    def test_log_columns_of_determinate_families(self, rates):
+        # pi_k under- or overflows a double long before k = 2000 for these
+        # families; the log columns stay finite and match 30-digit logs.
+        n = 2000
+        tab = _coefficients(rates, n + 1)
+        lam, mu = (v.tolist() for v in rates.tabulate(n))
+        assert np.all(np.isfinite(tab.log_pi)) and np.all(np.isfinite(tab.log_ainv[1:]))
+        with mp.workdps(30):
+            pi, ainv = mp.mpf(1), mp.mpf(0)
+            for k in range(1, n + 1):
+                pi *= mp.mpf(lam[k - 1]) / mu[k]
+                ainv += 1 / (mu[k] * pi)
+                assert abs(tab.log_pi[k] - mp.log(pi)) <= 1e-13 * max(1.0, abs(tab.log_pi[k]))
+                assert abs(tab.log_ainv[k] - mp.log(ainv)) <= 1e-13 * max(1.0, abs(tab.log_ainv[k]))
 
     def test_dual_rows(self):
         # The dual table comes from the base tabulation, bit for bit, and its
@@ -410,13 +439,20 @@ class TestSeriesKernel:
                         assert abs(F.value(k) - w * y) <= 1e-12 * abs(F.value(k))
 
     def test_kernel_rows_match_recurrence(self, quartic0):
+        # P and Q against the 40-digit recurrence; P' and Q' against its
+        # central difference with step 1e-15.
         n = 300
         tab = _coefficients(quartic0, n + 1)
         for x in (2.2 + 0.7j, -30 + 5j, 1e3 - 2e3j, 7.5):
             xs = np.array([complex(x)])
-            rows = _advance(tab, xs, _start(tab, xs, 4), 2, n + 1)[:, 0]
-            P, Q = eval_pq(quartic0, n, x, with_deriv=True)
-            for k in range(2, n + 1):
-                refs = (Q.value(k), P.value(k), Q.deriv(k), P.deriv(k))
-                for got, ref in zip(rows[:, k - 2], refs):
-                    assert abs(got - ref) <= 1e-12 * abs(ref)
+            rows = _advance(tab, xs, _start(tab, xs, 4), 2, n + 1)[:, 0, 2:]
+            with mp.workdps(40):
+                h = mp.mpf(10) ** -15
+                xm = mp.mpmathify(x)
+                ref = eval_pq_mp(quartic0, n, xm, 40)
+                up, down = (eval_pq_mp(quartic0, n, xm + s * h, 40) for s in (1, -1))
+                for k in range(2, n + 1):
+                    refs = (ref[k][1], ref[k][0], (up[k][1] - down[k][1]) / (2 * h),
+                            (up[k][0] - down[k][0]) / (2 * h))
+                    for got, r in zip(rows[:, k - 2], map(complex, refs)):
+                        assert abs(got - r) <= 1e-12 * abs(r)

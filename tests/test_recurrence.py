@@ -1,7 +1,11 @@
+import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdspec import (
     custom_rates,
@@ -13,8 +17,10 @@ from bdspec import (
     pi_alpha,
     pi_sequence,
     quartic_rates,
+    stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec.recurrence import eval_pq_mp
 
 
 class TestRates:
@@ -171,6 +177,63 @@ class TestEvalPQ:
         assert np.all(np.abs(P.values) < 1e151)
         # true magnitude reconstructed through the log channel
         assert P.log_abs(2000) > 500
+
+    def test_mp_reference_returns_true_values(self, dn_half):
+        # |P_2000(i)| = e^681.85: past any double, but not past mpmath
+        table = eval_pq_mp(dn_half, 2000, 1j, dps=20)
+        P, Q = eval_pq(dn_half, 2000, 1j)
+        for seq, j in ((P, 0), (Q, 1)):
+            log_abs = float(mp.log(abs(table[2000][j])))
+            assert log_abs > 680
+            assert abs(log_abs - seq.log_abs(2000)) < 1e-12 * log_abs
+
+    @pytest.mark.parametrize("with_deriv", [False, True])
+    def test_array_matches_points_exactly(self, dn_half, quartic0, with_deriv):
+        # Each point of a batch gets bit for bit what it gets alone, also when
+        # the solver rescales some points (growth at 1j, -1e5 + 1e3j and 3e4;
+        # decay at 0) and not others, and past one segment (n = 9000).
+        cases = [
+            (dn_half, 2000, [1j, 0.3 - 2j, -1e5 + 1e3j, 0.0, 3e4, 7.0 + 1e-3j]),
+            (dn_half, 9000, [1j, 0.0, 2.5 - 0.5j]),
+            (quartic0, 300, [2.2 + 0.7j, -30 + 5j, 1e3 - 2e3j, 7.5]),
+        ]
+        for rates, n, xs in cases:
+            P, Q = eval_pq(rates, n, np.array(xs), with_deriv=with_deriv)
+            assert P.values.shape == (n + 1, len(xs))
+            for i, x in enumerate(xs):
+                P1, Q1 = eval_pq(rates, n, x, with_deriv=with_deriv)
+                for got, one in ((P, P1), (Q, Q1)):
+                    assert np.array_equal(got.values[:, i], one.values)
+                    assert np.array_equal(got.scaling_log[:, i], one.scaling_log)
+                    if with_deriv:
+                        assert np.array_equal(got.derivs[:, i], one.derivs)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from(["dn", "cn", "quartic"]),
+    param=st.floats(0.05, 0.95),
+    n=st.integers(2, 200),
+    log10_abs=st.floats(-3.0, 5.0),
+    quadrant=st.integers(0, 3),
+    angle=st.floats(0.001, 0.999),
+)
+def test_eval_pq_matches_mp_reference(family, param, n, log10_abs, quadrant, angle):
+    # Each P_k and Q_k against the 30-digit recurrence, its error measured
+    # relative to the larger of |y_k| and |y_(k-1)|, which stays honest where
+    # y_k crosses zero; param is k^2 for DN and CN, c for the quartic family.
+    # The worst case over 600 random draws was 2.8e-12, so 1e-10 leaves room.
+    quartic = lambda c: quartic_rates(c, 0.0)  # noqa: E731
+    rates = {"dn": stieltjes_dn_rates, "cn": stieltjes_cn_rates, "quartic": quartic}[family](param)
+    x = 10.0**log10_abs * cmath.exp(1j * (quadrant + angle) * math.pi / 2)
+    P, Q = eval_pq(rates, n, x)
+    table = eval_pq_mp(rates, n, x, dps=30)
+    for seq, j, first in ((P, 0, 1.0), (Q, 1, 0.0)):
+        prev = first
+        for k in range(1, n + 1):
+            ref = complex(table[k][j])
+            assert abs(seq.value(k) - ref) <= 1e-10 * max(abs(ref), prev)
+            prev = abs(ref)
 
 
 class TestEvalF:
