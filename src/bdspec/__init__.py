@@ -55,10 +55,7 @@ from .numerics import (
     ConvergenceError,
     QuadratureError,
     Tolerance,
-    bracket_roots,
-    gamma_pos,
     integrate,
-    sum_until,
     tridiag_eigen,
 )
 from .quartic import (

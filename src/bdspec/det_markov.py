@@ -17,7 +17,7 @@ from scipy.special import roots_jacobi
 
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
-from .numerics import ConvergedLimit, QuadratureError, Tolerance, gamma_pos
+from .numerics import ConvergedLimit, QuadratureError, Tolerance
 from .recurrence import BirthDeathRates, _coefficients, _qp_ratios, eval_pq_mp
 
 
@@ -118,7 +118,7 @@ def generalized_ratio(
     vanish like powers of u(2K-u) at the period endpoints, so each integral
     is computed with a Gauss-Jacobi rule matching that exact weight, with
     the node count doubled until two estimates agree. Normalization uses
-    gamma_pos for (2c)! and (2c-1)!.
+    math.gamma for (2c)! and (2c-1)!.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -141,8 +141,8 @@ def generalized_ratio(
                 vals[i] = f(ui) * msm**sigma * cmath.exp(-x * ui)
             return K ** (2 * sigma + 1) / twoK**sigma * np.sum(w * vals)
 
-        num = one(2.0 * c, lambda u: jacobi_scd(ctx, u)[2]) / gamma_pos(2.0 * c + 1.0)
-        den = one(2.0 * c - 1.0, lambda u: _cn_signed(ctx, u)) / gamma_pos(2.0 * c)
+        num = one(2.0 * c, lambda u: jacobi_scd(ctx, u)[2]) / math.gamma(2.0 * c + 1.0)
+        den = one(2.0 * c - 1.0, lambda u: _cn_signed(ctx, u)) / math.gamma(2.0 * c)
         return num / den
 
     prev = None

@@ -1,9 +1,10 @@
 """The indeterminate half: determinacy, Nevanlinna matrix, N-extremal measures.
 
 The four Nevanlinna series converge like 1/n for quartic-growth rate
-families, so every series here is summed with geometric checkpoints
-(averaged over four consecutive partial sums to damp bounded-period
-oscillation) and Neville extrapolation in 1/n.
+families, so every series and border limit here is read at geometric
+checkpoints (averaged over four consecutive partial sums to damp
+bounded-period oscillation) and extrapolated in 1/n by
+:func:`bdspec.numerics.neville_limit`, which also says when it has settled.
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
@@ -22,12 +23,12 @@ Fhat_n = w_n (Ptilde_n + lambda_0 Qtilde_n), where w_n = (-1)^n sqrt(pitilde_n).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contfrac import DiscreteMeasure, PoleError
-from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville, richardson_sum
+from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville_limit, richardson_sum
 from .recurrence import (
     _CHUNK,
     BirthDeathRates,
@@ -237,15 +238,10 @@ def _nevanlinna_sums(
         terms[active] = hi
         hs.append(1.0 / (cp + 1.5))
         snapshots.append(avg)
-        extrap = running[:, active]
-        if len(snapshots) >= 3:
-            extrap = neville(hs, [snap[:, active] for snap in snapshots])
-        if len(snapshots) > 3:
-            d = np.abs(extrap - result[:, active])
-            lim = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(extrap))
-            achieved[active] = d.max(axis=(0, 2))
-            converged[active] = np.all(d <= lim, axis=(0, 2))
+        extrap, inc, settled = neville_limit(hs, [snap[:, active] for snap in snapshots], tol)
         result[:, active] = extrap
+        achieved[active] = inc.max(axis=(0, 2))
+        converged[active] = settled.all(axis=(0, 2))
         active = active[~converged[active]]
         if not active.size:
             break
@@ -319,22 +315,21 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     (a det-S family) raises.
     """
     _require_indet(rates)
-    memo = _memo(rates)
-    if "alpha" in memo:
-        return memo["alpha"]
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=300_000)
-    terms = np.empty(0)
-
-    def term(n: int) -> float:
-        # 1/(mu_k pi_k) for k = n + 1, from a table grown to twice the need
-        nonlocal terms
-        if n >= terms.size:
-            size = max(2 * n, 1024)
-            _, mu = rates.tabulate(size)
-            terms = np.exp(-(np.log(mu[1:]) + _coefficients(rates, size + 1).log_pi[1 : size + 1]))
-        return terms[n]
-
-    res = richardson_sum(term, tol, n0=256)
+    memo = _memo(rates)
+    key = ("alpha", tol)
+    if key in memo:
+        return memo[key]
+    # The terms 1/(mu_k pi_k), k >= 1, over doubling blocks; every entry
+    # depends on its index alone, so each block extends the last.
+    size = 512
+    while True:
+        size = min(2 * size, tol.max_iter)
+        _, mu = rates.tabulate(size)
+        terms = np.exp(-(np.log(mu[1:]) + _coefficients(rates, size + 1).log_pi[1 : size + 1]))
+        res = richardson_sum(terms, tol, n0=256)
+        if res.converged or size == tol.max_iter:
+            break
     if not res.converged:
         raise ConvergenceError(
             "sum 1/(mu_k pi_k) did not converge; rates look det S"
@@ -342,7 +337,7 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     total = res.value.real
     if not total > 0:
         raise ConvergenceError("accelerated sum lost positivity; cannot form alpha")
-    alpha = memo["alpha"] = -1.0 / total
+    alpha = memo[key] = -1.0 / total
     return alpha
 
 
@@ -416,16 +411,7 @@ def markov_like_limit(
     if dual:
         ratios = [(1.0 + rates.lam(0) * r) / x for r in ratios]
 
-    hs = [1.0 / (cp + 1.5) for cp in cps]
-    prev = None
-    value = ratios[-1]
-    inc = math.inf
-    for j in range(3, len(cps) + 1):
-        value = neville(hs[:j], ratios[:j])
-        if prev is not None:
-            inc = abs(value - prev)
-        prev = value
-    converged = inc <= tol.bound(value)
+    value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
     return ConvergedLimit(value, cps[-1], inc, converged)
 
 
@@ -455,10 +441,7 @@ def modified_entries_dual(
     xs = np.array([x])
     q, p = _advance(tab, xs, _start(tab, xs, 2), 2, n)[:, 0]
     w = tab.weights[:n, 1]
-    s_tilde, s_hat = (
-        richardson_sum(f.item, replace(tol, max_iter=n), n0=256)
-        for f in (w * p, w * (p + mu_t0 * q))
-    )
+    s_tilde, s_hat = (richardson_sum(f, tol, n0=256) for f in (w * p, w * (p + mu_t0 * q)))
     if not (s_tilde.converged and s_hat.converged):
         raise ConvergenceError("dual polynomial series did not stabilize")
     b_tilde = -1.0 + (x / mu_t0) * s_tilde.value

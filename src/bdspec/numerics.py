@@ -1,9 +1,11 @@
 """Shared numerical primitives.
 
 Adaptive quadrature (with endpoint power-singularity substitution), symmetric
-tridiagonal eigenvalues, scan-and-bisect root bracketing, tolerance-driven
-series summation (plain and Richardson-accelerated), and the gamma function
-on the positive half line.
+tridiagonal eigenvalues, and the one extrapolation rule for every limit that
+converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
+settled when the last two extrapolations agree within the tolerance
+(:func:`neville_limit`), which :func:`richardson_sum` applies to the partial
+sums of a series.
 """
 from __future__ import annotations
 
@@ -213,99 +215,18 @@ def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray
     return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
 
 
-def bracket_roots(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    grid: int,
-    tol: Tolerance | None = None,
-) -> list[float]:
-    """Scan ``grid`` subintervals of ``[lo, hi]`` for sign changes and bisect.
+def neville_limit(hs: Sequence[float], ys: Sequence, tol: Tolerance):
+    """Limit at h = 0 of samples ``(h_i, y_i)`` of a quantity converging like
+    a power series in h, and whether it has settled.
 
-    Returns the refined roots in ascending order; an empty list when no sign
-    change is seen (the caller chooses the grid density).
+    One Neville tableau over all k samples gives the extrapolation e_k; its
+    entry i then holds e_(i+1), the extrapolation of the first i + 1 samples,
+    so e_(k-1) comes for free. Returns ``(e_k, |e_k - e_(k-1)|, settled)``
+    with settled meaning that increment is within
+    ``max(abs_tol, rel_tol * |e_k|)``; below four samples the increment is
+    inf. Samples that are arrays of one shape give elementwise results;
+    scalar samples give a ``complex``, a ``float`` and a ``bool``.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    tol = tol or Tolerance(abs_tol=1e-13, rel_tol=1e-13)
-    xs = np.linspace(lo, hi, grid + 1)
-    fs = [f(x) for x in xs]
-    roots: list[float] = []
-    for i in range(grid):
-        f0, f1 = fs[i], fs[i + 1]
-        if f0 == 0.0:
-            roots.append(xs[i])
-            continue
-        if i == grid - 1 and f1 == 0.0:
-            roots.append(xs[i + 1])
-            continue
-        if f0 * f1 < 0:
-            a, b = xs[i], xs[i + 1]
-            fa = f0
-            for _ in range(tol.max_iter):
-                m = 0.5 * (a + b)
-                if (b - a) <= tol.bound(m):
-                    break
-                fm = f(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    # Merge duplicates from roots landing exactly on grid points.
-    merged: list[float] = []
-    for r in sorted(roots):
-        if not merged or abs(r - merged[-1]) > tol.bound(r):
-            merged.append(r)
-    return merged
-
-
-def sum_until(
-    term: Callable[[int], complex],
-    tol: Tolerance | None = None,
-    guard: int = 3,
-) -> ConvergedLimit:
-    """Sum ``term(0) + term(1) + ...`` until ``guard`` consecutive terms are small.
-
-    A term is small when its magnitude is at most
-    ``max(abs_tol, rel_tol * |partial sum|)``. Exhausting ``max_iter`` yields
-    ``converged=False`` rather than an exception.
-    """
-    if guard < 2:
-        raise ValueError("guard must be at least 2")
-    tol = tol or Tolerance()
-    total = 0.0 + 0.0j
-    streak = 0
-    last = math.inf
-    n = 0
-    for n in range(tol.max_iter):
-        t = complex(term(n))
-        total += t
-        last = abs(t)
-        if last <= tol.bound(total):
-            streak += 1
-            if streak >= guard:
-                return ConvergedLimit(total, n + 1, last, True)
-        else:
-            streak = 0
-    return ConvergedLimit(total, n + 1, last, False)
-
-
-def gamma_pos(x: float) -> float:
-    """Gamma function for x > 0."""
-    if not x > 0:
-        raise ValueError("gamma_pos requires x > 0")
-    return math.gamma(x)
-
-
-def neville(hs: Sequence[float], ys: Sequence) -> complex | np.ndarray:
-    """Polynomial extrapolation of samples ``(h_i, y_i)`` to h = 0, elementwise
-    when the ``y_i`` are arrays of one shape; scalar samples give a ``complex``."""
     vals = list(np.asarray(ys, dtype=complex))
     n = len(vals)
     if len(hs) != n or n == 0:
@@ -313,53 +234,48 @@ def neville(hs: Sequence[float], ys: Sequence) -> complex | np.ndarray:
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
-    return complex(vals[-1]) if vals[-1].ndim == 0 else vals[-1]
+    if vals[-1].ndim == 0:
+        value = complex(vals[-1])
+        inc = abs(value - complex(vals[-2])) if n >= 4 else math.inf
+        return value, inc, inc <= tol.bound(value)
+    inc = np.abs(vals[-1] - vals[-2]) if n >= 4 else np.full(vals[-1].shape, math.inf)
+    return vals[-1], inc, inc <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(vals[-1]))
 
 
 def richardson_sum(
-    term: Callable[[int], complex],
+    terms: Sequence[complex] | np.ndarray,
     tol: Tolerance | None = None,
     *,
     n0: int = 64,
-    average: int = 4,
 ) -> ConvergedLimit:
     """Sum a series whose partial sums admit a 1/n tail expansion.
 
-    Partial sums are snapshotted at geometrically spaced checkpoints (each
-    averaged over ``average`` consecutive indices to damp bounded-period
-    oscillation) and extrapolated to n -> infinity by Neville's scheme.
-    Intended for algebraically decaying terms; geometric series converge
-    before extrapolation matters.
+    The first ``tol.max_iter`` of ``terms`` form the budget. Checkpoints sit
+    at n0, 2 n0, 4 n0, ... as long as the four partial sums S_cp .. S_(cp+3)
+    fit in it; their average (which damps bounded-period oscillation) is the
+    snapshot at h = 1/(cp + 1.5), and the sum stops at the first checkpoint
+    where :func:`neville_limit` has settled. Intended for algebraically
+    decaying terms; geometric series converge before extrapolation matters.
+    Without a settled checkpoint the result has ``converged=False``, the last
+    extrapolation (the plain sum below three snapshots) and the whole budget.
     """
     tol = tol or Tolerance()
-    total = 0.0 + 0.0j
+    partial = np.cumsum(np.asarray(terms, dtype=complex)[: tol.max_iter])
     hs: list[float] = []
     ys: list[complex] = []
-    prev_extrap: complex | None = None
-    last_inc = math.inf
-    n = 0
-    next_cp = max(8, n0)
-    while n < tol.max_iter:
-        total += complex(term(n))
-        n += 1
-        if n == next_cp:
-            buf = [total]
-            while len(buf) < average and n < tol.max_iter:
-                total += complex(term(n))
-                n += 1
-                buf.append(total)
-            hs.append(1.0 / (n - 0.5 * (len(buf) - 1)))
-            ys.append(sum(buf) / len(buf))
-            if len(ys) >= 3:
-                extrap = neville(hs, ys)
-                if prev_extrap is not None:
-                    last_inc = abs(extrap - prev_extrap)
-                    if last_inc <= tol.bound(extrap):
-                        return ConvergedLimit(extrap, n, last_inc, True)
-                prev_extrap = extrap
-            next_cp *= 2
-    value = prev_extrap if prev_extrap is not None else total
-    return ConvergedLimit(value, n, last_inc, False)
+    value = complex(partial[-1]) if partial.size else 0j
+    inc = math.inf
+    cp = max(8, n0)
+    while cp + 3 <= partial.size:
+        s0, s1, s2, s3 = partial[cp - 1 : cp + 3]
+        hs.append(1.0 / (cp + 1.5))
+        ys.append((s0 + s1 + s2 + s3) / 4)
+        if len(ys) >= 3:
+            value, inc, settled = neville_limit(hs, ys, tol)
+            if settled:
+                return ConvergedLimit(value, cp + 3, inc, True)
+        cp *= 2
+    return ConvergedLimit(value, partial.size, inc, False)
 
 
 def compensated_sum(values: Iterable[float]) -> float:

@@ -7,10 +7,11 @@ Q_n(0)) and one segment solver that solves the recurrence as banded forward
 substitutions over cache-sized segments, rescaling each solution by an exact
 power of two wherever its rows leave [1e-150, 1e150]. The products pi_n and
 the partial sums 1/alpha_n are read from the log columns, so determinate
-families neither underflow nor overflow there. ``eval_f`` (the monic F_n,
-its order-one associated family and the dual systems) and ``eval_pq_mp``
-step their recurrences index by index; they are the independent references
-the kernel is checked against.
+families neither underflow nor overflow there. ``eval_f`` (F_n = (-1)^n
+sqrt(pi_n) P_n, its order-one associated family and the dual systems) reads
+the same kernel rows and log column. ``eval_pq_mp`` alone steps its
+recurrence index by index, in mpmath; it is the independent reference the
+kernel is checked against.
 """
 from __future__ import annotations
 
@@ -232,7 +233,8 @@ class _Coefficients:
 
 # Per-rates memo, weakly keyed by the rates object: the coefficient tables of
 # the system ("table") and of its dual ("dual"), rebuilt larger on demand, and
-# the determinacy verdict and alpha of the indeterminate half.
+# the determinacy verdict and alpha (keyed by its tolerance) of the
+# indeterminate half.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
@@ -427,34 +429,24 @@ def eval_pq(
 def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySequence:
     """Evaluate F_0..F_n at ``x``; ``shift=s`` uses rates (lambda_{k+s}, mu_{k+s}).
 
-    The recurrence is mu_{k+1} F_{k+1} = (lambda_k + mu_k - x) F_k
-    - lambda_{k-1} F_{k-1}, with F_0 = 1, so that F_n(0) = pi_n and
-    P_n = (-1)^n F_n / sqrt(pi_n). ``shift=1`` yields the order-one
-    associated family.
+    F_n solves mu_{k+1} F_{k+1} = (lambda_k + mu_k - x) F_k
+    - lambda_{k-1} F_{k-1}, with F_0 = 1, so that F_n(0) = pi_n; it is read
+    off the kernel as F_n = (-1)^n sqrt(pi_n) P_n, the log sqrt(pi_n) going
+    into ``scaling_log``. ``shift=1`` yields the order-one associated family.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if shift < 0:
         raise ValueError("shift must be nonnegative")
-    x = complex(x)
-    lam, mu = rates.tabulate(n + shift + 1)
-    fv = np.zeros(n + 1, dtype=complex)
-    fs = np.zeros(n + 1)
-    f0, f1 = 0.0 + 0.0j, 1.0 + 0.0j  # F_{-1}, F_0
-    fv[0] = f1
-    sh = 0.0
-    for k in range(n):
-        lam_k = lam[k + shift]
-        mu_k = mu[k + shift]
-        lam_km = lam[k - 1 + shift] if k >= 1 else 0.0
-        f2 = ((lam_k + mu_k - x) * f1 - lam_km * f0) / mu[k + 1 + shift]
-        f0, f1 = f1, f2
-        m = max(abs(f0), abs(f1))
-        if m > _RESCALE_HI or 0 < m < _RESCALE_LO:
-            f0, f1, sh = f0 / m, f1 / m, sh + math.log(m)
-        fv[k + 1] = f1
-        fs[k + 1] = sh
-    return PolySequence(values=fv, scaling_log=fs)
+    if shift:
+        base = rates
+        rates = BirthDeathRates(lambda k: base.lam(k + shift), lambda k: base.mu(k + shift))
+    P, _ = eval_pq(rates, max(n, 1), complex(x))
+    half_log_pi = 0.5 * _coefficients(rates, n + 1).log_pi[: n + 1]
+    return PolySequence(
+        values=(-1.0) ** np.arange(n + 1) * P.values[: n + 1],
+        scaling_log=P.scaling_log[: n + 1] + half_log_pi,
+    )
 
 
 def pi_sequence(rates: BirthDeathRates, n: int) -> PolySequence:

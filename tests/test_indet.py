@@ -16,7 +16,6 @@ from bdspec import (
     classify,
     custom_rates,
     dual_rates,
-    eval_f,
     eval_pq,
     markov_like_limit,
     modified_entries_dual,
@@ -32,7 +31,7 @@ from bdspec import (
 )
 
 from bdspec.recurrence import _advance, _coefficients, _qp_ratios, _start, eval_pq_mp
-from conftest import ALPHA_QUARTIC_REF
+from conftest import ALPHA_QUARTIC_REF, f_recurrence_mp
 
 
 class TestClassify:
@@ -166,6 +165,13 @@ class TestAlpha:
     def test_rejects_determinate(self, dn_half):
         with pytest.raises(ValueError):
             alpha_limit(dn_half)
+
+    def test_memo_is_keyed_by_tolerance(self):
+        # A loose first call must not fix what a later default call returns.
+        rates = quartic_rates(0.0, 0.0)
+        loose = alpha_limit(rates, Tolerance(abs_tol=1e-3, rel_tol=1e-3, max_iter=300_000))
+        assert loose != alpha_limit(rates)
+        assert alpha_limit(rates) == alpha_limit(quartic_rates(0.0, 0.0)) == -8.288766326879689
 
 
 class TestNextremalTransform:
@@ -432,11 +438,11 @@ class TestSeriesKernel:
             pis = pi_sequence(tilde, n)
             for x in (2.0 + 1.0j, -40 - 15j, 3e3 + 1e2j):
                 P, Q = eval_pq(tilde, n, x)
-                Ft, Fh = eval_f(tilde, n, x), eval_f(hat, n, x)
+                Ft, Fh = f_recurrence_mp(tilde, n, x), f_recurrence_mp(hat, n, x)
                 for k in range(n + 1):
                     w = (-1.0) ** k * math.sqrt(pis.value(k).real)
                     for F, y in ((Ft, P.value(k)), (Fh, P.value(k) + rates.lam(0) * Q.value(k))):
-                        assert abs(F.value(k) - w * y) <= 1e-12 * abs(F.value(k))
+                        assert abs(F[k] - w * y) <= 1e-12 * abs(F[k])
 
     def test_kernel_rows_match_recurrence(self, quartic0):
         # P and Q against the 40-digit recurrence; P' and Q' against its

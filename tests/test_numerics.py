@@ -8,16 +8,13 @@ from bdspec import (
     ConvergedLimit,
     QuadratureError,
     Tolerance,
-    bracket_roots,
-    gamma_pos,
     integrate,
     quartic_rates,
-    sum_until,
     tridiag_eigen,
 )
-from bdspec.numerics import compensated_sum, neville, richardson_sum
+from bdspec.numerics import compensated_sum, neville_limit, richardson_sum
 
-from conftest import GAMMA_1P6_REF, K0_REF, SUM_INV_MUPI_REF
+from conftest import K0_REF, SUM_INV_MUPI_REF
 
 
 class TestTolerance:
@@ -122,125 +119,132 @@ class TestTridiagEigen:
                 assert sub[i] <= full[i + 1] + 1e-12
 
 
-class TestBracketRoots:
-    def test_linear(self):
-        roots = bracket_roots(lambda x: x, -1.0, 1.0, 10)
-        assert len(roots) == 1
-        assert abs(roots[0]) < 1e-12
-
-    def test_cosine(self):
-        roots = bracket_roots(math.cos, 0.0, 10.0, 100)
-        expect = [math.pi / 2, 3 * math.pi / 2, 5 * math.pi / 2]
-        assert len(roots) == 3
-        assert roots == pytest.approx(expect, abs=1e-11)
-
-    def test_quartic_profile_zeros(self):
-        # cos(t/sqrt2) cosh(t/sqrt2) vanishes at (2n+1) pi / sqrt2
-        f = lambda t: math.cos(t / math.sqrt(2)) * math.cosh(t / math.sqrt(2))
-        roots = bracket_roots(f, 0.0, 10.0, 200)
-        expect = [math.pi / math.sqrt(2), 3 * math.pi / math.sqrt(2)]
-        assert roots == pytest.approx(expect, abs=1e-10)
-
-    def test_no_sign_change(self):
-        assert bracket_roots(lambda x: 1.0 + x * x, -1.0, 1.0, 50) == []
-
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            bracket_roots(lambda x: x, 0.0, 1.0, 1)
+def _neville(hs, ys):
+    # The scalar Neville scheme that neville_limit replaced, in numpy scalars:
+    # numpy divides a complex by a real through its reciprocal, Python does not.
+    vals = list(np.asarray(ys, dtype=complex))
+    for j in range(1, len(vals)):
+        for i in range(len(vals) - 1, j - 1, -1):
+            vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
+    return complex(vals[-1])
 
 
-class TestSumUntil:
-    def test_zero_terms(self):
-        res = sum_until(lambda n: 0.0, Tolerance(abs_tol=1e-12, rel_tol=0.0), guard=3)
-        assert res.converged
-        assert res.value == 0
-        assert res.terms_used == 3
+def _streaming_richardson(term, tol, n0):
+    """The term-by-term loop that richardson_sum replaced, as its reference."""
+    total = 0.0 + 0.0j
+    hs, ys = [], []
+    prev_extrap = None
+    last_inc = math.inf
+    n = 0
+    next_cp = max(8, n0)
+    while n < tol.max_iter:
+        total += complex(term(n))
+        n += 1
+        if n == next_cp:
+            buf = [total]
+            while len(buf) < 4 and n < tol.max_iter:
+                total += complex(term(n))
+                n += 1
+                buf.append(total)
+            hs.append(1.0 / (n - 0.5 * (len(buf) - 1)))
+            ys.append(sum(buf) / len(buf))
+            if len(ys) >= 3:
+                extrap = _neville(hs, ys)
+                if prev_extrap is not None:
+                    last_inc = abs(extrap - prev_extrap)
+                    if last_inc <= tol.bound(extrap):
+                        return ConvergedLimit(extrap, n, last_inc, True)
+                prev_extrap = extrap
+            next_cp *= 2
+    value = prev_extrap if prev_extrap is not None else total
+    return ConvergedLimit(value, n, last_inc, False)
 
-    def test_geometric(self):
-        res = sum_until(lambda n: 2.0**-n, Tolerance(abs_tol=1e-13, rel_tol=0.0))
-        assert res.converged
-        assert abs(res.value - 2.0) < 1e-12
 
-    def test_quartic_inverse_mupi_reaches_oracle_loosely(self, quartic0):
-        lam, mu = quartic0.tabulate(4000)
-        pis = np.ones(4000)
-        for k in range(1, 4000):
-            pis[k] = pis[k - 1] * lam[k - 1] / mu[k]
-
-        def term(n):
-            k = n + 1
-            return 1.0 / (mu[k] * pis[k])
-
-        res = sum_until(term, Tolerance(abs_tol=0.0, rel_tol=1e-6, max_iter=3000))
-        assert res.converged
-        # guarded plain summation stops on term size; tail is O(1/N)
-        assert abs(res.value - SUM_INV_MUPI_REF) < 2e-3
-
-    def test_non_convergence_flag(self):
-        res = sum_until(lambda n: 1.0, Tolerance(abs_tol=1e-3, rel_tol=0.0, max_iter=16))
-        assert not res.converged
-        assert res.terms_used == 16
-
-    def test_guard_validation(self):
-        with pytest.raises(ValueError):
-            sum_until(lambda n: 0.0, guard=1)
+def _quartic_inverse_mupi(rates, n):
+    # 1/(mu_k pi_k) for k = 1..n, pi_k by running product
+    lam, mu = rates.tabulate(n)
+    return 1.0 / (mu[1:] * np.cumprod(lam[:-1] / mu[1:]))
 
 
 class TestRichardsonSum:
     def test_inverse_square_series(self):
         res = richardson_sum(
-            lambda n: 1.0 / (n + 1) ** 2,
+            1.0 / np.arange(1.0, 300_001.0) ** 2,
             Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=300_000),
         )
         assert res.converged
         assert abs(res.value - math.pi**2 / 6) < 1e-11
 
     def test_quartic_alpha_series(self, quartic0):
-        state = {"pi": 1.0, "k": 0}
-        lam, mu = quartic0.tabulate(200_000)
-
-        def term(_n):
-            state["k"] += 1
-            k = state["k"]
-            state["pi"] *= lam[k - 1] / mu[k]
-            return 1.0 / (mu[k] * state["pi"])
-
         res = richardson_sum(
-            term, Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=150_000), n0=256
+            _quartic_inverse_mupi(quartic0, 200_000),
+            Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=150_000),
+            n0=256,
         )
         assert res.converged
         assert abs(res.value - SUM_INV_MUPI_REF) < 1e-11
 
+    @pytest.mark.parametrize("series", ["inverse_square", "alternating", "quartic"])
+    @pytest.mark.parametrize("n0", [64, 256])
+    @pytest.mark.parametrize("budget", [8, 200, 1000, 5000, 40_000])
+    @pytest.mark.parametrize("rel_tol", [1e-8, 1e-13])
+    def test_matches_streaming_reference(self, series, n0, budget, rel_tol, quartic0):
+        # Every budget here ends at least 4 terms past its last checkpoint.
+        terms = {
+            "inverse_square": lambda: 1.0 / np.arange(1.0, budget + 1.0) ** 2,
+            "alternating": lambda: (-1.0) ** np.arange(budget) / np.arange(1.0, budget + 1.0),
+            "quartic": lambda: _quartic_inverse_mupi(quartic0, budget),
+        }[series]()
+        tol = Tolerance(abs_tol=rel_tol, rel_tol=rel_tol, max_iter=budget)
+        ref = _streaming_richardson(terms.item, tol, n0)
+        got = richardson_sum(terms, tol, n0=n0)
+        assert (got.value, got.terms_used, got.last_increment, got.converged) == (
+            ref.value, ref.terms_used, ref.last_increment, ref.converged
+        )
 
-class TestGamma:
-    def test_one(self):
-        assert gamma_pos(1.0) == 1.0
-
-    def test_half(self):
-        assert abs(gamma_pos(0.5) - math.sqrt(math.pi)) < 1e-15
-
-    def test_c_point_vs_mpmath_oracle(self):
-        assert abs(gamma_pos(2 * 0.3 + 1.0) - GAMMA_1P6_REF) < 1e-13
-
-    @pytest.mark.parametrize("x", [0.1, 0.5, 1.5, 7.3])
-    def test_functional_equation(self, x):
-        assert abs(gamma_pos(x + 1.0) / (x * gamma_pos(x)) - 1.0) < 1e-12
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            gamma_pos(0.0)
-        with pytest.raises(ValueError):
-            gamma_pos(-1.3)
+    def test_budget_just_past_a_checkpoint_drops_it(self, quartic0):
+        # A budget ending 1 to 3 terms past checkpoint 1024 leaves no room for
+        # its four partial sums: the streaming loop averaged fewer of them,
+        # richardson_sum drops the checkpoint. It then extrapolates exactly
+        # what the reference does on a budget that stops short of it.
+        terms = _quartic_inverse_mupi(quartic0, 1030)
+        short = _streaming_richardson(terms.item, Tolerance(1e-15, 1e-15, max_iter=1023), 64)
+        for budget in (1024, 1025, 1026):
+            got = richardson_sum(terms, Tolerance(1e-15, 1e-15, max_iter=budget))
+            assert not got.converged and got.terms_used == budget
+            assert (got.value, got.last_increment) == (short.value, short.last_increment)
 
 
 def test_neville_recovers_polynomial_limit():
     hs = [1.0 / n for n in (8, 16, 32, 64, 128)]
     ys = [3.0 - 2.0 * h + 5.0 * h**2 - h**3 for h in hs]
-    assert abs(neville(hs, ys) - 3.0) < 1e-12
-    assert isinstance(neville(hs, ys), complex)
+    tol = Tolerance(abs_tol=1e-12, rel_tol=0.0)
+    value, inc, settled = neville_limit(hs, ys, tol)
+    assert abs(value - 3.0) < 1e-12
+    assert isinstance(value, complex)
     # array samples are extrapolated elementwise
     arrays = [np.array([y, 2.0 * y, 1j * y]) for y in ys]
-    assert np.allclose(neville(hs, arrays), [3.0, 6.0, 3j], rtol=0, atol=1e-11)
+    value, inc, settled = neville_limit(hs, arrays, tol)
+    assert np.allclose(value, [3.0, 6.0, 3j], rtol=0, atol=1e-11)
+    assert settled.shape == (3,) and settled.all()
+
+
+def test_neville_limit_reads_prefix_extrapolations_off_one_tableau(rng):
+    # e_(k-1) is bit for bit the extrapolation of the first k - 1 samples
+    hs = [1.0 / (cp + 1.5) for cp in (64, 128, 256, 512, 1024, 2048)]
+    ys = [complex(*rng.normal(size=2)) for _ in hs]
+    tol = Tolerance()
+    for k in range(4, len(hs) + 1):
+        value, inc, settled = neville_limit(hs[:k], ys[:k], tol)
+        assert value == _neville(hs[:k], ys[:k])
+        assert inc == abs(value - _neville(hs[: k - 1], ys[: k - 1]))
+        assert settled == (inc <= tol.bound(value))
+    # below four samples there is no increment, so nothing settles
+    for k in (1, 2, 3):
+        value, inc, settled = neville_limit(hs[:k], [3.0] * k, tol)
+        assert value == 3.0 and inc == math.inf and not settled
+    _, inc, settled = neville_limit(hs[:3], [np.ones(2)] * 3, tol)
+    assert np.all(inc == math.inf) and not settled.any()
 
 
 def test_compensated_sum_vs_mpmath():

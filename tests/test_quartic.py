@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from bdspec import (
     PoleError,
@@ -9,7 +10,6 @@ from bdspec import (
     alpha_limit,
     asymptotic_checks,
     border_measure,
-    bracket_roots,
     delta4,
     dual_rates,
     friedrichs_transform,
@@ -83,7 +83,13 @@ class TestTransforms:
         # zeros of delta_0(x^(1/4) Kbar / sqrt2) in the transform variable
         K = qspec.qperiod
         f = lambda y: delta4(0, y * K / math.sqrt(2)).real
-        roots = bracket_roots(f, 0.1, 12.0, 400)
+        ys = np.linspace(0.1, 12.0, 401)
+        fs = [f(y) for y in ys]
+        roots = [
+            brentq(f, ys[i], ys[i + 1], xtol=1e-13, rtol=1e-13)
+            for i in range(len(ys) - 1)
+            if fs[i] * fs[i + 1] < 0
+        ]
         expected = [(2 * n + 1) * math.pi / K for n in range(4)]
         assert np.allclose(roots, expected, rtol=1e-9)
 

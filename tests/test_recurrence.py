@@ -21,6 +21,7 @@ from bdspec import (
     stieltjes_dn_rates,
 )
 from bdspec.recurrence import eval_pq_mp
+from conftest import f_recurrence_mp
 
 
 class TestRates:
@@ -258,13 +259,13 @@ class TestEvalF:
         x = -1.0
         n = 30
         P, Q = eval_pq(dn_half, n, x)
-        F = eval_f(dn_half, n, x)
+        F = f_recurrence_mp(dn_half, n, x)
         F1 = eval_f(dn_half, n - 1, x, shift=1)
         pis = pi_sequence(dn_half, n)
         mu1 = dn_half.mu(1)
         for k in (5, 18, 30):
             lhs = P.value(k)
-            rhs = (-1.0) ** k * F.value(k) / math.sqrt(pis.value(k).real)
+            rhs = (-1.0) ** k * F[k] / math.sqrt(pis.value(k).real)
             assert abs(lhs / rhs - 1.0) < 1e-10
         for k in (5, 18, 30):
             lhs = Q.value(k)
@@ -282,6 +283,24 @@ class TestEvalF:
         lhs = Q.value(n) / P.value(n)
         rhs = -F1.value(n - 1) / (mu1 * F.value(n))
         assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+
+    @pytest.mark.parametrize("system", ["plain", "shift", "dual", "zero_dual"])
+    def test_matches_40_digit_recurrence(self, system, quartic0, dn_half):
+        # F_k read off the kernel rows, for every k <= n, against the F
+        # recurrence stepped in 40 digits.
+        shift = 1 if system == "shift" else 0
+        cases = [(quartic0, 600, (2.0 + 1.0j, -40 - 15j, 3e3 + 1e2j, 0.5j))]
+        if system == "plain":
+            cases.append((dn_half, 200, (-1.0 + 0.3j, 7.0 - 2.0j)))
+        for rates, n, xs in cases:
+            if system in ("dual", "zero_dual"):
+                rates = dual_rates(rates, zero_related=(system == "zero_dual"))
+            for x in xs:
+                F = eval_f(rates, n, x, shift=shift)
+                ref = f_recurrence_mp(rates, n, x, shift=shift)
+                for k in range(n + 1):
+                    assert abs(F.value(k) - ref[k]) <= 5e-12 * abs(ref[k])
 
 
 class TestDuals:
