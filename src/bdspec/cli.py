@@ -12,6 +12,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .contfrac import DiscreteMeasure
 from .det_markov import dn_spectral_measure, generalized_ratio, markov_iterates, markov_limit
@@ -31,7 +33,6 @@ from .numerics import ConvergenceError, QuadratureError, Tolerance
 from .quartic import border_measure, make_quartic_spec, quartic_rates
 from .recurrence import (
     BirthDeathRates,
-    custom_rates,
     generalized_c_rates,
     stieltjes_cn_rates,
     stieltjes_dn_rates,
@@ -52,7 +53,10 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- expressions
 
-_COMPARE_OPS = (">=", "<=", "==", ">", "<")
+# Two-character operators first, so that the parser tries them before ">" and "<".
+_COMPARE_OPS = {
+    ">=": np.greater_equal, "<=": np.less_equal, "==": np.equal, ">": np.greater, "<": np.less,
+}
 
 
 class _ExprParser:
@@ -152,35 +156,34 @@ class _ExprParser:
         return ("num", float(self.text[start:self.pos]))
 
 
-def _expr_eval(node, n: int) -> float:
+_BINARY_OPS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.true_divide,
+    "pow": np.float_power,
+}
+
+
+def _expr_eval(node, n: np.ndarray):
     kind = node[0]
     if kind == "num":
         return node[1]
     if kind == "var":
-        return float(n)
+        return n
     if kind == "neg":
-        return -_expr_eval(node[1], n)
-    if kind == "add":
-        return _expr_eval(node[1], n) + _expr_eval(node[2], n)
-    if kind == "sub":
-        return _expr_eval(node[1], n) - _expr_eval(node[2], n)
-    if kind == "mul":
-        return _expr_eval(node[1], n) * _expr_eval(node[2], n)
-    if kind == "div":
-        return _expr_eval(node[1], n) / _expr_eval(node[2], n)
-    if kind == "pow":
-        return _expr_eval(node[1], n) ** _expr_eval(node[2], n)
+        return np.negative(_expr_eval(node[1], n))
     if kind == "cmp":
-        a, b = _expr_eval(node[2], n), _expr_eval(node[3], n)
-        return float({">": a > b, "<": a < b, ">=": a >= b,
-                      "<=": a <= b, "==": a == b}[node[1]])
-    raise AssertionError(kind)
+        return _COMPARE_OPS[node[1]](_expr_eval(node[2], n), _expr_eval(node[3], n)) * 1.0
+    return _BINARY_OPS[kind](_expr_eval(node[1], n), _expr_eval(node[2], n))
 
 
 def compile_rate_expr(text: str):
-    """Compile a rate expression to a callable of n, validating the grammar."""
+    """Compile a rate expression to an array closed form, validating the grammar.
+
+    The callable takes an index or an array of indices and evaluates with
+    numpy semantics: division by zero gives inf or nan, a negative base to a
+    fractional power nan, and comparisons 1.0 or 0.0.
+    """
     tree = _ExprParser(text).parse()
-    return lambda n: _expr_eval(tree, n)
+    return lambda n: _expr_eval(tree, np.asarray(n, dtype=float))
 
 
 # ---------------------------------------------------------------- rate builder
@@ -207,20 +210,10 @@ def build_rates(args) -> BirthDeathRates:
         if family == "custom":
             if args.lam is None or args.mu is None:
                 raise ValueError("custom rates need both --lambda and --mu")
-            lam = compile_rate_expr(args.lam)
-            mu = compile_rate_expr(args.mu)
-            rates = custom_rates(lam, mu)
-            for n in range(1001):
-                if not lam(n) > 0:
-                    raise ValueError(f"custom lambda_{n} is not positive")
-                if n >= 1 and not mu(n) > 0:
-                    raise ValueError(f"custom mu_{n} is not positive")
-            if mu(0) < 0:
-                raise ValueError("custom mu_0 is negative")
-            return rates
+            return BirthDeathRates(compile_rate_expr(args.lam), compile_rate_expr(args.mu))
     except CliError:
         raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc), EXIT_INPUT) from exc
     raise CliError(f"unknown family {family!r}", EXIT_INPUT)
 

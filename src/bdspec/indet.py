@@ -87,7 +87,7 @@ def _tail_behavior(logs: np.ndarray, ns: np.ndarray) -> tuple[str, bool, float]:
     if i0 >= len(logs) - 1:
         i0 = len(logs) - 2
     dlog = (logs[-1] - logs[i0]) / (ns[-1] - ns[i0])
-    rho = math.exp(dlog)
+    rho = math.exp(min(dlog, 700.0))
     tn = math.exp(min(last, 700.0))
     if rho <= 0.95:
         return "conv", True, tn * rho / (1.0 - rho)
@@ -469,7 +469,6 @@ def nextremal_measure(
     param: float,
     convention: str = "lambda",
     window: tuple[float, float] = (0.0, 100.0),
-    grid: int | None = None,
     tol: Tolerance | None = None,
 ) -> DiscreteMeasure:
     """Window-limited N-extremal measure psi_param.
@@ -499,12 +498,7 @@ def nextremal_measure(
     else:
         raise ValueError("convention must be 'lambda' or 'mu'")
 
-    if grid is None:
-        xs = _default_grid(rates, window)
-    else:
-        if grid < 2:
-            raise ValueError("grid must be at least 2")
-        xs = np.linspace(lo, hi, grid + 1)
+    xs = _default_grid(rates, window)
 
     def g_batch(points: np.ndarray, derivs: bool, nmax: int, final: bool = False):
         # Only the final pass, which gives the masses, must converge; the scan,
@@ -557,8 +551,7 @@ def nextremal_measure(
     roots = sorted(r for r in roots if lo <= r <= hi)
     if not roots:
         raise RuntimeError(
-            f"no spectral points found in window {window}; "
-            "densify the grid or widen the window"
+            f"no spectral points found in window {window}; widen the window"
         )
     pts = np.array(roots)
     _, _, vals, dvals = g_batch(pts, True, 16384, final=True)

@@ -92,22 +92,19 @@ def integrate(
     b: float,
     tol: Tolerance | None = None,
     *,
-    sing_a: float | None = None,
     sing_b: float | None = None,
-    f_dist_a: Callable[[float], complex] | None = None,
     f_dist_b: Callable[[float], complex] | None = None,
 ) -> complex:
     """Adaptive Gauss-Legendre integral of ``f`` over ``[a, b]``.
 
-    ``sing_a``/``sing_b`` declare power-law endpoint behaviour
-    ``f(u) ~ (u-a)^sing_a`` (resp. ``(b-u)^sing_b``) with exponent > -1;
-    the affected endpoint is handled by the substitution ``u = t^p`` before
-    the adaptive pass, so ``f`` is never evaluated at the endpoints.
+    ``sing_b`` declares power-law endpoint behaviour ``f(u) ~ (b-u)^sing_b``
+    with exponent > -1; the integral is then taken after the substitution
+    ``b - u = t^p``, so ``f`` is never evaluated at ``b``.
 
-    A plain ``f(u)`` near a flagged endpoint cannot see distances below one
+    A plain ``f(u)`` near the flagged endpoint cannot see distances below one
     ulp, which caps the reachable accuracy near eps^(1+sing). Supplying the
-    integrand in exact-distance form (``f_dist_a(d) = f(a + d)`` or
-    ``f_dist_b(d) = f(b - d)``, with d the true distance) removes that floor.
+    integrand in exact-distance form (``f_dist_b(d) = f(b - d)``, with d the
+    true distance) removes that floor.
 
     Raises :class:`QuadratureError` when the subdivision budget ``tol.max_iter``
     is exhausted before the error bound drops below
@@ -117,37 +114,16 @@ def integrate(
         raise ValueError("need finite a < b")
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 
-    pieces: list[tuple[Callable[[float], complex], float, float]] = []
-    mid = 0.5 * (a + b)
-    lo_end, hi_end = (mid, mid) if (sing_a is not None and sing_b is not None) else (b, a)
-    if sing_a is not None:
-        p = _substitution_power(sing_a)
-        width = lo_end - a
-        near_a = f_dist_a if f_dist_a is not None else (lambda d, _a=a: f(_a + d) if _a + d != _a else 0.0)
-
-        def g_lo(t, _p=p, _g=near_a):
-            return _g(t**_p) * _p * t ** (_p - 1)
-
-        pieces.append((g_lo, 0.0, width ** (1.0 / p)))
-        plain_lo = lo_end
+    if sing_b is None:
+        g, lo, hi = f, a, b
     else:
-        plain_lo = a
-    if sing_b is not None:
         p = _substitution_power(sing_b)
-        width = b - hi_end
-        near_b = f_dist_b if f_dist_b is not None else (lambda d, _b=b: f(_b - d) if _b - d != _b else 0.0)
+        near_b = f_dist_b if f_dist_b is not None else (lambda d: f(b - d) if b - d != b else 0.0)
 
-        def g_hi(t, _p=p, _g=near_b):
-            return _g(t**_p) * _p * t ** (_p - 1)
+        def g(t):
+            return near_b(t**p) * p * t ** (p - 1)
 
-        pieces.append((g_hi, 0.0, width ** (1.0 / p)))
-        plain_hi = hi_end
-    else:
-        plain_hi = b
-    if sing_a is None and sing_b is None:
-        pieces.append((f, a, b))
-    elif plain_lo < plain_hi:
-        pieces.append((f, plain_lo, plain_hi))
+        lo, hi = 0.0, (b - a) ** (1.0 / p)
 
     # Global adaptive subdivision: each node stores the two-half estimate and
     # the |whole - halves| discrepancy as its error indicator.
@@ -156,7 +132,7 @@ def integrate(
     total = 0.0 + 0.0j
     err_total = 0.0
 
-    def push(g, lo, hi):
+    def push(lo, hi):
         nonlocal counter, total, err_total
         m = 0.5 * (lo + hi)
         q1 = _gl15(g, lo, hi)
@@ -165,12 +141,10 @@ def integrate(
         counter += 1
         total += q2
         err_total += err
-        heapq.heappush(heap, (-err, counter, lo, hi, q2, g))
+        heapq.heappush(heap, (-err, counter, lo, hi, q2))
 
-    for g, lo, hi in pieces:
-        push(g, lo, hi)
-
-    span = sum(hi - lo for _, lo, hi in pieces)
+    push(lo, hi)
+    span = hi - lo
     subdivisions = 0
     while err_total > tol.bound(total):
         if subdivisions >= tol.max_iter:
@@ -179,10 +153,10 @@ def integrate(
                 total,
                 err_total,
             )
-        neg_err, _, lo, hi, q, g = heapq.heappop(heap)
+        neg_err, _, lo, hi, q = heapq.heappop(heap)
         if hi - lo < 4e-16 * span:
             # Interval too narrow to refine further; keep its contribution.
-            heapq.heappush(heap, (0.0, counter, lo, hi, q, g))
+            heapq.heappush(heap, (0.0, counter, lo, hi, q))
             if all(h[0] == 0.0 for h in heap):
                 raise QuadratureError(
                     "quadrature stalled on a non-resolvable feature", total, err_total
@@ -191,8 +165,8 @@ def integrate(
         total -= q
         err_total += neg_err  # neg_err is -err
         m = 0.5 * (lo + hi)
-        push(g, lo, m)
-        push(g, m, hi)
+        push(lo, m)
+        push(m, hi)
         subdivisions += 1
     return complex(total)
 

@@ -59,15 +59,13 @@ def quartic_rates(c: float = 0.0, mu: float = 0.0) -> BirthDeathRates:
     if mu < 0:
         raise ValueError("mu must be nonnegative for a birth-death system")
 
-    def lam(n: int) -> float:
+    def lam(n: np.ndarray) -> np.ndarray:
         s = 4 * n + 4 * c
-        return (s + 1) * (s + 2) ** 2 * (s + 3)
+        return (s + 1) * np.float_power(s + 2, 2) * (s + 3)
 
-    def mu_fn(n: int) -> float:
-        if n == 0:
-            return mu
+    def mu_fn(n: np.ndarray) -> np.ndarray:
         s = 4 * n + 4 * c
-        return (s - 1) * s**2 * (s + 1)
+        return np.where(n == 0, mu, (s - 1) * np.float_power(s, 2) * (s + 1))
 
     return BirthDeathRates(lam, mu_fn, family="Quartic", params={"c": c, "mu": mu})
 
@@ -205,7 +203,7 @@ class AsymptoticReport:
 
 
 def asymptotic_checks(
-    spec: QuarticSpec, x: complex, n: int, extended: bool | None = None
+    spec: QuarticSpec, x: complex, n: int, extended: bool = True
 ) -> AsymptoticReport:
     """Compare F_n, the order-one associated family, and both duals at index n
     against their closed-form growth laws.
@@ -220,15 +218,13 @@ def asymptotic_checks(
 
     where N2, N0 are the cn integrals of the border transforms. The measured
     dual prefactor F~_n sqrt(x)/(pi_n delta_2) is reported as well; it tends
-    to 3 pi. With ``extended`` (default: n > 300) the recurrences run in
-    30-digit arithmetic.
+    to 3 pi. With ``extended`` (the default) the recurrences run in 30-digit
+    arithmetic.
     """
     _require_base(spec)
     if n < 500:
         raise ValueError("asymptotic checks need n >= 500")
     x = complex(x)
-    if extended is None:
-        extended = n > 300
     rho = _root4(x)
     sqx = rho * rho
     K = spec.qperiod

@@ -26,6 +26,7 @@ from scipy.linalg.lapack import ztbtrs
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
 _LN2 = math.log(2.0)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 # Point-steps stacked into one banded solve.
 _CHUNK = 2**13
@@ -34,58 +35,67 @@ _CHUNK = 2**13
 class BirthDeathRates:
     """A coefficient pair (lambda_n, mu_n) with lambda_n > 0 and mu_n > 0 (n >= 1).
 
-    ``lam`` and ``mu`` are closed-form callbacks so arbitrary indices are
-    reachable; evaluated prefixes are cached by :meth:`tabulate`.
+    ``lam`` and ``mu`` are array closed forms: each maps a float64 array of
+    indices to the array of its rates (a scalar result stands for a constant
+    rate), so any index is reachable and a table grows by one call each.
+    Scalar-only callables go through :func:`custom_rates`. The rates are
+    checked for n <= 1000 on construction and on every growth of the table
+    kept by :meth:`tabulate`.
     """
 
     def __init__(
         self,
-        lam: Callable[[int], float],
-        mu: Callable[[int], float],
+        lam: Callable[[np.ndarray], np.ndarray],
+        mu: Callable[[np.ndarray], np.ndarray],
         family: str = "Custom",
         params: dict | None = None,
-        probe: int = 64,
     ):
         self._lam = lam
         self._mu = mu
         self.family = family
         self.params = dict(params or {})
         self._tab = np.empty((2, 0))
-        mu0 = float(mu(0))
-        if mu0 < 0:
-            raise ValueError("mu_0 must be nonnegative")
-        for n in range(probe):
-            if not float(lam(n)) > 0:
-                raise ValueError(f"lambda_{n} must be strictly positive")
-            if n >= 1 and not float(mu(n)) > 0:
-                raise ValueError(f"mu_{n} must be strictly positive")
+        self.tabulate(1000)
 
-    def lam(self, n: int) -> float:
-        return float(self._lam(n))
+    def lam(self, n):
+        """lambda_n: a float at a scalar n, an array at an index array."""
+        return _evaluate(self._lam, n)
 
-    def mu(self, n: int) -> float:
-        return float(self._mu(n))
+    def mu(self, n):
+        """mu_n: a float at a scalar n, an array at an index array."""
+        return _evaluate(self._mu, n)
 
     @property
     def mu0(self) -> float:
-        return self.mu(0)
+        return float(self._tab[1, 0])
 
     def tabulate(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Arrays (lambda_0..lambda_n, mu_0..mu_n), cached and grown on demand."""
-        if self._tab.shape[1] <= n:
-            lam: list[float] = []
-            mu: list[float] = []
-            for k in range(self._tab.shape[1], n + 1):
-                lam.append(float(self._lam(k)))
-                mu.append(float(self._mu(k)))
-                if not lam[-1] > 0 or (k >= 1 and not mu[-1] > 0):
-                    raise ValueError(f"rates lose positivity at index {k}")
+        """Arrays (lambda_0..lambda_n, mu_0..mu_n), cached and grown on demand.
+
+        Raises ValueError at the first index where a rate is not finite, or
+        lambda_k <= 0, mu_k <= 0 (k >= 1) or mu_0 < 0.
+        """
+        have = self._tab.shape[1]
+        if have <= n:
+            ks = np.arange(have, n + 1, dtype=float)
+            lam, mu = (np.broadcast_to(_evaluate(f, ks), ks.shape) for f in (self._lam, self._mu))
+            ok = (np.isfinite(lam) & np.isfinite(mu) & (lam > 0)
+                  & ((mu > 0) | ((ks == 0) & (mu >= 0))))
+            if not ok.all():
+                raise ValueError(f"rates lose positivity at index {have + int(ok.argmin())}")
             self._tab = np.concatenate([self._tab, [lam, mu]], axis=1)
         return self._tab[0, : n + 1].copy(), self._tab[1, : n + 1].copy()
 
     def __repr__(self):
         ps = ", ".join(f"{k}={v}" for k, v in self.params.items())
         return f"BirthDeathRates({self.family}{'(' + ps + ')' if ps else ''})"
+
+
+def _evaluate(f: Callable, n):
+    # Float64 indices: integer arrays would wrap silently in the quartic products.
+    with np.errstate(all="ignore"):
+        v = f(np.asarray(n, dtype=float))
+    return float(v) if np.ndim(n) == 0 else v
 
 
 def stieltjes_dn_rates(k2: float) -> BirthDeathRates:
@@ -122,9 +132,11 @@ def generalized_c_rates(k2: float, c: float) -> BirthDeathRates:
         raise ValueError("k2 must lie in (0, 1)")
     if c < 0:
         raise ValueError("c must be nonnegative")
+    # float_power is C pow, as the scalar formulas were; numpy's ** 2 is a
+    # multiply, one ulp off it at some indices.
     return BirthDeathRates(
-        lambda n: k2 * (2 * n + 2 * c + 1) ** 2,
-        lambda n: 0.0 if n == 0 else 4.0 * (n + c) ** 2,
+        lambda n: k2 * np.float_power(2 * n + 2 * c + 1, 2),
+        lambda n: np.where(n == 0, 0.0, 4.0 * np.float_power(n + c, 2)),
         family="GeneralizedC",
         params={"k2": k2, "c": c},
     )
@@ -133,7 +145,12 @@ def generalized_c_rates(k2: float, c: float) -> BirthDeathRates:
 def custom_rates(
     lam: Callable[[int], float], mu: Callable[[int], float], tag: str = "Custom"
 ) -> BirthDeathRates:
-    return BirthDeathRates(lam, mu, family=tag)
+    """Rates from scalar-only callables, each called at every index as an int."""
+
+    def per_index(f):
+        return np.vectorize(lambda k: f(int(k)), otypes=[float])
+
+    return BirthDeathRates(per_index(lam), per_index(mu), family=tag)
 
 
 def dual_rates(rates: BirthDeathRates, zero_related: bool = False) -> BirthDeathRates:
@@ -145,7 +162,7 @@ def dual_rates(rates: BirthDeathRates, zero_related: bool = False) -> BirthDeath
     if rates.mu0 != 0:
         raise ValueError("dual rates are defined for mu_0 = 0 systems only")
     if zero_related:
-        mu = lambda n: 0.0 if n == 0 else rates.lam(n)
+        mu = lambda n: np.where(n == 0, 0.0, rates.lam(n))
         family = f"ZeroRelatedDualOf[{rates.family}]"
     else:
         mu = rates.lam
@@ -206,13 +223,6 @@ class PolySequence:
         with np.errstate(divide="ignore"):
             return np.log(np.abs(self.values[k])) + self.scaling_log[k]
 
-    def ratio(self, k: int, other: "PolySequence", j: int | None = None) -> complex:
-        """self[k] / other[j] evaluated through the scaling logs."""
-        j = k if j is None else j
-        return (self.values[k] / other.values[j]) * np.exp(
-            self.scaling_log[k] - other.scaling_log[j]
-        )
-
 
 @dataclass(frozen=True)
 class _Coefficients:
@@ -246,10 +256,16 @@ def _log_columns(lam: np.ndarray, mu: np.ndarray, size: int) -> tuple[np.ndarray
     """log pi_k and log|1/alpha_k| for k < size from a tabulation of the rates."""
     # Summed in extended precision, log pi_k carries the rounding of the
     # ratios alone, about as little as a running product would.
-    steps = np.log(lam[: size - 1] / mu[1:size]).astype(np.longdouble)
+    lam, mu = lam[:size], mu[:size]
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        steps = np.log(lam[:-1] / mu[1:])
+    # A ratio outside the normal double range is read as a difference of logs.
+    wide = ~(steps >= _LOG_TINY) | np.isinf(steps)
+    steps[wide] = np.log(lam[:-1][wide]) - np.log(mu[1:][wide])
+    steps = steps.astype(np.longdouble)
     log_pi = np.concatenate(([0.0], np.cumsum(steps).astype(float)))
     log_ainv = np.concatenate(
-        ([-np.inf], np.logaddexp.accumulate(-(np.log(mu[1:size]) + log_pi[1:])))
+        ([-np.inf], np.logaddexp.accumulate(-(np.log(mu[1:]) + log_pi[1:])))
     )
     return log_pi, log_ainv
 

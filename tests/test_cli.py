@@ -4,6 +4,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdspec import (
     DiscreteMeasure,
@@ -11,7 +13,7 @@ from bdspec import (
     make_context,
     measure_stieltjes,
 )
-from bdspec.cli import compile_rate_expr, main
+from bdspec.cli import _COMPARE_OPS, compile_rate_expr, main
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +68,41 @@ class TestClassifyCommand:
         code, _, err = run_cli(capsys, "classify", "--family", "stieltjes-dn", "--k2", "1.5")
         assert code == 2
         assert "k2" in err
+
+    @pytest.mark.parametrize("mu", ["(n-2)^0.5", "1/n", "10^400", "0/n"])
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_custom_rates_exit_2(self, capsys, mu):
+        # nan from a negative base, inf and nan from division by zero, inf
+        # from overflow: each is rejected as input, with no warning leaking.
+        code, out, err = run_cli(capsys, "classify", "--lambda", "1", "--mu", mu)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+_LITERALS = ["0", "1", "2", "0.5", "3", "1e-300", "1e300", "1e400"]
+_EXPRESSIONS = st.recursive(
+    st.sampled_from(["n"] + _LITERALS),
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", *_COMPARE_OPS]), inner)
+        .map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=6,
+)
+# Half the draws are powers of n + 1, positive wherever their exponent is
+# finite, and mu is cut to 0 at n = 0, so that classification runs often.
+_RATES = st.one_of(_EXPRESSIONS, _EXPRESSIONS.map(lambda e: f"(n+1)^{e}"))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(lam=_RATES, mu=_RATES.map(lambda e: f"(n>0)*{e}"))
+def test_custom_expressions_exit_with_documented_codes(lam, mu):
+    # Any expression of the grammar either classifies or is rejected with a
+    # documented exit code; an uncaught exception or a RuntimeWarning (an
+    # error under the test configuration) fails the test.
+    assert main(["classify", "--lambda", lam, "--mu", mu, "--nmax", "100"]) in (0, 2, 3, 4, 5)
 
 
 class TestTransformCommand:

@@ -54,6 +54,19 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(quartic_rates(0.0, 2.0))
 
+    @pytest.mark.parametrize("big_lambda", [True, False])
+    @pytest.mark.filterwarnings("error")
+    def test_rate_ratios_beyond_double_range(self, big_lambda):
+        # lambda_n/mu_(n+1) = 1e600 or 1e-600: pi_n leaves double range from
+        # n = 1, yet its log, the three series and the verdict stay defined.
+        lam, mu = (1e300, 1e-300) if big_lambda else (1e-300, 1e300)
+        det = classify(custom_rates(lambda n: lam, lambda n: 0.0 if n == 0 else mu), 100)
+        assert det.verdict == DET_H and det.confident
+        # sum 1/(mu_n pi_n) is 1e-300 (1 + 1e-600 + ...) in the first case,
+        # and diverges in the second
+        third = pytest.approx(1e-300, rel=1e-12) if big_lambda else math.inf
+        assert det.series_values == (math.inf, math.inf, third)
+
     def test_series_values_shape(self, quartic0):
         det = classify(quartic0, 2000)
         assert len(det.series_values) == 3

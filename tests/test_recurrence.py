@@ -8,11 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdspec import (
+    BirthDeathRates,
     custom_rates,
     dual_rates,
     eval_f,
     eval_pq,
     gauss_measure,
+    generalized_c_rates,
     jacobi_from_rates,
     pi_alpha,
     pi_sequence,
@@ -24,12 +26,122 @@ from bdspec.recurrence import eval_pq_mp
 from conftest import f_recurrence_mp
 
 
+# The scalar rate formulas the families were tabulated from, one Python call
+# per index: the reference for the array closed forms.
+def _quartic_ref(c, mu0):
+    def lam(n):
+        s = 4 * n + 4 * c
+        return (s + 1) * (s + 2) ** 2 * (s + 3)
+
+    def mu(n):
+        if n == 0:
+            return mu0
+        s = 4 * n + 4 * c
+        return (s - 1) * s**2 * (s + 1)
+
+    return lam, mu
+
+
+def _dn_ref(k2):
+    return (lambda n: k2 * (2 * n + 1) ** 2), (lambda n: 4.0 * n * n)
+
+
+def _cn_ref(k2):
+    return (lambda n: (2 * n + 1) ** 2), (lambda n: 4.0 * k2 * n * n)
+
+
+def _generalized_c_ref(k2, c):
+    return (
+        lambda n: k2 * (2 * n + 2 * c + 1) ** 2,
+        lambda n: 0.0 if n == 0 else 4.0 * (n + c) ** 2,
+    )
+
+
+def _dual_ref(ref, zero_related):
+    lam, mu = ref
+    return (lambda n: mu(n + 1)), (lambda n: 0.0 if zero_related and n == 0 else lam(n))
+
+
+_TABULATED = (
+    [(f"quartic-c{c:.3g}-mu{mu0:g}", lambda c=c, mu0=mu0: quartic_rates(c, mu0),
+      _quartic_ref(c, mu0))
+     for c in (0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0) for mu0 in (0.0, 7.0)]
+    + [(f"dn-{k2}", lambda k2=k2: stieltjes_dn_rates(k2), _dn_ref(k2))
+       for k2 in (0.1, 0.3, 0.5, 0.9)]
+    + [(f"cn-{k2}", lambda k2=k2: stieltjes_cn_rates(k2), _cn_ref(k2))
+       for k2 in (0.1, 0.3, 0.5, 0.9, 1.5)]
+    + [(f"gc-{c}", lambda c=c: generalized_c_rates(0.5, c), _generalized_c_ref(0.5, c))
+       for c in (0.3, 1.0, 1.5)]
+    + [(f"{'zero-' if z else ''}dual-{name}", lambda f=f, z=z: dual_rates(f(), zero_related=z),
+        _dual_ref(ref, z))
+       for name, f, ref in (("quartic", lambda: quartic_rates(0.0, 0.0), _quartic_ref(0.0, 0.0)),
+                            ("dn", lambda: stieltjes_dn_rates(0.5), _dn_ref(0.5)))
+       for z in (False, True)]
+)
+
+
 class TestRates:
     def test_positivity_probe(self):
         with pytest.raises(ValueError):
             custom_rates(lambda n: 1.0 - 0.1 * n, lambda n: 1.0)
         with pytest.raises(ValueError):
             custom_rates(lambda n: 1.0, lambda n: -1.0)
+
+    @pytest.mark.parametrize(
+        "lam, mu, index",
+        [
+            (lambda n: 1.0 / n, lambda n: n, 0),  # lambda_0 = inf
+            (lambda n: 1.0, lambda n: n - 1.0, 0),  # mu_0 < 0
+            (lambda n: 1.0, lambda n: n * (n != 7), 7),
+            (lambda n: np.sqrt(1500.0 - n) + 1.0, lambda n: n, 1501),  # nan beyond the probe
+            (lambda n: 1.0, lambda n: n * (n < 1800.0), 1800),
+            (lambda n: np.exp(n / 2.0), lambda n: n, 1420),  # overflow
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_first_bad_index_raises(self, lam, mu, index):
+        with pytest.raises(ValueError, match=f"index {index}$"):
+            BirthDeathRates(lam, mu).tabulate(2000)
+
+    @pytest.mark.parametrize("name, make, ref", _TABULATED, ids=[t[0] for t in _TABULATED])
+    def test_tabulate_matches_scalar_formulas(self, name, make, ref):
+        n = 100_000
+        lam, mu = make().tabulate(n)
+        for got, f in ((lam, ref[0]), (mu, ref[1])):
+            want = np.fromiter((float(f(k)) for k in range(n + 1)), dtype=float, count=n + 1)
+            assert np.array_equal(got, want)
+
+    def test_one_callback_per_growth(self):
+        seen = []
+
+        def counted(scale):
+            def f(n):
+                seen.append((scale, n.dtype, n[0], n[-1]))
+                return scale * (n + 1.0)
+            return f
+
+        r = BirthDeathRates(counted(1.0), counted(2.0))
+        assert seen == [(1.0, np.float64, 0.0, 1000.0), (2.0, np.float64, 0.0, 1000.0)]
+        r.tabulate(700)
+        r.tabulate(5000)
+        r.tabulate(5000)
+        assert seen[2:] == [(1.0, np.float64, 1001.0, 5000.0), (2.0, np.float64, 1001.0, 5000.0)]
+
+    def test_scalar_callables_through_custom_rates(self):
+        def mu(n):
+            assert type(n) is int
+            return 0.0 if n == 0 else 1.0
+
+        lam, mu_tab = custom_rates(lambda n: 1.0, mu).tabulate(3000)
+        assert np.array_equal(lam, np.ones(3001))
+        assert np.array_equal(mu_tab, np.r_[0.0, np.ones(3000)])
+
+    def test_scalar_and_array_access(self, quartic0):
+        assert type(quartic0.lam(3)) is float and type(quartic0.mu(3)) is float
+        lam, mu = quartic0.tabulate(10)
+        assert np.array_equal(quartic0.lam(np.arange(11.0)), lam)
+        assert np.array_equal(quartic0.mu(np.arange(11.0)), mu)
+        assert quartic0.lam(10) == lam[10]
 
     def test_stieltjes_dn_values(self):
         r = stieltjes_dn_rates(0.5)
