@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contfrac import DiscreteMeasure
-from .det_markov import dn_spectral_measure, generalized_ratio, markov_iterates, markov_limit
+from .contfrac import gauss_measure
+from .det_markov import dn_spectral_measure, markov_iterates, markov_limit
 from .elliptic import make_context
 from .indet import (
     DET_S_INDET_H,
@@ -28,7 +28,6 @@ from .indet import (
     nextremal_measure,
     nextremal_transform,
 )
-from .contfrac import gauss_measure
 from .numerics import ConvergenceError, QuadratureError, Tolerance
 from .quartic import border_measure, make_quartic_spec, quartic_rates
 from .recurrence import (

@@ -7,7 +7,6 @@ power moments and JSON/CSV serialization.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np

@@ -74,39 +74,30 @@ def markov_iterates(
 def dn_spectral_measure(ctx: EllipticContext, nmax: int) -> DiscreteMeasure:
     """Atoms psi_n at (n pi/K)^2 from the dn Fourier coefficients.
 
-    The dropped tail is bounded by the geometric nome decay; the measure is
-    flagged normalized when that bound is below 1e-14.
+    The lattice ends at nmax, or before the first atom whose mass q^n
+    underflows to 0 (from n = 238 at k^2 = 1/2); that cut is recorded in
+    ``meta["underflow_cut"]``. The dropped tail is bounded by the geometric
+    nome decay from the end of the lattice; the measure is flagged
+    normalized when that bound is below 1e-14.
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
     K, q = ctx.K, ctx.q
     n = np.arange(nmax + 1)
-    support = (n * math.pi / K) ** 2
     mass = np.empty(nmax + 1)
     mass[0] = math.pi / (2.0 * K)
     mass[1:] = (2.0 * math.pi / K) * q ** n[1:] / (1.0 + q ** (2 * n[1:]))
-    tail = (2.0 * math.pi / K) * q ** (nmax + 1) / (1.0 - q)
+    end = int(np.argmax(mass == 0.0)) if mass[-1] == 0.0 else nmax + 1
+    tail = (2.0 * math.pi / K) * q**end / (1.0 - q)
+    meta = {"kind": "dn-spectral", "k2": ctx.k2, "tail_bound": tail}
+    if end <= nmax:
+        meta["underflow_cut"] = end
     return DiscreteMeasure(
-        support=support,
-        mass=mass,
+        support=(n[:end] * math.pi / K) ** 2,
+        mass=mass[:end],
         normalized=bool(tail < 1e-14),
-        meta={"kind": "dn-spectral", "k2": ctx.k2, "tail_bound": tail},
+        meta=meta,
     )
-
-
-def _cn_signed(ctx: EllipticContext, u: float) -> float:
-    # cn on [0, 2K] without loss near the sign change at K: use the
-    # reflection cn(2K - u) = -cn(u) to stay on [0, K].
-    if u <= ctx.K:
-        return jacobi_scd(ctx, u)[1]
-    return -jacobi_scd(ctx, 2.0 * ctx.K - u)[1]
-
-
-def _sn_reduced(ctx: EllipticContext, u: float) -> float:
-    # sn(2K - u) = sn(u); evaluating on [0, K] keeps full relative accuracy
-    # near both zeros of sn.
-    v = min(u, 2.0 * ctx.K - u)
-    return jacobi_scd(ctx, v)[0]
 
 
 def generalized_ratio(
@@ -132,17 +123,20 @@ def generalized_ratio(
     def quad_pair(nn: int) -> complex:
         # Shared nodes per exponent family; m(u) = 2K sn(u)/(u(2K-u)) is the
         # smooth positive part of sn once the endpoint zeros are factored out.
-        def one(sigma: float, f) -> complex:
+        # One (sn, cn, dn) per node: jacobi_scd reflects u in (K, 2K] to 2K - u,
+        # which keeps sn and the sign change of cn at full relative accuracy.
+        def one(sigma: float, col: int) -> complex:
             t, w = roots_jacobi(nn, sigma, sigma)
             u = K * (1.0 + t)
             vals = np.empty(nn, dtype=complex)
             for i, ui in enumerate(u):
-                msm = twoK * _sn_reduced(ctx, ui) / (ui * (twoK - ui))
-                vals[i] = f(ui) * msm**sigma * cmath.exp(-x * ui)
+                scd = jacobi_scd(ctx, ui)
+                msm = twoK * scd[0] / (ui * (twoK - ui))
+                vals[i] = scd[col] * msm**sigma * cmath.exp(-x * ui)
             return K ** (2 * sigma + 1) / twoK**sigma * np.sum(w * vals)
 
-        num = one(2.0 * c, lambda u: jacobi_scd(ctx, u)[2]) / math.gamma(2.0 * c + 1.0)
-        den = one(2.0 * c - 1.0, lambda u: _cn_signed(ctx, u)) / math.gamma(2.0 * c)
+        num = one(2.0 * c, 2) / math.gamma(2.0 * c + 1.0)
+        den = one(2.0 * c - 1.0, 1) / math.gamma(2.0 * c)
         return num / den
 
     prev = None

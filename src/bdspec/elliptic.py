@@ -1,9 +1,10 @@
 """Jacobi elliptic functions and the special-function kit for the elliptic families.
 
-AGM-based complete integrals and sn/cn/dn (descending Landen ladder, real
-arguments), Fourier and Taylor data of dn, the order-4 trigonometric
+AGM-based complete integrals and sn/cn/dn (descending Landen transformation,
+real arguments), Fourier and Taylor data of dn, the order-4 trigonometric
 functions delta_l, the lemniscate constant, and the Laplace transform of dn
-over one period.
+over one period. The Landen ladder is data of the modulus, built once per
+context; it stops where c_n stops decreasing (4-7 levels for every k^2).
 """
 from __future__ import annotations
 
@@ -26,6 +27,22 @@ class EllipticContext:
     K: float
     Kprime: float
     q: float
+
+    @functools.cached_property
+    def _landen(self) -> tuple[float, tuple[float, ...]]:
+        # Descending Landen ladder (Abramowitz-Stegun 16.4) as the amplitude
+        # scale 2^n a_n and the ratios c_i/a_i for i = n..1. Where a_n and b_n
+        # settle an ulp apart c_n sticks above the exit threshold, so the
+        # ladder also ends at the first level that fails to shrink it.
+        a, b, c = 1.0, math.sqrt(self.kprime2), math.sqrt(self.k2)
+        ratios = []
+        while abs(c) > 4e-17 * a:
+            c_next = 0.5 * (a - b)
+            if abs(c_next) >= abs(c):
+                break
+            a, b, c = 0.5 * (a + b), math.sqrt(a * b), c_next
+            ratios.append(c / a)
+        return 2.0 ** len(ratios) * a, tuple(reversed(ratios))
 
 
 def _agm(a: float, b: float) -> float:
@@ -54,8 +71,9 @@ def jacobi_scd(ctx: EllipticContext, u: float) -> tuple[float, float, float]:
 
     The argument is first reduced to [0, K] through the exact quarter-period
     symmetries (where the amplitude ladder's arcsine branch is safe); signs
-    are restored afterwards. dn is recovered from 1 - k^2 sn^2, which is
-    bounded below by k'^2 without any clamping.
+    are restored afterwards. The ladder is read from the context, which
+    builds it once and ends it where c_n stops decreasing. dn is recovered
+    from 1 - k^2 sn^2, which is bounded below by k'^2 without any clamping.
     """
     if u == 0.0:
         return 0.0, 1.0, 1.0
@@ -73,24 +91,13 @@ def jacobi_scd(ctx: EllipticContext, u: float) -> tuple[float, float, float]:
         w = 2.0 * K - w
         c_sign = -c_sign
 
-    a = [1.0]
-    b = [math.sqrt(ctx.kprime2)]
-    c = [math.sqrt(ctx.k2)]
-    while abs(c[-1]) > 4e-17 * a[-1] and len(a) < 40:
-        an, bn, cn_ = 0.5 * (a[-1] + b[-1]), math.sqrt(a[-1] * b[-1]), 0.5 * (a[-1] - b[-1])
-        a.append(an)
-        b.append(bn)
-        c.append(cn_)
-    n = len(a) - 1
-    if n == 0:
-        sn, cn = math.sin(w), math.cos(w)
-    else:
-        phi = (2.0**n) * a[n] * w
-        for i in range(n, 0, -1):
-            s = c[i] / a[i] * math.sin(phi)
-            s = min(1.0, max(-1.0, s))
-            phi = 0.5 * (phi + math.asin(s))
-        sn, cn = math.sin(phi), math.cos(phi)
+    scale, ratios = ctx._landen
+    phi = scale * w
+    for r in ratios:
+        s = r * math.sin(phi)
+        s = min(1.0, max(-1.0, s))
+        phi = 0.5 * (phi + math.asin(s))
+    sn, cn = math.sin(phi), math.cos(phi)
     dn = math.sqrt(1.0 - ctx.k2 * sn * sn)
     return s_sign * sn, c_sign * cn, dn
 

@@ -190,6 +190,22 @@ class TestSpectrumCommand:
         K = make_context(0.5).K
         assert np.allclose(m.support, (np.arange(31) * math.pi / K) ** 2)
 
+    def test_dn_measure_readme_default_nmax(self, capsys, tmp_path):
+        # At the default --nmax 4000 the mass q^n underflows to 0 from n = 238
+        # for k^2 = 1/2: the lattice ends before it.
+        out_path = str(tmp_path / "psi.json")
+        code, out, _ = run_cli(
+            capsys,
+            "spectrum", "--family", "stieltjes-dn", "--k2", "0.5",
+            "--mode", "dn-measure", "--out", out_path,
+        )
+        assert code == 0
+        m = DiscreteMeasure.from_json(open(out_path).read())
+        assert np.all(m.mass > 0)
+        assert m.meta["underflow_cut"] == m.support.size < 4001
+        assert abs(m.total_mass - 1.0) <= m.meta["tail_bound"] + 1e-14
+        assert json.loads(out)["outputs"]["atoms"] == m.support.size
+
     def test_border_csv_first_atom(self, capsys, tmp_path, qspec):
         out_path = str(tmp_path / "fr.csv")
         code, out, _ = run_cli(

@@ -132,6 +132,15 @@ class TestDnSpectralMeasure:
         m = dn_spectral_measure(ctx_half, 60)
         assert measure_moment(m, 2) == pytest.approx(0.5 * 4.5, rel=1e-10)
 
+    @pytest.mark.parametrize("nmax", [236, 237, 238, 4000])
+    def test_lattice_ends_before_underflow(self, ctx_half, nmax):
+        m = dn_spectral_measure(ctx_half, nmax)
+        end = min(nmax + 1, 238)
+        assert m.support.size == end and np.all(m.mass > 0)
+        assert ("underflow_cut" in m.meta) == (end <= nmax)
+        assert m.meta["tail_bound"] == (2 * math.pi / ctx_half.K) * ctx_half.q**end / (1 - ctx_half.q)
+        assert abs(m.total_mass - 1.0) <= m.meta["tail_bound"] + 1e-14
+
     def test_normalized_flag_tracks_tail(self, ctx_half):
         assert dn_spectral_measure(ctx_half, 40).normalized
         assert not dn_spectral_measure(ctx_half, 2).normalized
@@ -154,12 +163,22 @@ class TestThreeWayAgreement:
 
 
 class TestGeneralizedRatio:
-    @pytest.mark.parametrize("c", [0.25, 0.75, 1.5])
+    # k^2 = 1/2 and two moduli of the c > 0 grid 0.1 + (i + 1/2) 0.8/7, where
+    # c_n of the Landen ladder sticks an ulp above its exit threshold; the
+    # k^2 = 1/2 cases keep their ids.
+    @pytest.mark.parametrize(
+        "k2, c",
+        [
+            pytest.param(k2, c, id=f"{c}" if k2 == 0.5 else f"{c}-k2={k2:.4f}")
+            for k2 in (0.5, 0.1 + 1.5 * 0.8 / 7, 0.1 + 6.5 * 0.8 / 7)
+            for c in (0.25, 0.75, 1.5)
+        ],
+    )
     @pytest.mark.parametrize("x", [1.0, 1.5])
-    def test_matches_s_fraction(self, c, x, ctx_half):
-        rates = generalized_c_rates(0.5, c)
+    def test_matches_s_fraction(self, k2, c, x):
+        rates = generalized_c_rates(k2, c)
         ref = s_fraction(rates, 400, x)
-        val = generalized_ratio(ctx_half, c, x, Tolerance(abs_tol=1e-10, rel_tol=1e-10))
+        val = generalized_ratio(make_context(k2), c, x, Tolerance(abs_tol=1e-10, rel_tol=1e-10))
         assert abs(val - ref) < 1e-8
 
     def test_small_c_recovers_laplace(self, ctx_half):

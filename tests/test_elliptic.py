@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -91,6 +92,26 @@ class TestJacobiSCD:
             d1 = jacobi_scd(ctx_half, u)[2]
             d2 = jacobi_scd(ctx_half, u + 2 * ctx_half.K)[2]
             assert abs(d1 - d2) < 1e-12
+
+    def test_landen_ladder_is_short(self):
+        # Where a_n and b_n settle an ulp apart, c_n sticks above the exit
+        # threshold (243 of these 999 moduli, k^2 = 1/2 among them); the
+        # ladder must end there instead of running on.
+        levels = [len(make_context(i / 1000)._landen[1]) for i in range(1, 1000)]
+        assert max(levels) <= 7
+
+    # 1/2 and two moduli of the c > 0 grid 0.1 + (i + 1/2) 0.8/7 where c_n sticks.
+    @pytest.mark.parametrize(
+        "k2", [0.175, 0.5, 0.875, 0.1 + 1.5 * 0.8 / 7, 0.1 + 6.5 * 0.8 / 7]
+    )
+    def test_against_mpmath(self, k2):
+        ctx = make_context(k2)
+        us = [*np.linspace(-4 * ctx.K, 4 * ctx.K, 63), -ctx.K, ctx.K, 2 * ctx.K]
+        with mp.workdps(30):
+            for u in us:
+                ref = [mp.ellipfun(f, mp.mpf(float(u)), m=k2) for f in ("sn", "cn", "dn")]
+                for a, b in zip(jacobi_scd(ctx, float(u)), ref):
+                    assert abs(a - float(b)) < 1e-14
 
 
 class TestFourier:
