@@ -1,9 +1,10 @@
 """Command-line surface: classify, transform, spectrum.
 
 Reports are deterministic JSON: floats rendered with 17 significant digits,
-keys sorted, no timestamps. Exit codes: 0 success, 2 input error, 3 mode vs
-classification conflict, 4 I/O error, 5 numerical failure (a series or a
-quadrature did not reach its tolerance).
+keys sorted, no timestamps. Exit codes: 0 success, 2 input error (a point on
+a pole of the transform included), 3 mode vs classification conflict, 4 I/O
+error, 5 numerical failure (a series or a quadrature did not reach its
+tolerance, or an N-extremal mass came out nonpositive).
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .contfrac import gauss_measure
-from .det_markov import dn_spectral_measure, markov_iterates, markov_limit
+from .contfrac import PoleError, gauss_measure
+from .det_markov import dn_spectral_measure, markov_limit
 from .elliptic import make_context
 from .indet import (
     DET_S_INDET_H,
@@ -278,10 +279,6 @@ def _tolerance_from(args) -> Tolerance:
     return Tolerance(abs_tol=t, rel_tol=t, max_iter=args.max_iter)
 
 
-def _extended_enabled() -> bool:
-    return os.environ.get("BDSPEC_EXTENDED", "").strip().lower() in ("1", "true", "yes", "on")
-
-
 def _echo_inputs(args) -> dict:
     keys = ("family", "k2", "c", "mu", "lam", "x", "mode", "nmax", "tol")
     out = {}
@@ -325,10 +322,6 @@ def cmd_transform(args) -> int:
             )
         res = markov_limit(rates, x, tol)
         value, terms, converged = res.value, res.terms_used, res.converged
-        if converged and _extended_enabled():
-            # re-evaluate the stopping iterate in 40-digit arithmetic to
-            # strip double-rounding noise from the reported value
-            value = complex(markov_iterates(rates, x, [terms], dps=40)[0])
         extra = {"last_increment": res.last_increment}
     elif mode in ("friedrichs", "krein"):
         allowed = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
@@ -490,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except OSError as exc:

@@ -1,10 +1,11 @@
 """Jacobi elliptic functions and the special-function kit for the elliptic families.
 
 AGM-based complete integrals and sn/cn/dn (descending Landen transformation,
-real arguments), Fourier and Taylor data of dn, the order-4 trigonometric
-functions delta_l, the lemniscate constant, and the Laplace transform of dn
-over one period. The Landen ladder is data of the modulus, built once per
-context; it stops where c_n stops decreasing (4-7 levels for every k^2).
+real arguments), Fourier and Taylor data of dn (the Taylor data in mpmath),
+the order-4 trigonometric functions delta_l, the lemniscate constant (also
+from the AGM), and the Laplace transform of dn over one period. The Landen
+ladder is data of the modulus, built once per context; it stops where c_n
+stops decreasing (4-7 levels for every k^2).
 """
 from __future__ import annotations
 
@@ -115,35 +116,13 @@ def dn_taylor_moments(k2: float, nmax: int):
     """Coefficients s_0..s_nmax of dn u = sum (-1)^n s_n u^(2n)/(2n)!.
 
     Extracted by power-series integration of sn' = cn dn, cn' = -sn dn,
-    dn' = -k^2 sn cn from (0, 1, 1). Beyond nmax = 60 the convolution runs
-    in mpmath to keep the huge-factorial products representable.
+    dn' = -k^2 sn cn from (0, 1, 1). The convolution runs in mpmath at
+    40 + nmax digits, so the huge-factorial products stay representable.
     """
     if not k2 > 0:
         raise ValueError("k2 must be positive")
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
-    if nmax > 60:
-        return _dn_taylor_moments_mp(k2, nmax)
-    M = 2 * nmax
-    s = [0.0] * (M + 1)
-    c = [0.0] * (M + 1)
-    d = [0.0] * (M + 1)
-    c[0] = 1.0
-    d[0] = 1.0
-    for m in range(M):
-        conv_cd = sum(c[i] * d[m - i] for i in range(m + 1))
-        conv_sd = sum(s[i] * d[m - i] for i in range(m + 1))
-        conv_sc = sum(s[i] * c[m - i] for i in range(m + 1))
-        s[m + 1] = conv_cd / (m + 1)
-        c[m + 1] = -conv_sd / (m + 1)
-        d[m + 1] = -k2 * conv_sc / (m + 1)
-    out = []
-    for n in range(nmax + 1):
-        out.append((-1.0) ** n * d[2 * n] * math.factorial(2 * n))
-    return out
-
-
-def _dn_taylor_moments_mp(k2: float, nmax: int):
     import mpmath as mp
 
     with mp.workdps(40 + nmax):
@@ -215,24 +194,11 @@ def delta4(l: int, x: complex) -> complex:
     return 0.25 * acc
 
 
-@functools.lru_cache(maxsize=1)
 def lemniscate_K0() -> float:
-    """The lemniscatic quarter period: integral of (1-u^4)^(-1/2) over [0, 1]."""
-
-    def near_one(d: float) -> float:
-        # 1 - u^4 = d (2 - d)(1 + (1-d)^2) expressed through the exact distance d.
-        u = 1.0 - d
-        return 1.0 / math.sqrt(d * (2.0 - d) * (1.0 + u * u))
-
-    val = integrate(
-        lambda u: 1.0 / math.sqrt((1.0 - u) * (1.0 + u) * (1.0 + u * u)),
-        0.0,
-        1.0,
-        Tolerance(abs_tol=1e-14, rel_tol=1e-14, max_iter=4000),
-        sing_b=-0.5,
-        f_dist_b=near_one,
-    )
-    return float(val.real)
+    """The lemniscatic quarter period, the integral of (1-u^4)^(-1/2) over
+    [0, 1], from Gauss's identity K0 = pi / (2 M(1, sqrt 2)) with M the
+    arithmetic-geometric mean."""
+    return math.pi / (2.0 * _agm(1.0, _SQRT2))
 
 
 def laplace_dn(ctx: EllipticContext, x: complex) -> complex:

@@ -478,8 +478,9 @@ def nextremal_measure(
     by a scan plus safeguarded Newton refinement on the extrapolated series.
     Masses are 1/(B'(s) D(s) - B(s) D'(s)). The result is flagged
     ``normalized=False``: it is a window of an infinite discrete measure.
-    Raises :class:`ConvergenceError` when the series behind the masses have
-    not settled to ``tol``.
+    Raises :class:`ValueError` when the window holds no spectral point and
+    :class:`ConvergenceError` when the series behind the masses have not
+    settled to ``tol`` or a refined root gives a nonpositive mass.
     """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
@@ -550,7 +551,7 @@ def nextremal_measure(
 
     roots = sorted(r for r in roots if lo <= r <= hi)
     if not roots:
-        raise RuntimeError(
+        raise ValueError(
             f"no spectral points found in window {window}; widen the window"
         )
     pts = np.array(roots)
@@ -559,10 +560,10 @@ def nextremal_measure(
     masses = 1.0 / denom
     bad = [float(p) for p, m in zip(pts, masses) if not m > 0]
     if bad:
-        raise RuntimeError(
+        raise ConvergenceError(
             f"root refinement produced nonpositive masses near {bad}; "
             "offending brackets were "
-            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b in brackets)
+            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b, _ in brackets)
         )
     return DiscreteMeasure(
         support=pts,

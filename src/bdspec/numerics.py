@@ -1,6 +1,6 @@
 """Shared numerical primitives.
 
-Adaptive quadrature (with endpoint power-singularity substitution), symmetric
+Adaptive Gauss-Legendre quadrature of smooth integrands, symmetric
 tridiagonal eigenvalues, and the one extrapolation rule for every limit that
 converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
 settled when the last two extrapolations agree within the tolerance
@@ -78,33 +78,13 @@ def _gl15(f, a: float, b: float) -> complex:
     return half * acc
 
 
-def _substitution_power(exponent: float) -> int:
-    # u = t^p maps an integrable u^sigma endpoint factor to t^(p(sigma+1)-1);
-    # p is chosen so that the transformed integrand vanishes at the endpoint.
-    if exponent <= -1:
-        raise ValueError("endpoint exponent must be > -1 (integrable)")
-    return max(2, math.ceil(2.0 / (exponent + 1.0)))
-
-
 def integrate(
     f: Callable[[float], complex],
     a: float,
     b: float,
     tol: Tolerance | None = None,
-    *,
-    sing_b: float | None = None,
-    f_dist_b: Callable[[float], complex] | None = None,
 ) -> complex:
     """Adaptive Gauss-Legendre integral of ``f`` over ``[a, b]``.
-
-    ``sing_b`` declares power-law endpoint behaviour ``f(u) ~ (b-u)^sing_b``
-    with exponent > -1; the integral is then taken after the substitution
-    ``b - u = t^p``, so ``f`` is never evaluated at ``b``.
-
-    A plain ``f(u)`` near the flagged endpoint cannot see distances below one
-    ulp, which caps the reachable accuracy near eps^(1+sing). Supplying the
-    integrand in exact-distance form (``f_dist_b(d) = f(b - d)``, with d the
-    true distance) removes that floor.
 
     Raises :class:`QuadratureError` when the subdivision budget ``tol.max_iter``
     is exhausted before the error bound drops below
@@ -113,17 +93,6 @@ def integrate(
     if not (a < b) or not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("need finite a < b")
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12)
-
-    if sing_b is None:
-        g, lo, hi = f, a, b
-    else:
-        p = _substitution_power(sing_b)
-        near_b = f_dist_b if f_dist_b is not None else (lambda d: f(b - d) if b - d != b else 0.0)
-
-        def g(t):
-            return near_b(t**p) * p * t ** (p - 1)
-
-        lo, hi = 0.0, (b - a) ** (1.0 / p)
 
     # Global adaptive subdivision: each node stores the two-half estimate and
     # the |whole - halves| discrepancy as its error indicator.
@@ -135,16 +104,16 @@ def integrate(
     def push(lo, hi):
         nonlocal counter, total, err_total
         m = 0.5 * (lo + hi)
-        q1 = _gl15(g, lo, hi)
-        q2 = _gl15(g, lo, m) + _gl15(g, m, hi)
+        q1 = _gl15(f, lo, hi)
+        q2 = _gl15(f, lo, m) + _gl15(f, m, hi)
         err = abs(q1 - q2)
         counter += 1
         total += q2
         err_total += err
         heapq.heappush(heap, (-err, counter, lo, hi, q2))
 
-    push(lo, hi)
-    span = hi - lo
+    push(a, b)
+    span = b - a
     subdivisions = 0
     while err_total > tol.bound(total):
         if subdivisions >= tol.max_iter:

@@ -199,12 +199,9 @@ class AsymptoticReport:
     ratios: dict
     deviations: dict
     dual_prefactor: complex
-    extended: bool
 
 
-def asymptotic_checks(
-    spec: QuarticSpec, x: complex, n: int, extended: bool = True
-) -> AsymptoticReport:
+def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport:
     """Compare F_n, the order-one associated family, and both duals at index n
     against their closed-form growth laws.
 
@@ -218,8 +215,8 @@ def asymptotic_checks(
 
     where N2, N0 are the cn integrals of the border transforms. The measured
     dual prefactor F~_n sqrt(x)/(pi_n delta_2) is reported as well; it tends
-    to 3 pi. With ``extended`` (the default) the recurrences run in 30-digit
-    arithmetic.
+    to 3 pi. The four sequences come from the double-precision kernel
+    (`eval_f`), pi_n from `pi_sequence`.
     """
     _require_base(spec)
     if n < 500:
@@ -236,15 +233,12 @@ def asymptotic_checks(
 
     base = quartic_rates(0.0, 0.0)
     mu1 = base.mu(1)
-    if extended:
-        f_n, f1_nm1, ft_n, fh_n, pi_n = _sequences_mp(base, n, x, dps=30)
-    else:
-        f_n = _last_value(eval_f(base, n, x))
-        f1_nm1 = _last_value(eval_f(base, n - 1, x, shift=1))
-        ft_n = _last_value(eval_f(dual_rates(base), n, x))
-        fh_n = _last_value(eval_f(dual_rates(base, zero_related=True), n, x))
-        pis = pi_sequence(base, n)
-        pi_n = math.exp(pis.scaling_log[n]) * pis.values[n].real
+    f_n = _last_value(eval_f(base, n, x))
+    f1_nm1 = _last_value(eval_f(base, n - 1, x, shift=1))
+    ft_n = _last_value(eval_f(dual_rates(base), n, x))
+    fh_n = _last_value(eval_f(dual_rates(base, zero_related=True), n, x))
+    pis = pi_sequence(base, n)
+    pi_n = math.exp(pis.scaling_log[n]) * pis.values[n].real
 
     ratios = {
         "base": f_n / (pi_n * d0),
@@ -256,46 +250,10 @@ def asymptotic_checks(
     deviations = {k: abs(v - 1.0) for k, v in ratios.items()}
     prefactor = complex(ft_n * sqx / (pi_n * d2))
     return AsymptoticReport(
-        n=n, x=x, ratios=ratios, deviations=deviations,
-        dual_prefactor=prefactor, extended=extended,
+        n=n, x=x, ratios=ratios, deviations=deviations, dual_prefactor=prefactor
     )
 
 
 def _last_value(seq) -> complex:
     k = len(seq) - 1
     return seq.values[k] * math.exp(seq.scaling_log[k])
-
-
-def _sequences_mp(base: BirthDeathRates, n: int, x: complex, dps: int):
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        xm = mp.mpmathify(x)
-
-        def run(rates: BirthDeathRates, upto: int):
-            lam, mu = rates.tabulate(upto + 1)
-            f0, f1 = mp.mpc(0), mp.mpc(1)
-            for k in range(upto):
-                f2 = ((mp.mpf(lam[k]) + mp.mpf(mu[k]) - xm) * f1
-                      - (mp.mpf(lam[k - 1]) if k >= 1 else mp.mpf(0)) * f0) / mp.mpf(mu[k + 1])
-                f0, f1 = f1, f2
-            return f1
-
-        f_n = run(base, n)
-        shifted = BirthDeathRates(
-            lambda k: base.lam(k + 1), lambda k: base.mu(k + 1), family="QuarticShift"
-        )
-        f1_nm1 = run(shifted, n - 1)
-        ft_n = run(dual_rates(base), n)
-        fh_n = run(dual_rates(base, zero_related=True), n)
-        lam, mu = base.tabulate(n + 1)
-        pi_n = mp.mpf(1)
-        for k in range(1, n + 1):
-            pi_n *= mp.mpf(lam[k - 1]) / mp.mpf(mu[k])
-        return (
-            complex(f_n),
-            complex(f1_nm1),
-            complex(ft_n),
-            complex(fh_n),
-            float(pi_n),
-        )

@@ -494,7 +494,7 @@ def pi_alpha(rates: BirthDeathRates, n: int) -> tuple[PolySequence, PolySequence
 def eval_pq_mp(rates: BirthDeathRates, n: int, x, dps: int):
     """P_k, Q_k iterates at ``x`` in mpmath arithmetic; returns (P_n, Q_n) pairs.
 
-    Used by the extended-precision mode where truncation errors far below
+    Backs ``markov_iterates(..., dps=...)``, where truncation errors far below
     double rounding must stay resolvable. Returns a dict {k: (P_k, Q_k)} of
     true values (mpmath has no exponent limit, so nothing is rescaled) for
     every k in 1..n.

@@ -146,18 +146,17 @@ class TestTransformCommand:
         assert abs(v - nv.C / nv.D) < 1e-9
         assert rep["diagnostics"]["det_defect"] < 1e-9
 
-    def test_extended_markov_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BDSPEC_EXTENDED", "1")
-        code, out, _ = run_cli(
+    def test_pole_exit_2(self, capsys):
+        # x = 0 is an atom of the Krein (parameter 0) N-extremal measure
+        code, out, err = run_cli(
             capsys,
-            "transform", "--family", "stieltjes-dn", "--k2", "0.5",
-            "--x", "0,1", "--mode", "markov",
+            "transform", "--family", "quartic", "--c", "0", "--mu", "0",
+            "--x", "0,0", "--mode", "nevanlinna:0",
         )
-        assert code == 0
-        rep = json.loads(out)
-        v = complex(rep["outputs"]["value"]["re"], rep["outputs"]["value"]["im"])
-        oracle = measure_stieltjes(dn_spectral_measure(make_context(0.5), 60), 1j)
-        assert abs(v - oracle) < 1e-9
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "vanished" in err
 
     def test_mode_conflict_exit_3(self, capsys):
         code, _, err = run_cli(
@@ -253,6 +252,20 @@ class TestSpectrumCommand:
         assert m.support[0] == pytest.approx(0.0, abs=1e-10)
         assert m.mass[0] == pytest.approx(math.pi / qspec.qperiod**2, rel=1e-8)
         assert not m.normalized  # window-limited slice
+
+    def test_nextremal_empty_window_exit_2(self, capsys, tmp_path):
+        # no Krein atom lies in (0.5, 1): the first positive one is near 131.9
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--family", "quartic", "--c", "0", "--mu", "0",
+            "--mode", "nextremal:0", "--window=0.5,1", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "window" in err
+        assert not out_path.exists()
 
     def test_io_error_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -155,7 +155,7 @@ class TestTaylorMoments:
 
     def test_extended_range_consistent(self):
         lo = dn_taylor_moments(0.5, 20)
-        hi = dn_taylor_moments(0.5, 62)  # mpmath branch
+        hi = dn_taylor_moments(0.5, 62)  # 102 working digits against 60
         for n in range(21):
             assert hi[n] == pytest.approx(lo[n], rel=1e-10)
 

@@ -30,6 +30,7 @@ from bdspec import (
     stieltjes_dn_rates,
 )
 
+from bdspec import indet
 from bdspec.recurrence import _advance, _coefficients, _qp_ratios, _start, eval_pq_mp
 from conftest import ALPHA_QUARTIC_REF, f_recurrence_mp
 
@@ -363,6 +364,19 @@ class TestNextremalMeasure:
         # masses cannot settle.
         with pytest.raises(ConvergenceError, match="requested"):
             nextremal_measure(quartic0, 0.0, window=(-0.5, 200), tol=Tolerance(1e-15, 1e-15))
+
+    def test_nonpositive_masses_raise(self, quartic0, monkeypatch):
+        # Flipping the sign of every derivative turns each mass
+        # 1/(B' D - B D') negative; that is a numerical failure, not bad input.
+        assemble = indet._assemble
+
+        def flipped(sums, xs):
+            vals, dvals = assemble(sums, xs)
+            return vals, None if dvals is None else -dvals
+
+        monkeypatch.setattr(indet, "_assemble", flipped)
+        with pytest.raises(ConvergenceError, match="nonpositive masses"):
+            nextremal_measure(quartic0, 0.0, window=(-0.5, 200))
 
 
 def _stalls(x: complex) -> bool:

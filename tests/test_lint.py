@@ -6,6 +6,9 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bdspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+# The extended-precision entry points; every other quantity has one
+# double-precision evaluation path.
+MPMATH_USERS = {"eval_pq_mp", "markov_iterates", "dn_taylor_moments"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -32,3 +35,48 @@ def test_detects_unused_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def mpmath_importers(source: str) -> list[str]:
+    """Where mpmath is imported: the enclosing function's name, or
+    ``<module>`` for an import outside any function."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom):
+                names = [child.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detects_mpmath_imports():
+    src = (
+        "import mpmath\n"
+        "def f():\n    import mpmath as mp\n"
+        "class C:\n    def g(self):\n        from mpmath import mpf\n"
+        "def h():\n    def inner():\n        import mpmath.libmp\n"
+        "def k():\n    import math\n"
+    )
+    assert mpmath_importers(src) == ["<module>", "f", "g", "inner"]
+
+
+def test_mpmath_only_in_extended_precision_paths():
+    found = {
+        f"{path.name}:{owner}"
+        for path in SRC.glob("*.py")
+        for owner in mpmath_importers(path.read_text(encoding="utf-8"))
+        if owner not in MPMATH_USERS
+    }
+    assert found == set()

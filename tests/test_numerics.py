@@ -14,7 +14,7 @@ from bdspec import (
 )
 from bdspec.numerics import compensated_sum, neville_limit, richardson_sum
 
-from conftest import K0_REF, SUM_INV_MUPI_REF
+from conftest import SUM_INV_MUPI_REF
 
 
 class TestTolerance:
@@ -38,22 +38,6 @@ class TestIntegrate:
 
     def test_sin(self):
         assert abs(integrate(math.sin, 0.0, math.pi) - 2.0) < 1e-12
-
-    def test_lemniscate_integrand_vs_tanh_sinh_oracle(self):
-        # oracle frozen from mpmath tanh-sinh at 50 digits
-        def near_one(d):
-            u = 1.0 - d
-            return 1.0 / math.sqrt(d * (2.0 - d) * (1.0 + u * u))
-
-        val = integrate(
-            lambda u: 1.0 / math.sqrt(1.0 - u**4),
-            0.0,
-            1.0,
-            Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=4000),
-            sing_b=-0.5,
-            f_dist_b=near_one,
-        )
-        assert abs(val - K0_REF) < 1e-12
 
     def test_complex_integrand(self):
         val = integrate(lambda u: complex(math.cos(u), math.sin(u)), 0.0, 1.0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -20,6 +21,8 @@ from bdspec import (
     nextremal_measure,
     quartic_rates,
 )
+from bdspec.quartic import _cn_integral, _root4
+from conftest import f_recurrence_mp
 
 
 class TestRates:
@@ -163,7 +166,6 @@ class TestTripleAgreement:
 class TestAsymptoticChecks:
     def test_all_ratios_near_one(self, qspec):
         rep = asymptotic_checks(qspec, 1 + 1j, 2000)
-        assert rep.extended
         for name, dev in rep.deviations.items():
             assert dev < 0.01, name
 
@@ -173,16 +175,41 @@ class TestAsymptoticChecks:
 
     def test_monotone_drift(self, qspec):
         devs = [
-            max(asymptotic_checks(qspec, 1 + 1j, n, extended=False).deviations.values())
+            max(asymptotic_checks(qspec, 1 + 1j, n).deviations.values())
             for n in (500, 1000, 2000)
         ]
         assert devs[0] > devs[1] > devs[2]
 
-    def test_extended_and_double_agree(self, qspec):
-        a = asymptotic_checks(qspec, 2 + 1j, 600, extended=True)
-        b = asymptotic_checks(qspec, 2 + 1j, 600, extended=False)
-        for k in a.ratios:
-            assert abs(a.ratios[k] - b.ratios[k]) < 1e-7
+    @pytest.mark.parametrize("n", [600, 2000])
+    @pytest.mark.parametrize("x", [0.6 + 0.8j, -6 + 8j, -60 - 80j, 600 - 800j])
+    def test_matches_mp_reference(self, qspec, quartic0, x, n):
+        # F_n, F^(1)_(n-1), F~_n, F^_n stepped in 40-digit arithmetic and
+        # pi_n as a 40-digit product, over the same closed-form denominators.
+        f_n = f_recurrence_mp(quartic0, n, x)[n]
+        f1_nm1 = f_recurrence_mp(quartic0, n - 1, x, shift=1)[n - 1]
+        ft_n = f_recurrence_mp(dual_rates(quartic0), n, x)[n]
+        fh_n = f_recurrence_mp(dual_rates(quartic0, zero_related=True), n, x)[n]
+        lam, mu = (v.tolist() for v in quartic0.tabulate(n + 1))
+        with mp.workdps(40):
+            pi_n = float(mp.fprod(mp.mpf(lam[k - 1]) / mu[k] for k in range(1, n + 1)))
+        rho = _root4(x)
+        sqx = rho * rho
+        arg = rho * qspec.qperiod / math.sqrt(2.0)
+        tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
+        n2 = _cn_integral(qspec, 2, rho, tol)
+        n0 = _cn_integral(qspec, 0, rho, tol)
+        ref = {
+            "base": f_n / (pi_n * delta4(0, arg)),
+            "associated": f1_nm1 / (mu[1] * pi_n * n2 / sqx),
+            "dual": ft_n * sqx / (3 * math.pi * pi_n * delta4(2, arg)),
+            "zero_dual": fh_n / (3 * math.pi * pi_n * n0),
+        }
+        rep = asymptotic_checks(qspec, x, n)
+        assert rep.ratios.keys() == ref.keys()
+        for name, value in ref.items():
+            assert abs(rep.ratios[name] - value) <= 1e-9 * abs(value), name
+        prefactor = 3 * math.pi * ref["dual"]
+        assert abs(rep.dual_prefactor - prefactor) <= 1e-9 * abs(prefactor)
 
     def test_needs_large_n(self, qspec):
         with pytest.raises(ValueError):
