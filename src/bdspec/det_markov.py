@@ -9,7 +9,7 @@ from ``eval_pq_mp``.
 """
 from __future__ import annotations
 
-import cmath
+import functools
 import math
 
 import numpy as np
@@ -100,6 +100,31 @@ def dn_spectral_measure(ctx: EllipticContext, nmax: int) -> DiscreteMeasure:
     )
 
 
+@functools.lru_cache(maxsize=128)
+def _jacobi_rule(
+    ctx: EllipticContext, nn: int, sigma: float, col: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The x-independent part of one Gauss-Jacobi rule on [0, 2K]: nodes u,
+    # weights w and the node factor f = scd[col] * m(u)^sigma, where
+    # m(u) = 2K sn(u)/(u(2K-u)) is the smooth positive part of sn once the
+    # endpoint zeros are factored out. One (sn, cn, dn) per node: jacobi_scd
+    # reflects u in (K, 2K] to 2K - u, which keeps sn and the sign change of
+    # cn at full relative accuracy. An entry at nn = 384 holds 9 KB, so the
+    # cache stays below 1.2 MB.
+    K = ctx.K
+    twoK = 2.0 * K
+    t, w = roots_jacobi(nn, sigma, sigma)
+    u = K * (1.0 + t)
+    f = np.empty(nn)
+    for i, ui in enumerate(u):
+        scd = jacobi_scd(ctx, ui)
+        msm = twoK * scd[0] / (ui * (twoK - ui))
+        f[i] = scd[col] * msm**sigma
+    for a in (u, w, f):
+        a.setflags(write=False)
+    return u, w, f
+
+
 def generalized_ratio(
     ctx: EllipticContext, c: float, x: complex, tol: Tolerance | None = None
 ) -> complex:
@@ -108,8 +133,11 @@ def generalized_ratio(
     N carries the weight (sn u)^(2c), D the weight (sn u)^(2c-1); both
     vanish like powers of u(2K-u) at the period endpoints, so each integral
     is computed with a Gauss-Jacobi rule matching that exact weight, with
-    the node count doubled until two estimates agree. Normalization uses
-    math.gamma for (2c)! and (2c-1)!.
+    the node count doubled until two estimates agree. Everything in a rule
+    but the factor e^(-xu) is built once per (modulus, node count, exponent)
+    and kept in a bounded cache of 128 rules. Normalization uses math.gamma
+    for (2c)! and (2c-1)!. Raises QuadratureError at once when e^(-xu)
+    underflows at every node of the D rule, which leaves 0/0.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -120,23 +148,18 @@ def generalized_ratio(
     K = ctx.K
     twoK = 2.0 * K
 
-    def quad_pair(nn: int) -> complex:
-        # Shared nodes per exponent family; m(u) = 2K sn(u)/(u(2K-u)) is the
-        # smooth positive part of sn once the endpoint zeros are factored out.
-        # One (sn, cn, dn) per node: jacobi_scd reflects u in (K, 2K] to 2K - u,
-        # which keeps sn and the sign change of cn at full relative accuracy.
-        def one(sigma: float, col: int) -> complex:
-            t, w = roots_jacobi(nn, sigma, sigma)
-            u = K * (1.0 + t)
-            vals = np.empty(nn, dtype=complex)
-            for i, ui in enumerate(u):
-                scd = jacobi_scd(ctx, ui)
-                msm = twoK * scd[0] / (ui * (twoK - ui))
-                vals[i] = scd[col] * msm**sigma * cmath.exp(-x * ui)
-            return K ** (2 * sigma + 1) / twoK**sigma * np.sum(w * vals)
+    def one(nn: int, sigma: float, col: int) -> complex:
+        u, w, f = _jacobi_rule(ctx, nn, sigma, col)
+        return K ** (2 * sigma + 1) / twoK**sigma * np.sum(w * (f * np.exp(-x * u)))
 
-        num = one(2.0 * c, 2) / math.gamma(2.0 * c + 1.0)
-        den = one(2.0 * c - 1.0, 1) / math.gamma(2.0 * c)
+    def quad_pair(nn: int) -> complex:
+        num = one(nn, 2.0 * c, 2) / math.gamma(2.0 * c + 1.0)
+        den = one(nn, 2.0 * c - 1.0, 1) / math.gamma(2.0 * c)
+        if den == 0:
+            raise QuadratureError(
+                f"generalized_ratio denominator is 0: e^(-xu) underflowed at Re x = {x.real:g}",
+                complex(num), math.nan,
+            )
         return num / den
 
     prev = None

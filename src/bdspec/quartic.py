@@ -11,6 +11,7 @@ measure metadata.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -231,12 +232,12 @@ def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport
     n2 = _cn_integral(spec, 2, rho, tol)
     n0 = _cn_integral(spec, 0, rho, tol)
 
-    base = quartic_rates(0.0, 0.0)
+    base, dual, zero_dual = _base_systems()
     mu1 = base.mu(1)
     f_n = _last_value(eval_f(base, n, x))
     f1_nm1 = _last_value(eval_f(base, n - 1, x, shift=1))
-    ft_n = _last_value(eval_f(dual_rates(base), n, x))
-    fh_n = _last_value(eval_f(dual_rates(base, zero_related=True), n, x))
+    ft_n = _last_value(eval_f(dual, n, x))
+    fh_n = _last_value(eval_f(zero_dual, n, x))
     pis = pi_sequence(base, n)
     pi_n = math.exp(pis.scaling_log[n]) * pis.values[n].real
 
@@ -252,6 +253,14 @@ def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport
     return AsymptoticReport(
         n=n, x=x, ratios=ratios, deviations=deviations, dual_prefactor=prefactor
     )
+
+
+@functools.cache
+def _base_systems() -> tuple[BirthDeathRates, BirthDeathRates, BirthDeathRates]:
+    # The c = mu = 0 member and its two duals, built once so that their
+    # coefficient tables are tabulated once per process.
+    base = quartic_rates(0.0, 0.0)
+    return base, dual_rates(base), dual_rates(base, zero_related=True)
 
 
 def _last_value(seq) -> complex:

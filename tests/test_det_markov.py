@@ -4,8 +4,11 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdspec import (
+    QuadratureError,
     Tolerance,
     custom_rates,
     dn_spectral_measure,
@@ -23,6 +26,7 @@ from bdspec import (
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec import det_markov
 from bdspec.recurrence import eval_pq_mp
 
 
@@ -200,6 +204,68 @@ class TestGeneralizedRatio:
             generalized_ratio(ctx_half, -0.1, 1.0)
         with pytest.raises(ValueError):
             generalized_ratio(ctx_half, 0.5, -1.0)
+
+    def test_underflow_raises_at_once(self, ctx_half):
+        # e^(-xu) underflows at every node: the first pair of rules leaves
+        # 0/0, reported without building the larger rules.
+        det_markov._jacobi_rule.cache_clear()
+        with pytest.raises(QuadratureError, match="underflow"):
+            generalized_ratio(ctx_half, 0.75, 1e7)
+        assert det_markov._jacobi_rule.cache_info().misses == 2
+
+
+class TestGaussJacobiRuleCache:
+    def test_cold_value_equals_warm(self, ctx_half):
+        warm = generalized_ratio(ctx_half, 0.8, 1.3 + 0.4j)
+        det_markov._jacobi_rule.cache_clear()
+        cold = generalized_ratio(ctx_half, 0.8, 1.3 + 0.4j)
+        assert det_markov._jacobi_rule.cache_info().misses > 0
+        assert cold == warm
+
+    def test_warm_call_builds_nothing(self, ctx_half, monkeypatch):
+        generalized_ratio(ctx_half, 0.8, 1.3 + 0.4j)
+        counts = {"roots_jacobi": 0, "jacobi_scd": 0}
+
+        def counting(name):
+            inner = getattr(det_markov, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(det_markov, name, counting(name))
+        generalized_ratio(ctx_half, 0.8, 2.1 - 0.7j)
+        assert counts == {"roots_jacobi": 0, "jacobi_scd": 0}
+
+    def test_interleaved_keys_match_s_fraction(self):
+        # c = 1/4 and c = 3/4 share the exponent 1/2 (dn column for one, cn
+        # column for the other), so the key must hold the modulus, the
+        # exponent and the column.
+        det_markov._jacobi_rule.cache_clear()
+        cases = [(k2, c) for k2 in (0.3, 0.7) for c in (0.25, 0.75)]
+        for x in (1.2 + 0.5j, 0.8 - 1.1j):
+            for k2, c in cases + cases[::-1]:
+                ref = s_fraction(generalized_c_rates(k2, c), 400, x)
+                assert abs(generalized_ratio(make_context(k2), c, x) - ref) < 1e-8
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    k2=st.floats(0.1, 0.9),
+    c=st.floats(0.1, 1.5),
+    re=st.floats(0.5, 3.0),
+    im=st.floats(0.1, 2.0),
+    lower=st.booleans(),
+)
+def test_generalized_ratio_matches_s_fraction_sweep(k2, c, re, im, lower):
+    # criterion 5 of the acceptance suite, abs 1e-7, over the right-half-plane
+    # box Re x in (0.5, 3), 0.1 <= |Im x| <= 2
+    x = complex(re, -im if lower else im)
+    ref = s_fraction(generalized_c_rates(k2, c), 400, x)
+    assert abs(generalized_ratio(make_context(k2), c, x) - ref) < 1e-7
 
 
 class TestLargeIndexAsymptotics:

@@ -1,5 +1,8 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +83,17 @@ def test_mpmath_only_in_extended_precision_paths():
         if owner not in MPMATH_USERS
     }
     assert found == set()
+
+
+def test_import_leaves_mpmath_unloaded():
+    # The static check above finds mpmath imports; this one runs the import.
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    code = "import sys, bdspec; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
