@@ -27,7 +27,6 @@ from .det_markov import (
 from .elliptic import (
     EllipticContext,
     delta4,
-    dn_fourier_coeff,
     dn_taylor_moments,
     jacobi_scd,
     laplace_dn,

@@ -1,9 +1,9 @@
 """Jacobi elliptic functions and the special-function kit for the elliptic families.
 
 AGM-based complete integrals and sn/cn/dn (descending Landen transformation,
-real arguments), Fourier and Taylor data of dn (the Taylor data in mpmath),
-the order-4 trigonometric functions delta_l, the lemniscate constant (also
-from the AGM), and the Laplace transform of dn over one period. The Landen
+real arguments), the Taylor data of dn (in mpmath), the order-4
+trigonometric functions delta_l, the lemniscate constant (also from the
+AGM), and the Laplace transform of dn over one period. The Landen
 ladder is data of the modulus, built once per context; it stops where c_n
 stops decreasing (4-7 levels for every k^2).
 """
@@ -101,15 +101,6 @@ def jacobi_scd(ctx: EllipticContext, u: float) -> tuple[float, float, float]:
     sn, cn = math.sin(phi), math.cos(phi)
     dn = math.sqrt(1.0 - ctx.k2 * sn * sn)
     return s_sign * sn, c_sign * cn, dn
-
-
-def dn_fourier_coeff(ctx: EllipticContext, n: int) -> float:
-    """Cosine-series coefficient of dn: pi/(2K) for n=0, (2pi/K) q^n/(1+q^2n) else."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return math.pi / (2.0 * ctx.K)
-    return (2.0 * math.pi / ctx.K) * ctx.q**n / (1.0 + ctx.q ** (2 * n))
 
 
 def dn_taylor_moments(k2: float, nmax: int):

@@ -8,17 +8,15 @@ bounded-period oscillation) and extrapolated in 1/n by
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
-solver, and so does the dual series in one segment; the border limits read
-their rows from its segment solver; ``classify`` and ``alpha_limit`` read
-pi_n and the partial sums 1/alpha_n from its log columns. The verdict and
-alpha are memoized per rates object next to the tables.
+solver; the border limits and the dual series read its Stieltjes band from
+one solve; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
+1/alpha_n from its log columns. The verdict and alpha are memoized per
+rates object next to the tables.
 
-The Krein border limit and the dual series run on the dual system's rows
-(lambda~_n = mu_{n+1}, mu~_n = lambda_n). The zero-related dual differs from
-the dual only in mu_0 (0 instead of lambda_0), so the recurrence being linear
-gives Phat_n = Ptilde_n + lambda_0 Qtilde_n. With F_n = (-1)^n sqrt(pi_n) P_n
-for any system and pihat_n = pitilde_n, Ftilde_n = w_n Ptilde_n and
-Fhat_n = w_n (Ptilde_n + lambda_0 Qtilde_n), where w_n = (-1)^n sqrt(pitilde_n).
+Stieltjes' continued fraction is the weak form of Markov's theorem in the
+indeterminate case: its even convergents tend to the Friedrichs transform
+and its odd ones to the Krein transform, and minus its even rows (P, Q) are
+the partial sums of the dual series for B - D/alpha and A - C/alpha.
 """
 from __future__ import annotations
 
@@ -37,7 +35,9 @@ from .recurrence import (
     _log_columns,
     _memo,
     _qp_ratios,
+    _solve,
     _start,
+    _stieltjes_band,
 )
 
 DET_H = "DET_H"
@@ -167,11 +167,6 @@ def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
         raise ValueError(
             f"operation requires an indeterminate Stieltjes family, got {verdict}"
         )
-
-
-# Terms of a dual series: through the four-sum average at 16384, the last
-# checkpoint of the Nevanlinna series.
-_DUAL_TERMS = 16384 + 4
 
 
 def _nevanlinna_sums(
@@ -377,19 +372,28 @@ def nextremal_transform(
     return num / den
 
 
+def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int, levels: int):
+    """The checkpoints cp = N // 2^j (j < levels, N = max(max_iter, 64)), the
+    indices 2(cp + i) + parity (i < 4) of the Stieltjes rows averaged at
+    each, and a band that holds them."""
+    N = max(max_iter, 64)
+    cps = sorted({max(8, N // (2**j)) for j in range(levels)})
+    ks = 2 * np.add.outer(cps, np.arange(4)).ravel() + parity
+    return cps, ks, _stieltjes_band(rates, ks[-1] + 1)
+
+
 def markov_like_limit(
     rates: BirthDeathRates,
     x: complex,
     mode: str,
     tol: Tolerance | None = None,
 ) -> ConvergedLimit:
-    """Iterated border-measure transforms for indet-S families.
+    """Border-measure transforms of indet-S families: the limits of the even
+    (Friedrichs) and odd (Krein) convergents of Stieltjes' continued fraction.
 
-    ``friedrichs`` iterates Q_n/P_n; ``krein`` iterates the zero-related dual
-    ratio Fhat_n / (x Ftilde_n) = (1 + lambda_0 Qtilde_n / Ptilde_n) / x, from
-    the dual system's rows on the same banded kernel. Both converge like 1/n,
-    so checkpointed iterates are Neville-extrapolated; diagnostics report the
-    extrapolation increment.
+    Both converge like 1/n, so the convergents averaged over four rows at
+    each of five checkpoints up to ``tol.max_iter`` are Neville-extrapolated;
+    diagnostics report the extrapolation increment.
     """
     x = complex(x)
     if x.imag == 0:
@@ -400,17 +404,8 @@ def markov_like_limit(
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     _require_indet(rates, allow_border=(mode == "friedrichs"))
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    N = max(tol.max_iter, 64)
-    levels = 5
-    cps = sorted({max(8, N // (2**j)) for j in range(levels)})
-
-    dual = mode == "krein"
-    ks = np.add.outer(cps, np.arange(4)).ravel()
-    ratio = _qp_ratios(_coefficients(rates, cps[-1] + 4, dual=dual), x, ks)
-    ratios = list(ratio.reshape(-1, 4).sum(axis=1) / 4)
-    if dual:
-        ratios = [(1.0 + rates.lam(0) * r) / x for r in ratios]
-
+    cps, ks, band = _border_rows(rates, tol.max_iter, mode == "krein", 5)
+    ratios = _qp_ratios(band, x, ks).reshape(-1, 4).mean(axis=1)
     value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
     return ConvergedLimit(value, cps[-1], inc, converged)
 
@@ -418,35 +413,28 @@ def markov_like_limit(
 def modified_entries_dual(
     rates: BirthDeathRates, x: complex, tol: Tolerance | None = None
 ) -> tuple[complex, complex]:
-    """(B - D/alpha, A - C/alpha) evaluated through the dual-polynomial series.
+    """(B - D/alpha, A - C/alpha) through the dual-polynomial series
+    -1 + (x/lambda_0) sum Ftilde_n(x) and (1/lambda_0) sum Fhat_n(x).
 
-    B - D/alpha = -1 + (x/mu~_0) sum Ftilde_n(x) and
-    A - C/alpha = (1/mu~_0) sum Fhat_n(x), with mu~_0 = lambda_0. The terms
-    come from one pass of the banded kernel over the dual system's rows, at
-    most 16388 of them, the term cap of the Nevanlinna series and the default
-    ``tol.max_iter``; a larger ``max_iter`` is clipped to it. Both series are
-    Richardson accelerated and raise :class:`ConvergenceError` when they have
-    not settled. This is the strongest cross-check against the direct
-    Nevanlinna summation.
+    Their partial sums, minus the even rows (P, Q) of the Stieltjes band, are
+    Neville-extrapolated from the checkpoints of :func:`markov_like_limit` and
+    one more at a 32nd of ``tol.max_iter`` (by default 16388, where the
+    Nevanlinna series ends); raises :class:`ConvergenceError` when either has
+    not settled. The strongest cross-check of the direct Nevanlinna summation.
     """
     _require_indet(rates)
     if rates.mu0 != 0:
         raise ValueError("dual-series entries require mu_0 = 0")
-    x = complex(x)
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_DUAL_TERMS)
-    mu_t0 = rates.lam(0)
-
-    n = min(tol.max_iter, _DUAL_TERMS)
-    tab = _coefficients(rates, n, dual=True)
-    xs = np.array([x])
-    q, p = _advance(tab, xs, _start(tab, xs, 2), 2, n)[:, 0]
-    w = tab.weights[:n, 1]
-    s_tilde, s_hat = (richardson_sum(f, tol, n0=256) for f in (w * p, w * (p + mu_t0 * q)))
-    if not (s_tilde.converged and s_hat.converged):
+    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
+    # At |x| >= 3e3 five checkpoints leave about half the points short of
+    # 1e-11 though their values are good to 6e-13; a sixth settles them.
+    cps, ks, band = _border_rows(rates, tol.max_iter, 0, 6)
+    rows, exps = _solve(band, np.array([complex(x)]), ks)
+    avg = (rows[:, 0] * np.ldexp(1.0, exps[:, 0])).reshape(2, -1, 4).mean(axis=2)
+    (q, p), _, settled = neville_limit([1.0 / (cp + 1.5) for cp in cps], avg.T, tol)
+    if not settled.all():
         raise ConvergenceError("dual polynomial series did not stabilize")
-    b_tilde = -1.0 + (x / mu_t0) * s_tilde.value
-    a_tilde = s_hat.value / mu_t0
-    return b_tilde, a_tilde
+    return -complex(p), -complex(q)
 
 
 def _default_grid(rates: BirthDeathRates, window: tuple[float, float]) -> np.ndarray:

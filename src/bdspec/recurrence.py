@@ -9,9 +9,10 @@ power of two wherever its rows leave [1e-150, 1e150]. The products pi_n and
 the partial sums 1/alpha_n are read from the log columns, so determinate
 families neither underflow nor overflow there. ``eval_f`` (F_n = (-1)^n
 sqrt(pi_n) P_n, its order-one associated family and the dual systems) reads
-the same kernel rows and log column. ``eval_pq_mp`` alone steps its
-recurrence index by index, in mpmath; it is the independent reference the
-kernel is checked against.
+the same kernel rows and log column, and the border limits run the solver
+on its Stieltjes band. ``eval_pq_mp`` alone steps its recurrence index by
+index, in mpmath; it is the independent reference the kernel is checked
+against.
 """
 from __future__ import annotations
 
@@ -225,25 +226,30 @@ class PolySequence:
 
 
 @dataclass(frozen=True)
-class _Coefficients:
-    """Rows k < size of y_{k+1} = (x/b_k - a_k/b_k) y_k - (b_{k-1}/b_k) y_{k-1},
-    log pi_k, log|1/alpha_k| (1/alpha_k = -sum_{1<=j<=k} 1/(mu_j pi_j), so -inf
-    at k = 0), and the weights (-1)^k sqrt(pi_k) / alpha_k and (-1)^k sqrt(pi_k).
-    When mu_0 = 0 the weights are Q_k(0) and P_k(0); for the dual system only
-    the second, F_k / P_k, is used. Every entry depends on its index alone, not
-    on the size of the table."""
+class _Band:
+    """Rows k of y_{k+1} = (x inv_b_k - a_b_k) y_k - b_ratio_k y_{k-1}."""
 
     a_b: np.ndarray
     inv_b: np.ndarray
     b_ratio: np.ndarray
+
+
+@dataclass(frozen=True)
+class _Coefficients(_Band):
+    """The band of (Q_k, P_k), a_b = a_k/b_k, inv_b = 1/b_k, b_ratio =
+    b_{k-1}/b_k, with log pi_k, log|1/alpha_k| (1/alpha_k = -sum_{1<=j<=k}
+    1/(mu_j pi_j), so -inf at k = 0) and the weights (-1)^k sqrt(pi_k) /
+    alpha_k and (-1)^k sqrt(pi_k), Q_k(0) and P_k(0) when mu_0 = 0. Every
+    entry depends on its index alone, not on the size of the table."""
+
     log_pi: np.ndarray
     log_ainv: np.ndarray
     weights: np.ndarray
 
 
-# Per-rates memo, weakly keyed by the rates object: the coefficient tables of
-# the system ("table") and of its dual ("dual"), rebuilt larger on demand, and
-# the determinacy verdict and alpha (keyed by its tolerance) of the
+# Per-rates memo, weakly keyed by the rates object: the coefficient table
+# ("table") and the Stieltjes band ("stieltjes"), rebuilt larger on demand,
+# and the determinacy verdict and alpha (keyed by its tolerance) of the
 # indeterminate half.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -270,18 +276,12 @@ def _log_columns(lam: np.ndarray, mu: np.ndarray, size: int) -> tuple[np.ndarray
     return log_pi, log_ainv
 
 
-def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coefficients:
-    """The table of ``rates`` with at least ``size`` rows, or with ``dual`` that
-    of its dual system, built from the tabulation of ``rates`` itself."""
+def _coefficients(rates: BirthDeathRates, size: int) -> _Coefficients:
+    """The table of ``rates`` with at least ``size`` rows."""
     memo = _memo(rates)
-    key = "dual" if dual else "table"
-    tab = memo.get(key)
+    tab = memo.get("table")
     if tab is None or tab.inv_b.size < size:
-        if dual:
-            lam, mu = rates.tabulate(size + 1)
-            lam, mu = mu[1:], lam[:-1]
-        else:
-            lam, mu = rates.tabulate(size)
+        lam, mu = rates.tabulate(size)
         b = np.sqrt(lam[:-1] * mu[1:])
         log_pi, log_ainv = _log_columns(lam, mu, size)
         sign = (-1.0) ** np.arange(size)
@@ -289,7 +289,7 @@ def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coe
         with np.errstate(over="ignore"):
             p0 = sign * np.exp(0.5 * log_pi)
             q0 = -sign * np.exp(0.5 * log_pi + log_ainv)
-        tab = memo[key] = _Coefficients(
+        tab = memo["table"] = _Coefficients(
             a_b=(lam[:-1] + mu[:-1]) / b,
             inv_b=1.0 / b,
             b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
@@ -300,7 +300,26 @@ def _coefficients(rates: BirthDeathRates, size: int, dual: bool = False) -> _Coe
     return tab
 
 
-def _start(tab: _Coefficients, xs: np.ndarray, nrhs: int) -> np.ndarray:
+def _stieltjes_band(rates: BirthDeathRates, size: int) -> _Band:
+    """At least ``size`` rows of Stieltjes' continued fraction 1/(m_1 z + 1/(l_1
+    + 1/(m_2 z + ...))) at z = -x: y_(2n+1) = m_(n+1) z y_2n + y_(2n-1) and
+    y_(2n+2) = l_(n+1) y_(2n+1) + y_2n, with m_(n+1) = pi_n and l_(n+1) =
+    1/(lambda_n pi_n) from the log column. Rows 2n of (Q, P) are Q_n/P_n(0)
+    and P_n/P_n(0), reached without the cancelling difference x - a_n."""
+    memo = _memo(rates)
+    band = memo.get("stieltjes")
+    if band is None or band.inv_b.size < size:
+        half = (size + 1) // 2
+        lam, mu = rates.tabulate(half)
+        log_pi, _ = _log_columns(lam, mu, half)
+        a_b, inv_b = np.zeros((2, 2 * half))
+        inv_b[0::2] = -np.exp(log_pi)
+        a_b[1::2] = -np.exp(-(np.log(lam[:half]) + log_pi))
+        band = memo["stieltjes"] = _Band(a_b, inv_b, np.broadcast_to(-1.0, 2 * half))
+    return band
+
+
+def _start(tab: _Band, xs: np.ndarray, nrhs: int) -> np.ndarray:
     """Rows 0 and 1 of (Q, P), and of (Q', P') when ``nrhs`` is 4, at each x."""
     carry = np.zeros((nrhs, xs.size, 2), dtype=complex)
     carry[0, :, 1] = tab.inv_b[0]
@@ -311,7 +330,7 @@ def _start(tab: _Coefficients, xs: np.ndarray, nrhs: int) -> np.ndarray:
     return carry
 
 
-def _advance(tab: _Coefficients, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
+def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
     """Rows lo-2..hi-1, shape (nrhs, points, hi - lo + 2), from rows lo-2 and
     lo-1 in ``carry`` (nrhs, points, 2): Q and P, plus Q' and P' (the same
     recurrence with source y_k/b_k) when nrhs is 4. All points form one
@@ -339,7 +358,7 @@ def _advance(tab: _Coefficients, xs: np.ndarray, carry: np.ndarray, lo: int, hi:
     return rows
 
 
-def _solve(tab: _Coefficients, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
+def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
     """Rows ``ks`` (ascending indices) of (Q, P), and of (Q', P') when ``nrhs``
     is 4, at each point of ``xs``, as ``(rows, exps)``: the true value of
     solution r at point i and index ``ks[j]`` is ``rows[r, i, j] *
@@ -404,8 +423,9 @@ def _solve(tab: _Coefficients, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
     return rows, exps
 
 
-def _qp_ratios(tab: _Coefficients, x: complex, ks) -> np.ndarray:
-    """Q_k(x) / P_k(x) at the ascending indices ``ks``."""
+def _qp_ratios(tab: _Band, x: complex, ks) -> np.ndarray:
+    """Q/P on the rows ``ks`` (ascending) of ``tab``: Q_k(x) / P_k(x) on the
+    coefficient table, the k-th convergent on the Stieltjes band."""
     (q, p), (eq, ep) = (a[:, 0] for a in _solve(tab, np.array([complex(x)]), np.asarray(ks)))
     return q / p * np.ldexp(1.0, eq - ep)
 

@@ -8,7 +8,7 @@ import scipy.special as sp
 
 from bdspec import (
     delta4,
-    dn_fourier_coeff,
+    dn_spectral_measure,
     dn_taylor_moments,
     jacobi_scd,
     laplace_dn,
@@ -115,26 +115,27 @@ class TestJacobiSCD:
 
 
 class TestFourier:
+    # The dn spectral masses are the cosine-series coefficients of dn.
     def test_psi0(self, ctx_half):
-        assert dn_fourier_coeff(ctx_half, 0) == pytest.approx(
+        assert dn_spectral_measure(ctx_half, 1).mass[0] == pytest.approx(
             math.pi / (2 * ctx_half.K)
         )
 
     def test_psi1(self, ctx_half):
         q = ctx_half.q
         ref = (2 * math.pi / ctx_half.K) * q / (1 + q * q)
-        assert dn_fourier_coeff(ctx_half, 1) == pytest.approx(ref)
+        assert dn_spectral_measure(ctx_half, 1).mass[1] == pytest.approx(ref)
 
     def test_partial_sums_reach_dn0(self, ctx_half):
-        total = sum(dn_fourier_coeff(ctx_half, n) for n in range(41))
+        total = dn_spectral_measure(ctx_half, 40).mass.sum()
         assert abs(total - 1.0) < 1e-12
 
     def test_series_reproduces_dn_pointwise(self, ctx_half):
         K = ctx_half.K
+        mass = dn_spectral_measure(ctx_half, 40).mass
         for u in np.linspace(-1.5 * K, 2.5 * K, 20):
-            series = dn_fourier_coeff(ctx_half, 0) + sum(
-                dn_fourier_coeff(ctx_half, n) * math.cos(n * math.pi * u / K)
-                for n in range(1, 41)
+            series = mass[0] + sum(
+                mass[n] * math.cos(n * math.pi * u / K) for n in range(1, 41)
             )
             assert abs(series - jacobi_scd(ctx_half, float(u))[2]) < 1e-10
 
@@ -258,10 +259,11 @@ class TestLaplaceDN:
     def test_fourier_form(self, ctx_half):
         x = 2 + 1j
         K = ctx_half.K
-        total = dn_fourier_coeff(ctx_half, 0) / x
+        mass = dn_spectral_measure(ctx_half, 59).mass
+        total = mass[0] / x
         for n in range(1, 60):
             tn = (n * math.pi / K) ** 2
-            total += dn_fourier_coeff(ctx_half, n) * x / (x * x + tn)
+            total += mass[n] * x / (x * x + tn)
         assert abs(laplace_dn(ctx_half, x) - total) < 1e-9
 
     def test_domain(self, ctx_half):

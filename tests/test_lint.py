@@ -1,5 +1,6 @@
 """Source hygiene checks that need nothing beyond the standard library."""
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -7,11 +8,22 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bdspec"
+import bdspec
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bdspec"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # The extended-precision entry points; every other quantity has one
 # double-precision evaluation path.
 MPMATH_USERS = {"eval_pq_mp", "markov_iterates", "dn_taylor_moments"}
+# Public names that only tests call; the README says why each stays.
+TEST_ONLY_SURFACE = {
+    "custom_rates",
+    "dn_taylor_moments",
+    "measure_moment",
+    "moment_asymptote",
+    "pi_alpha",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -97,3 +109,30 @@ def test_import_leaves_mpmath_unloaded():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def uncalled(names, sources) -> list[str]:
+    """The ``names`` that no source reads, as a name or as an attribute."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(set(names) - read)
+
+
+def test_detects_uncalled_names():
+    src = "from m import f, g\nimport k\ndef h():\n    return f(1) + k.g\nj = 2\n"
+    assert uncalled(["f", "g", "h", "j", "m"], [src]) == ["h", "j", "m"]
+
+
+def test_public_names_have_callers():
+    # Every public function, class and constant is called from the library
+    # or the benchmark (its tests aside), or is listed as test-only surface;
+    # submodules are namespaces, not surface.
+    names = [n for n in bdspec.__all__ if not inspect.ismodule(getattr(bdspec, n))]
+    bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
+    sources = [p.read_text(encoding="utf-8") for p in MODULES + bench]
+    assert set(uncalled(names, sources)) == TEST_ONLY_SURFACE
