@@ -9,6 +9,7 @@ tolerance, or an N-extremal mass came out nonpositive).
 from __future__ import annotations
 
 import argparse
+import ast
 import math
 import os
 import sys
@@ -53,137 +54,52 @@ class CliError(Exception):
 
 # ---------------------------------------------------------------- expressions
 
-# Two-character operators first, so that the parser tries them before ">" and "<".
-_COMPARE_OPS = {
-    ">=": np.greater_equal, "<=": np.less_equal, "==": np.equal, ">": np.greater, "<": np.less,
-}
+_ALPHABET = frozenset("0123456789.eEn+-*/^()<>= ")
+_OPS = {ast.Add: np.add, ast.Sub: np.subtract, ast.Mult: np.multiply, ast.Div: np.true_divide,
+        ast.Pow: np.float_power, ast.USub: np.negative, ast.Gt: np.greater, ast.Lt: np.less,
+        ast.GtE: np.greater_equal, ast.LtE: np.less_equal, ast.Eq: np.equal}
+_NODES = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Name, ast.Constant, ast.Load)
 
 
-class _ExprParser:
-    """Minimal arithmetic grammar: + - * / ^, comparisons, variable n, literals.
-
-    Comparisons evaluate to 1.0 / 0.0 so rate cutoffs like "1*(n>0)" stay
-    expressible without a function vocabulary.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def parse(self):
-        node = self._comparison()
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ValueError(f"trailing input at column {self.pos}: {self.text!r}")
-        return node
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self):
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def _match(self, tok: str) -> bool:
-        self._skip_ws()
-        if self.text.startswith(tok, self.pos):
-            self.pos += len(tok)
-            return True
-        return False
-
-    def _comparison(self):
-        left = self._additive()
-        self._skip_ws()
-        for op in _COMPARE_OPS:
-            if self._match(op):
-                right = self._additive()
-                return ("cmp", op, left, right)
-        return left
-
-    def _additive(self):
-        node = self._term()
-        while True:
-            if self._match("+"):
-                node = ("add", node, self._term())
-            elif self._peek() == "-" and not self.text.startswith("->", self.pos):
-                self.pos += 1
-                node = ("sub", node, self._term())
-            else:
-                return node
-
-    def _term(self):
-        node = self._unary()
-        while True:
-            if self._match("*"):
-                node = ("mul", node, self._unary())
-            elif self._match("/"):
-                node = ("div", node, self._unary())
-            else:
-                return node
-
-    def _unary(self):
-        if self._match("-"):
-            return ("neg", self._unary())
-        return self._power()
-
-    def _power(self):
-        base = self._atom()
-        if self._match("^"):
-            return ("pow", base, self._unary())
-        return base
-
-    def _atom(self):
-        self._skip_ws()
-        if self._match("("):
-            node = self._comparison()
-            if not self._match(")"):
-                raise ValueError("unbalanced parenthesis")
-            return node
-        ch = self._peek()
-        if ch == "n":
-            self.pos += 1
-            return ("var",)
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE"
-            or (self.text[self.pos] in "+-" and self.pos > start
-                and self.text[self.pos - 1] in "eE")
-        ):
-            self.pos += 1
-        if self.pos == start:
-            raise ValueError(f"unexpected character at column {start}: {self.text!r}")
-        return ("num", float(self.text[start:self.pos]))
-
-
-_BINARY_OPS = {
-    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.true_divide,
-    "pow": np.float_power,
-}
-
-
-def _expr_eval(node, n: np.ndarray):
-    kind = node[0]
-    if kind == "num":
-        return node[1]
-    if kind == "var":
-        return n
-    if kind == "neg":
-        return np.negative(_expr_eval(node[1], n))
-    if kind == "cmp":
-        return _COMPARE_OPS[node[1]](_expr_eval(node[2], n), _expr_eval(node[3], n)) * 1.0
-    return _BINARY_OPS[kind](_expr_eval(node[1], n), _expr_eval(node[2], n))
+def _value(node, n: np.ndarray):
+    if isinstance(node, ast.BinOp):
+        return _OPS[type(node.op)](_value(node.left, n), _value(node.right, n))
+    if isinstance(node, ast.UnaryOp):
+        return np.negative(_value(node.operand, n))
+    if isinstance(node, ast.Compare):
+        return _OPS[type(node.ops[0])](_value(node.left, n), _value(node.comparators[0], n)) * 1.0
+    return n if isinstance(node, ast.Name) else node.value
 
 
 def compile_rate_expr(text: str):
-    """Compile a rate expression to an array closed form, validating the grammar.
+    """Compile a rate expression (grammar in the README) to an array closed form.
 
-    The callable takes an index or an array of indices and evaluates with
-    numpy semantics: division by zero gives inf or nan, a negative base to a
-    fractional power nan, and comparisons 1.0 or 0.0.
-    """
-    tree = _ExprParser(text).parse()
-    return lambda n: _expr_eval(tree, np.asarray(n, dtype=float))
+    Comparisons give 1.0 or 0.0; other operations follow numpy (1/0 is inf)."""
+    text = " ".join(text.split())
+    invalid = ValueError(f"not a rate expression: {text!r}")
+    if not set(text) <= _ALPHABET or "**" in text:
+        raise invalid
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise invalid from None
+    except (MemoryError, RecursionError):  # the parser's report of nesting past its stack
+        raise ValueError("rate expression nested too deeply") from None
+    for node in ast.walk(tree):
+        if (not isinstance(node, (*_NODES, *_OPS)) or isinstance(node, ast.Name) and node.id != "n"
+                or isinstance(node, ast.Constant) and type(node.value) not in (int, float)
+                or isinstance(node, ast.Compare) and len(node.ops) != 1):
+            raise invalid
+        if isinstance(node, ast.Constant):  # through str, an int past the float range is inf
+            node.value = float(str(node.value))
+
+    def rate(n):
+        try:
+            return _value(tree.body, np.asarray(n, dtype=float))
+        except RecursionError:
+            raise ValueError("rate expression nested too deeply") from None
+
+    return rate
 
 
 # ---------------------------------------------------------------- rate builder

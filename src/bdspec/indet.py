@@ -258,7 +258,6 @@ def nevanlinna_batch(
     rates: BirthDeathRates,
     xs,
     tol: Tolerance | None = None,
-    nmax: int = 16384,
 ) -> list[NevanlinnaValue]:
     """Vectorized :func:`nevanlinna_eval` over a batch of points.
 
@@ -266,7 +265,7 @@ def nevanlinna_batch(
     where its own extrapolation has settled, so ``terms_used`` is per point
     and ``nevanlinna_batch(rates, xs)[i]`` equals ``nevanlinna_eval(rates,
     xs[i])``. Raises :class:`ConvergenceError` when any point has not settled
-    by ``nmax`` terms.
+    by 16384 terms.
     """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
@@ -277,11 +276,11 @@ def nevanlinna_batch(
     ] * xs.size
     if nonzero.size:
         sub = xs[nonzero]
-        sums, terms, achieved, converged = _nevanlinna_sums(rates, sub, tol, nmax=nmax)
+        sums, terms, achieved, converged = _nevanlinna_sums(rates, sub, tol)
         if not converged.all():
             raise ConvergenceError(
                 f"Nevanlinna series did not stabilize (achieved "
-                f"{achieved[~converged].max():.2e}); raise nmax or loosen the tolerance"
+                f"{achieved[~converged].max():.2e}); loosen the tolerance"
             )
         vals, _ = _assemble(sums, sub)
         for j, i in enumerate(nonzero):

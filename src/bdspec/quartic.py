@@ -144,32 +144,18 @@ def border_measure(spec: QuarticSpec, mode: str, nmax: int) -> DiscreteMeasure:
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     K = spec.qperiod
     pref = 4.0 * math.pi / K**2
-    support: list[float] = []
-    mass: list[float] = []
-    k0_masses: list[float] = []
-    if mode == "friedrichs":
-        for n in range(nmax + 1):
-            a = (2 * n + 1) * math.pi
-            m = pref * a * _inv_sinh(a)
-            if m <= 0.0:
-                break
-            support.append((a / K) ** 4)
-            mass.append(m)
-            k0_masses.append(2.0 * m)
-        tail_arg = (2 * len(support) + 1) * math.pi
-    else:
-        support.append(0.0)
-        mass.append(math.pi / K**2)
-        k0_masses.append(2.0 * math.pi / K**2)
-        for n in range(1, nmax + 1):
-            a = 2 * n * math.pi
-            m = pref * a * _inv_sinh(a)
-            if m <= 0.0:
-                break
-            support.append((a / K) ** 4)
-            mass.append(m)
-            k0_masses.append(2.0 * m)
-        tail_arg = 2 * len(support) * math.pi
+    # Lattice points a = (2n + 1) pi for Friedrichs, a = 2n pi (n >= 1) for
+    # Krein after its atom at 0.
+    odd = 1 if mode == "friedrichs" else 0
+    support, mass = ([], []) if odd else ([0.0], [math.pi / K**2])
+    for n in range(1 - odd, nmax + 1):
+        a = (2 * n + odd) * math.pi
+        m = pref * a * _inv_sinh(a)
+        if m <= 0.0:
+            break
+        support.append((a / K) ** 4)
+        mass.append(m)
+    tail_arg = (2 * len(support) + odd) * math.pi
     tail = pref * tail_arg * 2.0 * math.exp(-tail_arg)
     return DiscreteMeasure(
         support=np.asarray(support),
@@ -177,7 +163,7 @@ def border_measure(spec: QuarticSpec, mode: str, nmax: int) -> DiscreteMeasure:
         normalized=bool(tail < 1e-10),
         meta={
             "kind": f"border-{mode}",
-            "k0_convention_mass": k0_masses,
+            "k0_convention_mass": [2.0 * m for m in mass],
             "k0_convention_support": [16.0 * s for s in support],
             "tail_bound": tail,
         },

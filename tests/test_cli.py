@@ -13,7 +13,7 @@ from bdspec import (
     make_context,
     measure_stieltjes,
 )
-from bdspec.cli import _COMPARE_OPS, compile_rate_expr, main
+from bdspec.cli import compile_rate_expr, main
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +41,40 @@ class TestExpressions:
             compile_rate_expr("n +")
         with pytest.raises(ValueError):
             compile_rate_expr("import os")
+
+
+_N = np.arange(6.0)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("-2^2", -4.0),
+    ("2^-1", 0.5),
+    ("2^3^2", 512.0),
+    ("1*(n>0)", (_N > 0) * 1.0),
+    ("n>=1", (_N >= 1) * 1.0),
+    ("(n+1)^2/(2*(n+2))", (_N + 1) ** 2 / (2 * (_N + 2))),
+    ("n**2", None),
+    ("+n", None),
+    ("1<n<3", None),
+    ("n//2", None),
+    ("n<<1", None),
+    ("0x10", None),
+    ("1_000", None),
+    ("1j", None),
+    ("n.e", None),
+    ("n(1)", None),
+    ("import os", None),
+])
+def test_expression_grammar(text, expected):
+    # The language of rate expressions: values where it accepts, ValueError
+    # (exit 2 on the command line) where it does not.
+    if expected is None:
+        with pytest.raises(ValueError):
+            compile_rate_expr(text)(_N)
+    else:
+        np.testing.assert_array_equal(
+            np.broadcast_to(compile_rate_expr(text)(_N), _N.shape), expected
+        )
 
 
 class TestClassifyCommand:
@@ -80,12 +114,24 @@ class TestClassifyCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("lam", [
+        "+".join(["n"] * 1500),  # parses, but is too deep to evaluate
+        "(" * 400 + "n" + ")" * 400,
+        "-" * 3000 + "n",
+    ], ids=["long-sum", "nested-parentheses", "unary-chain"])
+    def test_deep_expressions_exit_2(self, capsys, lam):
+        code, out, err = run_cli(capsys, "classify", f"--lambda={lam}", "--mu", "n")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 _LITERALS = ["0", "1", "2", "0.5", "3", "1e-300", "1e300", "1e400"]
 _EXPRESSIONS = st.recursive(
     st.sampled_from(["n"] + _LITERALS),
     lambda inner: st.one_of(
-        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", *_COMPARE_OPS]), inner)
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "^", ">=", "<=", "==", ">", "<"]),
+                  inner)
         .map(lambda t: f"({t[0]}{t[1]}{t[2]})"),
         inner.map(lambda e: f"-{e}"),
     ),

@@ -136,3 +136,46 @@ def test_public_names_have_callers():
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
     sources = [p.read_text(encoding="utf-8") for p in MODULES + bench]
     assert set(uncalled(names, sources)) == TEST_ONLY_SURFACE
+
+
+DYNAMIC_CODE = {"eval", "exec", "compile", "__import__"}
+
+
+def dynamic_code_uses(source: str) -> list[str]:
+    """Reads of the builtins that run or import code chosen at run time,
+    bare or through ``builtins``, as ``name (line N)``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "builtins"):
+            name = node.attr
+        else:
+            continue
+        if name in DYNAMIC_CODE:
+            found.append(f"{name} (line {node.lineno})")
+    return found
+
+
+def test_detects_dynamic_code():
+    src = (
+        "import builtins, re\n"
+        "eval('1')\n"
+        "run = exec\n"
+        "builtins.compile('1', '', 'eval')\n"
+        "re.compile('x')\n"
+        "m = __import__('os')\n"
+        "def f(node):\n    return node.eval\n"
+    )
+    assert set(dynamic_code_uses(src)) == {
+        "eval (line 2)", "exec (line 3)", "compile (line 4)", "__import__ (line 6)"
+    }
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_dynamic_code(path):
+    # Rate expressions from the command line are evaluated by walking a
+    # whitelisted syntax tree; nothing in the library may hand text to the
+    # interpreter.
+    assert dynamic_code_uses(path.read_text(encoding="utf-8")) == []
