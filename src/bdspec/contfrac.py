@@ -113,11 +113,13 @@ def j_fraction(jacobi: JacobiCoeffs, depth: int, x: complex) -> complex:
     if depth > jacobi.a.size:
         raise ValueError("depth exceeds available Jacobi coefficients")
     x = complex(x)
-    r = x - jacobi.a[depth - 1]
+    a = jacobi.a[:depth].tolist()
+    b2 = (jacobi.b[: depth - 1] ** 2).tolist()
+    r = x - a[depth - 1]
     for j in range(depth - 2, -1, -1):
         if r == 0:
             raise PoleError("division by vanishing partial denominator", level=j + 1)
-        r = x - jacobi.a[j] - jacobi.b[j] ** 2 / r
+        r = x - a[j] - b2[j] / r
     if r == 0:
         raise PoleError("fraction value has a pole", level=0)
     return 1.0 / r
@@ -136,16 +138,13 @@ def s_fraction(rates: BirthDeathRates, depth: int, x: complex) -> complex:
     if depth < 1:
         raise ValueError("depth must be positive")
     x = complex(x)
-    npairs = depth // 2 + 1
-    lam, mu = rates.tabulate(npairs + 1)
-    coeffs = []
-    m = 0
-    while len(coeffs) < depth:
-        coeffs.append(lam[m])
-        coeffs.append(mu[m + 1])
-        m += 1
+    npairs = (depth + 1) // 2
+    lam, mu = rates.tabulate(npairs)
+    coeffs = np.empty(2 * npairs)
+    coeffs[0::2] = lam[:npairs]
+    coeffs[1::2] = mu[1:]
     t = x
-    for level, c in enumerate(reversed(coeffs[:depth])):
+    for level, c in enumerate(coeffs[depth - 1 :: -1].tolist()):
         if t == 0:
             raise PoleError("vanishing partial denominator", level=depth - level)
         t = x + c / t

@@ -5,7 +5,7 @@ measure, and the continuous-parameter c > 0 family whose transform is a
 ratio of two singular-weight quadratures. The double-precision iterates
 Q_n/P_n come from the segment solver of :mod:`bdspec.recurrence`, with each
 solution rescaled by exact powers of two; the extended-precision iterates
-from ``eval_pq_mp``.
+from its decimal kernel, the one ``eval_pq_mp`` reads.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from scipy.special import roots_jacobi
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
 from .numerics import ConvergedLimit, QuadratureError, Tolerance
-from .recurrence import BirthDeathRates, _coefficients, _qp_ratios, eval_pq_mp
+from .recurrence import BirthDeathRates, _coefficients, _extended_rows, _qp_ratios
 
 
 def markov_limit(
@@ -53,22 +53,29 @@ def markov_limit(
 def markov_iterates(
     rates: BirthDeathRates, x: complex, ns: list[int], dps: int | None = None
 ) -> list[complex]:
-    """Q_n/P_n at the requested indices, for convergence studies.
+    """Q_n/P_n at each index of ``ns``, in its order, for convergence studies.
 
     ``dps`` switches the recurrence to extended precision, where truncation
-    errors far below double rounding remain resolvable; the returned values
-    keep the extended type in that case.
+    errors far below double rounding remain resolvable: it is stepped in
+    stdlib ``decimal`` arithmetic at dps + 2 digits, and the values come back
+    as mpmath numbers at ``dps`` digits. Raises ValueError for an empty
+    ``ns``, an index below 1 or ``dps`` below 1.
     """
-    ns = sorted(set(ns))
-    if ns[0] < 1:
+    if len(ns) == 0:
+        raise ValueError("ns must not be empty")
+    ks = sorted(set(ns))
+    if ks[0] < 1:
         raise ValueError("indices must be >= 1")
-    if dps is not None:
+    if dps is None:
+        vals = [complex(r) for r in _qp_ratios(_coefficients(rates, ks[-1] + 1), x, ks)]
+    else:
         import mpmath as mp
 
-        table = eval_pq_mp(rates, max(ns), x, dps)
+        rows = _extended_rows(rates, x, ks, dps)
         with mp.workdps(dps):
-            return [table[n][1] / table[n][0] for n in ns]
-    return [complex(r) for r in _qp_ratios(_coefficients(rates, ns[-1] + 1), x, ns)]
+            vals = [mp.mpc(*map(str, q)) / mp.mpc(*map(str, p)) for p, q in rows]
+    by_index = dict(zip(ks, vals))
+    return [by_index[n] for n in ns]
 
 
 def dn_spectral_measure(ctx: EllipticContext, nmax: int) -> DiscreteMeasure:

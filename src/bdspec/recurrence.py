@@ -10,9 +10,11 @@ the partial sums 1/alpha_n are read from the log columns, so determinate
 families neither underflow nor overflow there. ``eval_f`` (F_n = (-1)^n
 sqrt(pi_n) P_n, its order-one associated family and the dual systems) reads
 the same kernel rows and log column, and the border limits run the solver
-on its Stieltjes band. ``eval_pq_mp`` alone steps its recurrence index by
-index, in mpmath; it is the independent reference the kernel is checked
-against.
+on its Stieltjes band. The extended-precision iterates (``eval_pq_mp`` and
+``markov_iterates(..., dps=...)``) alone step the recurrence index by index:
+in stdlib ``decimal`` arithmetic at dps + 2 digits, on a per-rates decimal
+table of a_k, b_k and 1/b_k, with the results returned as mpmath numbers.
+``eval_pq_mp`` is the independent reference the kernel is checked against.
 """
 from __future__ import annotations
 
@@ -248,7 +250,8 @@ class _Coefficients(_Band):
 
 
 # Per-rates memo, weakly keyed by the rates object: the coefficient table
-# ("table") and the Stieltjes band ("stieltjes"), rebuilt larger on demand,
+# ("table") and the Stieltjes band ("stieltjes"), rebuilt larger on demand;
+# the decimal table of each precision (("extended", dps)), grown in place;
 # and the determinacy verdict and alpha (keyed by its tolerance) of the
 # indeterminate half.
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -511,27 +514,101 @@ def pi_alpha(rates: BirthDeathRates, n: int) -> tuple[PolySequence, PolySequence
     )
 
 
-def eval_pq_mp(rates: BirthDeathRates, n: int, x, dps: int):
-    """P_k, Q_k iterates at ``x`` in mpmath arithmetic; returns (P_n, Q_n) pairs.
+def _extended_table(rates: BirthDeathRates, size: int, dps: int) -> tuple:
+    """The decimal table of ``rates`` at dps + 2 digits with at least ``size``
+    rows: its context and the lists a_k = lambda_k + mu_k, b_k =
+    sqrt(lambda_k mu_(k+1)) and 1/b_k, grown in place on demand."""
+    import decimal
 
-    Backs ``markov_iterates(..., dps=...)``, where truncation errors far below
-    double rounding must stay resolvable. Returns a dict {k: (P_k, Q_k)} of
-    true values (mpmath has no exponent limit, so nothing is rescaled) for
-    every k in 1..n.
+    memo = _memo(rates)
+    tab = memo.get(("extended", dps))
+    if tab is None:
+        ctx = decimal.Context(prec=dps + 2, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+        tab = memo[("extended", dps)] = (ctx, [], [], [])
+    ctx, a, b, inv_b = tab
+    if len(a) < size:
+        lam, mu = (list(map(decimal.Decimal, v.tolist())) for v in rates.tabulate(size))
+        with decimal.localcontext(ctx):
+            for k in range(len(a), size):
+                a.append(lam[k] + mu[k])
+                b.append((lam[k] * mu[k + 1]).sqrt())
+                inv_b.append(1 / b[k])
+    return tab
+
+
+def _decimal_parts(x) -> tuple:
+    """Re x and Im x as exact Decimals: a Python or numpy number through its
+    float parts, an mpmath number (``_mpf_`` or ``_mpc_``) from the sign,
+    mantissa and exponent of each part."""
+    import decimal
+
+    raw = getattr(x, "_mpc_", None)
+    if raw is None and hasattr(x, "_mpf_"):
+        raw = (x._mpf_, (0, 0, 0, 0))
+    if raw is None:
+        z = complex(x)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise ValueError("x must be finite")
+        return decimal.Decimal(z.real), decimal.Decimal(z.imag)
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    parts = []
+    for sign, man, exp, _ in raw:
+        if not man and exp:  # mpmath's inf and nan
+            raise ValueError("x must be finite")
+        man = -man if sign else man
+        # man 2^exp = man 5^-exp 10^exp, exact at unbounded precision
+        parts.append(decimal.Decimal(man << exp) if exp >= 0
+                     else exact.scaleb(decimal.Decimal(man * 5**-exp), exp))
+    return tuple(parts)
+
+
+def _extended_rows(rates: BirthDeathRates, x, ks, dps: int) -> list:
+    """(P_k, Q_k) at the ascending indices ``ks`` (k >= 1), stepped as (re, im)
+    pairs of ``decimal.Decimal`` at dps + 2 digits on the table of
+    :func:`_extended_table`: one ((Re P_k, Im P_k), (Re Q_k, Im Q_k)) per
+    index, true values (the exponent range is unbounded, so nothing is
+    rescaled)."""
+    if dps < 1:
+        raise ValueError("dps must be at least 1")
+    import decimal
+
+    ctx, a, b, inv_b = _extended_table(rates, ks[-1], dps)
+    xr, xi = _decimal_parts(x)
+    want = iter(ks)
+    k_out = next(want)
+    out = []
+    with decimal.localcontext(ctx):
+        zero, s = decimal.Decimal(0), inv_b[0]
+        pr0, pi0, qr0, qi0 = decimal.Decimal(1), zero, zero, zero
+        pr, pi, qr, qi = (xr - a[0]) * s, xi * s, s, zero
+        for k in range(1, ks[-1] + 1):
+            if k == k_out:
+                out.append(((pr, pi), (qr, qi)))
+                k_out = next(want, None)
+                if k_out is None:
+                    break
+            t, c, s = xr - a[k], b[k - 1], inv_b[k]
+            pr, pi, pr0, pi0 = ((t * pr - xi * pi - c * pr0) * s,
+                                (t * pi + xi * pr - c * pi0) * s, pr, pi)
+            qr, qi, qr0, qi0 = ((t * qr - xi * qi - c * qr0) * s,
+                                (t * qi + xi * qr - c * qi0) * s, qr, qi)
+    return out
+
+
+def eval_pq_mp(rates: BirthDeathRates, n: int, x, dps: int):
+    """P_k, Q_k iterates at ``x`` in ``dps``-digit arithmetic; returns (P_n, Q_n) pairs.
+
+    Backs convergence studies, where truncation errors far below double
+    rounding must stay resolvable, and is the independent reference the
+    double kernel is checked against. The recurrence is stepped in stdlib
+    ``decimal`` arithmetic at dps + 2 digits; returns a dict {k: (P_k, Q_k)}
+    of mpmath numbers at ``dps`` digits holding true values (no exponent
+    limit, so nothing is rescaled) for every k in 1..n.
     """
     import mpmath as mp
 
-    out = {}
+    if n < 1:
+        raise ValueError("n must be positive")
+    rows = _extended_rows(rates, x, range(1, n + 1), dps)
     with mp.workdps(dps):
-        xm = mp.mpmathify(x)
-        lam, mu = rates.tabulate(n + 2)
-        a = [mp.mpf(l) + mp.mpf(m) for l, m in zip(lam, mu)]
-        b = [mp.sqrt(mp.mpf(lam[k]) * mp.mpf(mu[k + 1])) for k in range(n + 1)]
-        p0, p1 = mp.mpf(1), (xm - a[0]) / b[0]
-        q0, q1 = mp.mpf(0), 1 / b[0]
-        out[1] = (p1, q1)
-        for k in range(1, n):
-            p0, p1 = p1, ((xm - a[k]) * p1 - b[k - 1] * p0) / b[k]
-            q0, q1 = q1, ((xm - a[k]) * q1 - b[k - 1] * q0) / b[k]
-            out[k + 1] = (p1, q1)
-    return out
+        return {k: tuple(mp.mpc(*map(str, y)) for y in row) for k, row in enumerate(rows, 1)}

@@ -77,6 +77,37 @@ class TestMarkovLimit:
         assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
+@pytest.mark.parametrize("dps", [None, 30], ids=["double", "dps30"])
+class TestMarkovIteratesIndices:
+    def test_one_value_per_index_in_order(self, dn_half, dps):
+        r50, r200 = markov_iterates(dn_half, 1j, [50, 200], dps=dps)
+        assert r50 != r200
+        assert markov_iterates(dn_half, 1j, [200, 50], dps=dps) == [r200, r50]
+        assert markov_iterates(dn_half, 1j, [50, 50], dps=dps) == [r50, r50]
+        assert markov_iterates(dn_half, 1j, [200, 50, 200], dps=dps) == [r200, r50, r200]
+
+    @pytest.mark.parametrize("ns", [[], [0], [5, -1]], ids=["empty", "zero", "negative"])
+    def test_rejects_bad_indices(self, dn_half, dps, ns):
+        with pytest.raises(ValueError):
+            markov_iterates(dn_half, 1j, ns, dps=dps)
+
+
+@pytest.mark.parametrize("dps", [0, -3])
+def test_extended_precision_rejects_dps_below_one(dn_half, dps):
+    with pytest.raises(ValueError):
+        markov_iterates(dn_half, 1j, [5], dps=dps)
+    with pytest.raises(ValueError):
+        eval_pq_mp(dn_half, 5, 1j, dps)
+
+
+def test_eval_pq_mp_rejects_bad_input(dn_half):
+    with pytest.raises(ValueError):
+        eval_pq_mp(dn_half, 0, 1j, 30)
+    for x in (complex(math.inf, 1), complex(1, math.nan), mp.mpc(mp.inf, 1), mp.mpf(mp.nan)):
+        with pytest.raises(ValueError):
+            eval_pq_mp(dn_half, 5, x, 30)
+
+
 @pytest.mark.parametrize("family", [stieltjes_dn_rates, stieltjes_cn_rates], ids=["dn", "cn"])
 @pytest.mark.parametrize("k2", [0.1, 0.5, 0.9])
 def test_markov_limit_stops_at_first_index_meeting_rule(family, k2):

@@ -52,8 +52,8 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def mpmath_importers(source: str) -> list[str]:
-    """Where mpmath is imported: the enclosing function's name, or
+def importers(source: str, module: str) -> list[str]:
+    """Where ``module`` is imported: the enclosing function's name, or
     ``<module>`` for an import outside any function."""
     found = []
 
@@ -68,7 +68,7 @@ def mpmath_importers(source: str) -> list[str]:
                 names = [child.module or ""]
             else:
                 names = []
-            if any(name.split(".")[0] == "mpmath" for name in names):
+            if any(name.split(".")[0] == module for name in names):
                 found.append(owner)
             visit(child, owner)
 
@@ -84,23 +84,41 @@ def test_detects_mpmath_imports():
         "def h():\n    def inner():\n        import mpmath.libmp\n"
         "def k():\n    import math\n"
     )
-    assert mpmath_importers(src) == ["<module>", "f", "g", "inner"]
+    assert importers(src, "mpmath") == ["<module>", "f", "g", "inner"]
 
 
 def test_mpmath_only_in_extended_precision_paths():
     found = {
         f"{path.name}:{owner}"
         for path in SRC.glob("*.py")
-        for owner in mpmath_importers(path.read_text(encoding="utf-8"))
+        for owner in importers(path.read_text(encoding="utf-8"), "mpmath")
         if owner not in MPMATH_USERS
     }
     assert found == set()
 
 
-def test_import_leaves_mpmath_unloaded():
-    # The static check above finds mpmath imports; this one runs the import.
+def test_detects_module_level_decimal_imports():
+    src = (
+        "import decimal\n"
+        "from decimal import Decimal\n"
+        "def f():\n    import decimal\n"
+        "if True:\n    import decimal.x as d\n"
+        "import decimalx\n"
+    )
+    assert importers(src, "decimal") == ["<module>", "<module>", "f", "<module>"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_decimal_import(path):
+    # decimal loads at the first extended-precision call, not at import.
+    assert "<module>" not in importers(path.read_text(encoding="utf-8"), "decimal")
+
+
+def loaded_after(statement: str, modules: list[str]) -> list[str]:
+    """The ``modules`` in ``sys.modules`` after running ``statement`` in a
+    fresh interpreter that imports bdspec from ``src/``."""
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
-    code = "import sys, bdspec; print('mpmath' in sys.modules)"
+    code = f"import sys; {statement}; print(' '.join(m for m in {modules!r} if m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -108,7 +126,16 @@ def test_import_leaves_mpmath_unloaded():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    return out.stdout.split()
+
+
+def test_import_leaves_mpmath_unloaded():
+    # The static check above finds mpmath imports; this one runs the import.
+    assert loaded_after("import bdspec", ["mpmath"]) == []
+
+
+def test_cli_import_leaves_decimal_and_mpmath_unloaded():
+    assert loaded_after("import bdspec.cli", ["decimal", "mpmath"]) == []
 
 
 def uncalled(names, sources) -> list[str]:

@@ -16,13 +16,14 @@ from bdspec import (
     gauss_measure,
     generalized_c_rates,
     jacobi_from_rates,
+    markov_iterates,
     pi_alpha,
     pi_sequence,
     quartic_rates,
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
-from bdspec.recurrence import eval_pq_mp
+from bdspec.recurrence import _memo, eval_pq_mp
 from conftest import f_recurrence_mp
 
 
@@ -260,7 +261,7 @@ class TestEvalPQ:
     def test_casorati_identity_extended(self, family, dn_half, quartic0, rng):
         import mpmath as mp
 
-        from bdspec.recurrence import eval_pq_mp
+        from bdspec.recurrence import _memo, eval_pq_mp
 
         rates = dn_half if family == "dn" else quartic0
         n = 50
@@ -347,6 +348,94 @@ def test_eval_pq_matches_mp_reference(family, param, n, log10_abs, quadrant, ang
             ref = complex(table[k][j])
             assert abs(seq.value(k) - ref) <= 1e-10 * max(abs(ref), prev)
             prev = abs(ref)
+
+
+
+def _pq_recurrence_mp(rates, n, x, dps):
+    """P_0..P_n and Q_0..Q_n at ``x`` from b_k y_(k+1) = (x - a_k) y_k -
+    b_(k-1) y_(k-1), P_0 = 1, Q_0 = 0, Q_1 = 1/b_0, stepped in ``dps``-digit
+    mpmath arithmetic: the reference for the decimal kernel."""
+    lam, mu = (v.tolist() for v in rates.tabulate(n + 1))
+    with mp.workdps(dps):
+        xm = mp.mpmathify(x)
+        p, q, b_prev = [mp.mpf(1)], [mp.mpf(0)], mp.mpf(0)
+        for k in range(n):
+            b = mp.sqrt(mp.mpf(lam[k]) * mu[k + 1])
+            t = xm - lam[k] - mu[k]
+            p.append((t * p[k] - b_prev * (p[k - 1] if k else 0)) / b)
+            q.append((t * q[k] - b_prev * q[k - 1] if k else 1) / b)
+            b_prev = b
+        return p, q
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    family=st.sampled_from(["dn", "cn", "generalized-c", "quartic"]),
+    k2=st.floats(0.05, 0.95),
+    c=st.floats(0.0, 1.5),
+    n=st.integers(2, 200),
+    log10_abs=st.floats(-3.0, 5.0),
+    quadrant=st.integers(0, 3),
+    angle=st.floats(0.001, 0.999),
+    dps=st.sampled_from([20, 40, 100]),
+)
+def test_eval_pq_mp_matches_mpmath_recurrence(family, k2, c, n, log10_abs, quadrant, angle, dps):
+    # The decimal kernel (dps + 2 digits) against the mpmath recurrence at
+    # dps + 20, each error relative to the larger of |y_k| and |y_(k-1)|.
+    # Near x = 0 the forward recurrence amplifies rounding as it does in
+    # double precision (P_k(0) is the decaying solution of DN and
+    # generalized-c): over 1,200 random draws the worst error was
+    # 2.2e3 * 10^-dps (generalized-c, dps 20, |x| = 1.2e-3), where mpmath
+    # at dps digits gave 6.9e3 * 10^-dps, so the bound is 10^(4 - dps).
+    rates = {
+        "dn": lambda: stieltjes_dn_rates(k2),
+        "cn": lambda: stieltjes_cn_rates(k2),
+        "generalized-c": lambda: generalized_c_rates(k2, c),
+        "quartic": lambda: quartic_rates(c, 0.0),
+    }[family]()
+    x = 10.0**log10_abs * cmath.exp(1j * (quadrant + angle) * math.pi / 2)
+    table = eval_pq_mp(rates, n, x, dps)
+    refs = _pq_recurrence_mp(rates, n, x, dps + 20)
+    with mp.workdps(dps + 20):
+        bound = mp.mpf(10) ** (4 - dps)
+        for j, ref in enumerate(refs):
+            for k in range(1, n + 1):
+                assert abs(table[k][j] - ref[k]) <= bound * max(abs(ref[k]), abs(ref[k - 1]))
+
+
+def test_markov_iterates_extended_at_bench_point():
+    # The benchmark's 40-digit call, against the 80-digit recurrence: two
+    # guard digits give 1.2e-40, none would give 1.3e-38.
+    rates, x = stieltjes_dn_rates(0.8174), 1.051 + 1.824j
+    p, q = _pq_recurrence_mp(rates, 200, x, 80)
+    with mp.workdps(80):
+        for k, r in zip((50, 200), markov_iterates(rates, x, [50, 200], dps=40)):
+            assert abs(r - q[k] / p[k]) <= mp.mpf("1e-38") * abs(q[k] / p[k])
+
+
+def test_extended_table_kept_per_precision():
+    # One decimal table per (rates, dps): a second call at the same dps
+    # tabulates nothing, another dps gets its own table, and a longer call
+    # grows the table in place with the entries a fresh table has.
+    rates = stieltjes_dn_rates(0.3)
+    sizes = []
+    tabulate = rates.tabulate
+    rates.tabulate = lambda n: sizes.append(n) or tabulate(n)
+    first = eval_pq_mp(rates, 80, 0.5 + 1j, 40)
+    tab = _memo(rates)[("extended", 40)]
+    assert eval_pq_mp(rates, 80, 0.5 + 1j, 40) == first
+    assert eval_pq_mp(rates, 60, -2.0 + 0.1j, 40)[60] != first[60]
+    assert len(sizes) == 1 and _memo(rates)[("extended", 40)] is tab
+    eval_pq_mp(rates, 80, 0.5 + 1j, 20)
+    other = _memo(rates)[("extended", 20)]
+    assert len(sizes) == 2 and other is not tab
+    assert (other[0].prec, tab[0].prec) == (22, 42)
+    assert all(len(col) == 80 for col in tab[1:] + other[1:])
+    eval_pq_mp(rates, 200, 0.5 + 1j, 40)
+    assert len(sizes) == 3 and _memo(rates)[("extended", 40)] is tab
+    fresh = stieltjes_dn_rates(0.3)
+    eval_pq_mp(fresh, 200, 0.5 + 1j, 40)
+    assert _memo(fresh)[("extended", 40)][1:] == tab[1:]
 
 
 class TestEvalF:
