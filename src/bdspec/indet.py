@@ -169,19 +169,28 @@ def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
         )
 
 
+def _require_finite(values, what: str) -> None:
+    bad = np.asarray(values)[~np.isfinite(values)]
+    if bad.size:
+        raise ValueError(f"{what} must be finite, got {bad[0]}")
+
+
 def _nevanlinna_sums(
     rates: BirthDeathRates,
     xs: np.ndarray,
     tol: Tolerance,
     derivs: bool = False,
-    n0: int = 512,
+    n0: int = 128,
     nmax: int = 16384,
 ):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
     The recurrence advances by one :func:`_advance` per checkpoint segment and
-    chunk of points. Each point stops at the first checkpoint where its own
-    extrapolation has settled, so its result does not depend on the batch.
+    chunk of points, over the checkpoints n0, 2 n0, ... up to ``nmax``. Each
+    point stops at the first checkpoint where its own extrapolation has
+    settled, so its result does not depend on the batch. A point needs four
+    checkpoints before it can settle, so n0 sets the fewest terms it can
+    use; from 128 most points of the plane settle at 2048 or 4096 terms.
     Returns (sums, terms_used, achieved increment, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
     (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
@@ -265,11 +274,12 @@ def nevanlinna_batch(
     where its own extrapolation has settled, so ``terms_used`` is per point
     and ``nevanlinna_batch(rates, xs)[i]`` equals ``nevanlinna_eval(rates,
     xs[i])``. Raises :class:`ConvergenceError` when any point has not settled
-    by 16384 terms.
+    by 16384 terms, and :class:`ValueError` for a non-finite point.
     """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
+    _require_finite(xs, "Nevanlinna points")
     nonzero = np.flatnonzero(xs)
     out = [
         NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)
@@ -395,6 +405,7 @@ def markov_like_limit(
     diagnostics report the extrapolation increment.
     """
     x = complex(x)
+    _require_finite(x, "x")
     if x.imag == 0:
         raise ValueError("markov_like_limit requires Im x != 0")
     if rates.mu0 != 0:
@@ -422,6 +433,7 @@ def modified_entries_dual(
     not settled. The strongest cross-check of the direct Nevanlinna summation.
     """
     _require_indet(rates)
+    _require_finite(complex(x), "x")
     if rates.mu0 != 0:
         raise ValueError("dual-series entries require mu_0 = 0")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
@@ -438,16 +450,17 @@ def modified_entries_dual(
 
 def _default_grid(rates: BirthDeathRates, window: tuple[float, float]) -> np.ndarray:
     lo, hi = window
-    if rates.family == "Quartic" and lo >= 0:
+    if rates.family == "Quartic":
         # Spectral points sit near ((j pi)/Kbar)^4 with Kbar the lemniscatic
-        # half period scale, so scan uniformly in s^(1/4) at a fifth of the
-        # expected spacing.
+        # half period scale, so scan uniformly in y = sign(s) |s|^(1/4) at a
+        # fifth of the expected spacing, on either side of 0.
         from .elliptic import lemniscate_K0
 
         step = (math.pi / (math.sqrt(2.0) * lemniscate_K0())) / 5.0
-        ylo, yhi = lo**0.25, hi**0.25
+        ylo, yhi = (math.copysign(abs(s) ** 0.25, s) for s in window)
         npts = max(8, int(math.ceil((yhi - ylo) / step)) + 1)
-        return np.linspace(ylo, yhi, npts) ** 4
+        ys = np.linspace(ylo, yhi, npts)
+        return np.copysign(ys**4, ys)
     return np.linspace(lo, hi, 513)
 
 
@@ -465,13 +478,15 @@ def nextremal_measure(
     by a scan plus safeguarded Newton refinement on the extrapolated series.
     Masses are 1/(B'(s) D(s) - B(s) D'(s)). The result is flagged
     ``normalized=False``: it is a window of an infinite discrete measure.
-    Raises :class:`ValueError` when the window holds no spectral point and
-    :class:`ConvergenceError` when the series behind the masses have not
-    settled to ``tol`` or a refined root gives a nonpositive mass.
+    Raises :class:`ValueError` when a window bound is not finite or the
+    window holds no spectral point, and :class:`ConvergenceError` when the
+    series behind the masses have not settled to ``tol`` or a refined root
+    gives a nonpositive mass.
     """
     _require_indet(rates)
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
     lo, hi = window
+    _require_finite(window, "window bounds")
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     if convention == "lambda":
@@ -491,6 +506,8 @@ def nextremal_measure(
     def g_batch(points: np.ndarray, derivs: bool, nmax: int, final: bool = False):
         # Only the final pass, which gives the masses, must converge; the scan,
         # bisection and Newton passes need signs and deliberately run short.
+        # Their checkpoints start at 256: from 128, the Newton and final
+        # passes on the real axis settle later, at 16387 terms, not 8195.
         sums, _, achieved, converged = _nevanlinna_sums(
             rates, points, tol, derivs=derivs, n0=256, nmax=nmax
         )

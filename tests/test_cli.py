@@ -221,6 +221,19 @@ class TestTransformCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("mode, x", [
+        ("krein", "nan,1"), ("friedrichs", "1,inf"), ("nevanlinna:0", "inf,0"),
+    ])
+    def test_nonfinite_x_exit_2(self, capsys, mode, x):
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--family", "quartic", "--c", "0", "--mu", "0",
+            f"--x={x}", "--mode", mode,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
+
 
 class TestSpectrumCommand:
     def test_dn_measure_json(self, capsys, tmp_path):
@@ -311,6 +324,19 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "window" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("window", ["0,inf", "-inf,10"])
+    def test_nextremal_nonfinite_window_exit_2(self, capsys, tmp_path, window):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", "--family", "quartic", "--c", "0", "--mu", "0",
+            "--mode", "nextremal:0", f"--window={window}", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "finite" in err
         assert not out_path.exists()
 
     def test_io_error_exit_4(self, capsys, tmp_path):

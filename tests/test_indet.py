@@ -100,6 +100,10 @@ class TestNevanlinna:
         with pytest.raises(ValueError):
             nevanlinna_eval(dn_half, 1.0)
 
+    def test_settles_from_early_checkpoints(self, quartic0):
+        # The checkpoints start at 128, so 3+4i can settle at 2048.
+        assert nevanlinna_eval(quartic0, 3 + 4j).terms_used <= 2051
+
     def test_truncation_det_identity_along_summation(self, quartic0):
         # A_n D_n - B_n C_n = 1 at every level of the partial sums
         x = 2.2 + 0.7j
@@ -416,6 +420,24 @@ class TestNextremalMeasure:
         with pytest.raises(ValueError):
             nextremal_measure(dn_half, 0.0, window=(0, 10))
 
+    def test_windows_below_zero_scan_the_lattice(self, quartic0):
+        # Uniform in sign(s) |s|^(1/4): 34 points, not 513 uniform in s.
+        assert indet._default_grid(quartic0, (-0.5, 11000)).size <= 40
+
+    @pytest.mark.parametrize("window", [(0.0, 3000.0), (0.5, 21000.0), (2.0, 50.0)])
+    def test_lattice_grid_for_nonnegative_windows(self, quartic0, window):
+        lo, hi = window
+        grid = indet._default_grid(quartic0, window)
+        assert np.array_equal(grid, np.linspace(lo**0.25, hi**0.25, grid.size) ** 4)
+
+    def test_negative_atom_on_the_lattice_scan(self, quartic0):
+        # Frozen from a 513-point scan uniform in s.
+        m = nextremal_measure(quartic0, 1.0, window=(-50, 3000))
+        expected = [-0.8992827189139767, 121.50338897702083, 2089.7141854634324]
+        assert m.support.size == 3
+        for got, ref in zip(m.support, expected):
+            assert got == pytest.approx(ref, rel=1e-10)
+
     def test_unconverged_masses_raise(self, quartic0):
         # 1e-15 is below what 16384 terms reach, so the pass that gives the
         # masses cannot settle.
@@ -434,6 +456,31 @@ class TestNextremalMeasure:
         monkeypatch.setattr(indet, "_assemble", flipped)
         with pytest.raises(ConvergenceError, match="nonpositive masses"):
             nextremal_measure(quartic0, 0.0, window=(-0.5, 200))
+
+
+NONFINITE_XS = [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(1.0, -math.inf)]
+
+
+@pytest.mark.parametrize("x", NONFINITE_XS)
+def test_nonfinite_points_raise_value_error(quartic0, x):
+    # Bad input, not a series that failed to settle (or a nan value).
+    with pytest.raises(ValueError, match="finite"):
+        nevanlinna_eval(quartic0, x)
+    with pytest.raises(ValueError, match="finite"):
+        nevanlinna_batch(quartic0, [1j, x])
+    for mode in ("friedrichs", "krein"):
+        with pytest.raises(ValueError, match="finite"):
+            markov_like_limit(quartic0, x, mode)
+    with pytest.raises(ValueError, match="finite"):
+        modified_entries_dual(quartic0, x)
+
+
+@pytest.mark.parametrize(
+    "window", [(0.0, math.inf), (-math.inf, 10.0), (math.nan, 10.0), (0.5, math.nan)]
+)
+def test_nonfinite_window_raises_value_error(quartic0, window):
+    with pytest.raises(ValueError, match="finite"):
+        nextremal_measure(quartic0, 0.0, window=window)
 
 
 def _stalls(x: complex) -> bool:
@@ -467,6 +514,45 @@ def test_nevanlinna_batch_matches_scalar(quartic0):
             assert nv.terms_used == single.terms_used
             for a, b in zip((nv.A, nv.B, nv.C, nv.D), (single.A, single.B, single.C, single.D)):
                 assert abs(a - b) <= 1e-13 * abs(b)
+
+
+# Log-polar points with |x| in [1, 1e5], two per quadrant at every half
+# decade, and points within 0.02 rad of both halves of the real axis; the
+# stall region is left out.
+PLANE_XS = [
+    x
+    for x in [
+        m * cmath.exp(1j * (q + f) * math.pi / 2)
+        for m in 10.0 ** np.arange(0.0, 5.5, 0.5)
+        for q in range(4)
+        for f in (0.3, 0.8)
+    ]
+    + [
+        m * cmath.exp(1j * t)
+        for m in (1.0, 30.0, 1e3, 3e4, 1e5)
+        for t in (0.01, -0.015, math.pi - 0.01, 0.02 - math.pi)
+    ]
+    if not _stalls(x)
+]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
+def test_nevanlinna_schedule_over_the_plane(c, qspec):
+    # One batch settles every point (it raises otherwise), the determinant
+    # identity holds, and at c = 0 both border transforms match their closed
+    # forms.
+    rates = quartic_rates(c, 0.0)
+    vals = nevanlinna_batch(rates, PLANE_XS)
+    for nv in vals:
+        ad = nv.A * nv.D
+        assert abs(ad - nv.B * nv.C - 1.0) <= 1e-12 * max(1.0, abs(ad))
+    if c == 0.0:
+        alpha = alpha_limit(rates)
+        for nv in vals:
+            kr = krein_transform(qspec, nv.x)
+            fr = friedrichs_transform(qspec, nv.x)
+            assert abs(nv.C / nv.D - kr) <= 1e-12 * abs(kr)
+            assert abs((nv.A * alpha - nv.C) / (nv.B * alpha - nv.D) - fr) <= 1e-12 * abs(fr)
 
 
 class TestSeriesKernel:
