@@ -234,6 +234,18 @@ class TestTransformCommand:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
+    # The CLI asks for 1e-10, which 1e8i still meets.
+    @pytest.mark.parametrize("x, says", [("0,1e9", "16384-term cap"), ("0,1e12", "double range")])
+    def test_series_failure_exit_5(self, capsys, x, says):
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--family", "quartic", "--c", "0", "--mu", "0",
+            f"--x={x}", "--mode", "nevanlinna:0",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and says in err
+
 
 class TestSpectrumCommand:
     def test_dn_measure_json(self, capsys, tmp_path):

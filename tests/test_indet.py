@@ -555,6 +555,78 @@ def test_nevanlinna_schedule_over_the_plane(c, qspec):
             assert abs((nv.A * alpha - nv.C) / (nv.B * alpha - nv.D) - fr) <= 1e-12 * abs(fr)
 
 
+# Low-discrepancy points of the wedge where `_stalls` puts the series'
+# rounding floor: |x| in [5e3, 1e5] within 6 degrees of the positive axis.
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+WEDGE_XS = [
+    5e3 * 20.0 ** ((i * _GOLDEN) % 1.0)
+    * cmath.exp(1j * math.radians(12.0 * ((i * math.sqrt(2.0)) % 1.0 - 0.5)))
+    for i in range(500)
+]
+
+
+def _combination_error(num_terms, den_terms, ref):
+    """|num - ref den| over the moduli of the terms of num and den: how far,
+    relatively and to first order, the entries behind num/den are from
+    giving ``ref``. Unlike the relative error of num/den it does not grow
+    where den cancels, next to an atom."""
+    num, den = sum(num_terms), sum(den_terms)
+    scale = sum(map(abs, num_terms)) + abs(ref) * sum(map(abs, den_terms))
+    return abs(num - ref * den) / scale
+
+
+@pytest.mark.parametrize("c", [0.0, 0.25, 0.5, 1.0])
+def test_stall_wedge_settles(c, qspec):
+    # One batch settles every point (it raises otherwise). Measured worst
+    # cases: |AD - BC - 1| 9.0e-12 of max(1, |AD|) (c = 1/2); at c = 0 the
+    # Krein entries 3.7e-13 from the closed form (which is itself good to
+    # about 2e-13) and the Friedrichs ones 9.8e-15. Relative to the
+    # transforms those are 7.3e-13 and 7.2e-12: next to a Friedrichs atom
+    # B alpha - D cancels.
+    rates = quartic_rates(c, 0.0)
+    vals = nevanlinna_batch(rates, WEDGE_XS)
+    for nv in vals:
+        ad = nv.A * nv.D
+        assert abs(ad - nv.B * nv.C - 1.0) <= 1e-11 * max(1.0, abs(ad))
+    if c == 0.0:
+        alpha = alpha_limit(rates)
+        for nv in vals:
+            kr = krein_transform(qspec, nv.x)
+            fr = friedrichs_transform(qspec, nv.x)
+            assert _combination_error([nv.C], [nv.D], kr) <= 1e-12
+            assert _combination_error([nv.A * alpha, -nv.C], [nv.B * alpha, -nv.D], fr) <= 5e-14
+
+
+@pytest.mark.parametrize("x", [2.5e6j, 1e7])
+def test_reach_in_modulus(quartic0, qspec, x):
+    # Checkpoints every half octave settle these at 2899 and 4099 terms;
+    # every octave, they did not settle within the 16384-term cap.
+    nv = nevanlinna_eval(quartic0, x)
+    kr = krein_transform(qspec, x)
+    assert abs(nv.C / nv.D - kr) <= 1e-11 * abs(kr)
+
+
+def test_former_stall_point_settles():
+    nv = nevanlinna_eval(quartic_rates(0.25, 0.0), 1e5 + 1e3j)
+    ad = nv.A * nv.D
+    assert abs(ad - nv.B * nv.C - 1.0) <= 1e-10 * max(1.0, abs(ad))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [1e10j, 1e12j, 1e20 + 1j])
+def test_series_beyond_double_range_says_so(quartic0, x):
+    # The family is indeterminate; the error says so, and numpy never gets to
+    # warn about the rows.
+    with pytest.raises(ConvergenceError, match="double range"):
+        nevanlinna_eval(quartic0, x)
+
+
+def test_unsettled_series_names_the_cap(quartic0):
+    # At 1e8i more terms would help; a looser tolerance would not.
+    with pytest.raises(ConvergenceError, match="16384-term cap"):
+        nevanlinna_eval(quartic0, 1e8j)
+
+
 class TestSeriesKernel:
     def test_coefficient_table(self, quartic0):
         # pi_k, 1/alpha_k, P_k(0) and Q_k(0) against 30-digit products and sums
