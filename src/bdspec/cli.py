@@ -151,6 +151,12 @@ def _parse_complex(text: str) -> complex:
         raise CliError(f"--x must be 're,im', got {text!r}", EXIT_INPUT) from exc
 
 
+def _mode_param(mode: str) -> float:
+    """PARAM of a 'nevanlinna:PARAM' or 'nextremal:PARAM' mode; inf or oo is infinity."""
+    text = mode.split(":", 1)[1]
+    return math.inf if text in ("inf", "oo") else float(text)
+
+
 # ---------------------------------------------------------------- reporting
 
 def _fmt(v) -> str:
@@ -256,8 +262,7 @@ def cmd_transform(args) -> int:
                 f"nevanlinna mode needs an indet S family, classification is {verdict}",
                 EXIT_MODE,
             )
-        param_s = mode.split(":", 1)[1]
-        param = math.inf if param_s in ("inf", "oo") else float(param_s)
+        param = _mode_param(mode)
         nv = nevanlinna_eval(rates, x, tol)
         alpha = alpha_limit(rates) if args.convention == "mu" else None
         value = nextremal_transform(nv, param, convention=args.convention, alpha=alpha)
@@ -298,8 +303,7 @@ def cmd_spectrum(args) -> int:
                 f"nextremal spectra need an indet S family, classification is {verdict}",
                 EXIT_MODE,
             )
-        param_s = mode.split(":", 1)[1]
-        param = math.inf if param_s in ("inf", "oo") else float(param_s)
+        param = _mode_param(mode)
         window = tuple(float(v) for v in args.window.split(","))
         measure = nextremal_measure(
             rates, param, convention=args.convention, window=window, tol=tol

@@ -47,7 +47,9 @@ INDET_S_INDET_H = "INDET_S_INDET_H"
 DET_S_INDET_H = "DET_S_INDET_H"
 
 _GROWTH_LIMIT = 1e130
-_TERM_CAP = 16384  # the last checkpoint of every Nevanlinna series
+# The Nevanlinna series' checkpoints, one every half octave: 128, 181, ..., 16384.
+_CHECKPOINTS = tuple(round(128 * 2 ** (j / 2)) for j in range(15))
+_TERM_CAP = _CHECKPOINTS[-1]
 
 
 @dataclass(frozen=True)
@@ -183,34 +185,22 @@ def _nevanlinna_sums(
     xs: np.ndarray,
     tol: Tolerance,
     derivs: bool = False,
-    n0: int = 128,
-    nmax: int = _TERM_CAP,
 ):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
     The recurrence advances by one :func:`_advance` per checkpoint segment and
-    chunk of points, over the checkpoints round(n0 2^(j/2)), one every half
-    octave up to ``nmax`` (128, 181, 256, 362, ..., 16384 from 128). Each
-    point stops at the first checkpoint where its own extrapolation has
-    settled, so its result does not depend on the batch. A point needs four
-    checkpoints before it can settle, so n0 sets the fewest terms it can use
-    (365 from 128); most points of the plane stop at 727 or 1027 terms. On
-    an octave ladder a point that settles by n = 2900 still runs to 4099.
-    Rows past ``_GROWTH_LIMIT`` raise a :class:`ConvergenceError` that names
-    the double range.
+    chunk of points, over ``_CHECKPOINTS``. Each point stops at the first
+    checkpoint where its own extrapolation has settled, so its result does
+    not depend on the batch. A point needs four checkpoints before it can
+    settle, so it uses at least 365 terms; most points of the plane stop at
+    727 or 1027 terms. Rows past ``_GROWTH_LIMIT`` raise a
+    :class:`ConvergenceError` that names the double range.
     Returns (sums, terms_used, achieved increment, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
     (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    checkpoints = []
-    cp = n0
-    while cp <= nmax:
-        checkpoints.append(cp)
-        cp = round(n0 * 2 ** (len(checkpoints) / 2))
-    if not checkpoints:
-        checkpoints = [nmax]
-    tab = _coefficients(rates, checkpoints[-1] + 3)
+    tab = _coefficients(rates, _TERM_CAP + 3)
     W = tab.weights
     carry = _start(tab, xs, 4 if derivs else 2)
     running = carry[:, :, 0, None] * W[0] + carry[:, :, 1, None] * W[1]
@@ -223,7 +213,7 @@ def _nevanlinna_sums(
     hs: list[float] = []
     snapshots: list[np.ndarray] = []
     lo = 2
-    for cp in checkpoints:
+    for cp in _CHECKPOINTS:
         hi = cp + 3
         avg = np.zeros_like(running)
         step = max(1, _CHUNK // (hi - lo))
@@ -253,6 +243,8 @@ def _nevanlinna_sums(
         terms[active] = hi
         hs.append(1.0 / (cp + 1.5))
         snapshots.append(avg)
+        if len(snapshots) < 4:  # no point settles on fewer than four checkpoints
+            continue
         extrap, inc, settled = neville_limit(hs, [snap[:, active] for snap in snapshots], tol)
         result[:, active] = extrap
         achieved[active] = inc.max(axis=(0, 2))
@@ -358,6 +350,24 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     return alpha
 
 
+def _pencil(param: float, convention: str, alpha) -> tuple[float, float]:
+    """(p, q) such that the N-extremal transform at ``param`` is
+    (pA + qC)/(pB + qD) and its measure sits on the zeros of pB + qD.
+    ``alpha``, a value or a function giving it, is read in the mu convention
+    only; a nan parameter raises :class:`ValueError`."""
+    if convention not in ("lambda", "mu"):
+        raise ValueError("convention must be 'lambda' or 'mu'")
+    if math.isnan(param):
+        raise ValueError(f"the N-extremal parameter {convention} is nan")
+    if convention == "lambda":
+        return (1.0, 0.0) if math.isinf(param) else (param, -1.0)
+    alpha = alpha() if callable(alpha) else alpha
+    if alpha is None:
+        raise ValueError("mu convention requires alpha")
+    # (lam, -1) at lam = mu alpha/(mu - alpha), scaled by (mu - alpha)/alpha
+    return (1.0, -1.0 / alpha) if math.isinf(param) else (param, 1.0 - param / alpha)
+
+
 def nextremal_transform(
     nv: NevanlinnaValue,
     param: float,
@@ -373,33 +383,19 @@ def nextremal_transform(
     point) and mu in [0, inf] sweeps exactly the positively supported family.
     Requires ``alpha``.
     """
-    if convention == "lambda":
-        if math.isinf(param):
-            num, den = nv.A, nv.B
-        else:
-            num, den = nv.A * param - nv.C, nv.B * param - nv.D
-    elif convention == "mu":
-        if alpha is None:
-            raise ValueError("mu convention requires alpha")
-        At = nv.A - nv.C / alpha
-        Bt = nv.B - nv.D / alpha
-        if math.isinf(param):
-            num, den = At, Bt
-        else:
-            num, den = At * param + nv.C, Bt * param + nv.D
-    else:
-        raise ValueError("convention must be 'lambda' or 'mu'")
+    p, q = _pencil(param, convention, alpha)
+    den = p * nv.B + q * nv.D
     if den == 0:
         raise PoleError("transform denominator vanished", point=nv.x)
-    return num / den
+    return (p * nv.A + q * nv.C) / den
 
 
-def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int, levels: int):
-    """The checkpoints cp = N // 2^j (j < levels, N = max(max_iter, 64)), the
+def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int):
+    """The checkpoints cp = N // 2^j (j < 6, N = max(max_iter, 64)), the
     indices 2(cp + i) + parity (i < 4) of the Stieltjes rows averaged at
     each, and a band that holds them."""
     N = max(max_iter, 64)
-    cps = sorted({max(8, N // (2**j)) for j in range(levels)})
+    cps = sorted({max(8, N // (2**j)) for j in range(6)})
     ks = 2 * np.add.outer(cps, np.arange(4)).ravel() + parity
     return cps, ks, _stieltjes_band(rates, ks[-1] + 1)
 
@@ -414,7 +410,7 @@ def markov_like_limit(
     (Friedrichs) and odd (Krein) convergents of Stieltjes' continued fraction.
 
     Both converge like 1/n, so the convergents averaged over four rows at
-    each of five checkpoints up to ``tol.max_iter`` are Neville-extrapolated;
+    each of six checkpoints, ``tol.max_iter`` / 2^j, are Neville-extrapolated;
     diagnostics report the extrapolation increment.
     """
     x = complex(x)
@@ -427,7 +423,7 @@ def markov_like_limit(
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     _require_indet(rates, allow_border=(mode == "friedrichs"))
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    cps, ks, band = _border_rows(rates, tol.max_iter, mode == "krein", 5)
+    cps, ks, band = _border_rows(rates, tol.max_iter, mode == "krein")
     ratios = _qp_ratios(band, x, ks).reshape(-1, 4).mean(axis=1)
     value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
     return ConvergedLimit(value, cps[-1], inc, converged)
@@ -440,24 +436,30 @@ def modified_entries_dual(
     -1 + (x/lambda_0) sum Ftilde_n(x) and (1/lambda_0) sum Fhat_n(x).
 
     Their partial sums, minus the even rows (P, Q) of the Stieltjes band, are
-    Neville-extrapolated from the checkpoints of :func:`markov_like_limit` and
-    one more at a 32nd of ``tol.max_iter`` (by default 16388, where the
-    Nevanlinna series ends); raises :class:`ConvergenceError` when either has
-    not settled. The strongest cross-check of the direct Nevanlinna summation.
+    Neville-extrapolated from the checkpoints of :func:`markov_like_limit`, up
+    to ``tol.max_iter`` (by default 16388, where the Nevanlinna series ends);
+    raises :class:`ConvergenceError` when either has not settled or the sums
+    leave the double range. The strongest cross-check of the direct
+    Nevanlinna summation.
     """
     _require_indet(rates)
-    _require_finite(complex(x), "x")
+    x = complex(x)
+    _require_finite(x, "x")
     if rates.mu0 != 0:
         raise ValueError("dual-series entries require mu_0 = 0")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
-    # At |x| >= 3e3 five checkpoints leave about half the points short of
-    # 1e-11 though their values are good to 6e-13; a sixth settles them.
-    cps, ks, band = _border_rows(rates, tol.max_iter, 0, 6)
-    rows, exps = _solve(band, np.array([complex(x)]), ks)
-    avg = (rows[:, 0] * np.ldexp(1.0, exps[:, 0])).reshape(2, -1, 4).mean(axis=2)
-    (q, p), _, settled = neville_limit([1.0 / (cp + 1.5) for cp in cps], avg.T, tol)
+    cps, ks, band = _border_rows(rates, tol.max_iter, 0)
+    rows, exps = _solve(band, np.array([x]), ks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        avg = (rows[:, 0] * np.ldexp(1.0, exps[:, 0])).reshape(2, -1, 4).mean(axis=2)
+    if not np.isfinite(avg).all():
+        raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
+    (q, p), inc, settled = neville_limit([1.0 / (cp + 1.5) for cp in cps], avg.T, tol)
     if not settled.all():
-        raise ConvergenceError("dual polynomial series did not stabilize")
+        raise ConvergenceError(
+            f"dual polynomial series did not stabilize within its {tol.max_iter}-term budget "
+            f"(achieved {inc.max():.2e} at x = {x:.6g}); at large |x| it needs a larger max_iter"
+        )
     return -complex(p), -complex(q)
 
 
@@ -502,30 +504,13 @@ def nextremal_measure(
     _require_finite(window, "window bounds")
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
-    if convention == "lambda":
-        cB, cD = (1.0, 0.0) if math.isinf(param) else (param, -1.0)
-    elif convention == "mu":
-        # zeros of Bt mu + D = mu B + (1 - mu/alpha) D
-        alpha = alpha_limit(rates)
-        if math.isinf(param):
-            cB, cD = 1.0, -1.0 / alpha
-        else:
-            cB, cD = param, 1.0 - param / alpha
-    else:
-        raise ValueError("convention must be 'lambda' or 'mu'")
-
+    p, q = _pencil(param, convention, lambda: alpha_limit(rates))
     xs = _default_grid(rates, window)
 
-    def g_batch(points: np.ndarray, derivs: bool, nmax: int, final: bool = False):
+    def g_batch(points: np.ndarray, derivs: bool, final: bool = False):
         # Only the final pass, which gives the masses, must converge; the scan,
-        # bisection and Newton passes need signs and deliberately run short.
-        # Their checkpoints start at 256. From 128 the passes on the real
-        # axis would stop at 1027-1451 terms instead of 1451-2051, a third
-        # fewer steps, with atoms and masses as close (within 3e-13) to the
-        # closed forms.
-        sums, _, achieved, converged = _nevanlinna_sums(
-            rates, points, tol, derivs=derivs, n0=256, nmax=nmax
-        )
+        # bisection and Newton passes need signs only.
+        sums, _, achieved, converged = _nevanlinna_sums(rates, points, tol, derivs=derivs)
         if final and not converged.all():
             raise ConvergenceError(
                 f"N-extremal masses: the Nevanlinna series reached "
@@ -533,12 +518,12 @@ def nextremal_measure(
                 f"{tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e}; loosen the tolerance"
             )
         vals, dvals = _assemble(sums, points)
-        g = (cB * vals[1] + cD * vals[3]).real
+        g = (p * vals[1] + q * vals[3]).real
         if derivs:
-            return g, (cB * dvals[1] + cD * dvals[3]).real, vals, dvals
+            return g, (p * dvals[1] + q * dvals[3]).real, vals, dvals
         return g
 
-    scan = g_batch(xs, False, 4096)
+    scan = g_batch(xs, False)
     roots: list[float] = []
     brackets: list[tuple[float, float, float]] = []  # (lo, hi, sign at lo)
     for i in range(xs.size - 1):
@@ -557,14 +542,14 @@ def nextremal_measure(
         # steps (on the extrapolated series, with exact derivatives) are safe.
         for _ in range(14):
             mids = 0.5 * (a + bb)
-            g = g_batch(mids, False, 3072)
+            g = g_batch(mids, False)
             left = fa * g > 0
             a = np.where(left, mids, a)
             bb = np.where(left, bb, mids)
             fa = np.where(left, g, fa)
         mids = 0.5 * (a + bb)
         for _ in range(3):
-            g, dg, _, _ = g_batch(mids, True, _TERM_CAP)
+            g, dg, _, _ = g_batch(mids, True)
             mids = mids - g / np.where(dg == 0, 1.0, dg)
         roots.extend(float(r) for r in mids)
 
@@ -574,7 +559,7 @@ def nextremal_measure(
             f"no spectral points found in window {window}; widen the window"
         )
     pts = np.array(roots)
-    _, _, vals, dvals = g_batch(pts, True, _TERM_CAP, final=True)
+    _, _, vals, dvals = g_batch(pts, True, final=True)
     denom = (dvals[1] * vals[3] - vals[1] * dvals[3]).real
     masses = 1.0 / denom
     bad = [float(p) for p, m in zip(pts, masses) if not m > 0]

@@ -351,6 +351,22 @@ class TestSpectrumCommand:
         assert err.startswith("error:") and "finite" in err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("convention", ["lambda", "mu"])
+    def test_nan_parameter_exit_2(self, capsys, tmp_path, convention):
+        q0 = ["--family", "quartic", "--c", "0", "--mu", "0", "--convention", convention]
+        out_path = tmp_path / "x.json"
+        for argv in (
+            ["transform", *q0, "--x", "4,3", "--mode", "nevanlinna:nan"],
+            ["spectrum", *q0, "--mode", "nextremal:nan", "--window=-0.5,200",
+             "--out", str(out_path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert f"parameter {convention} is nan" in err
+        assert not out_path.exists()
+
     def test_io_error_exit_4(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -14,6 +14,7 @@ from bdspec import (
     PoleError,
     Tolerance,
     alpha_limit,
+    border_measure,
     classify,
     custom_rates,
     dual_rates,
@@ -393,6 +394,16 @@ class TestNextremalMeasure:
         assert m.support[1] == pytest.approx((2 * math.pi / K) ** 4, rel=1e-9)
         assert m.mass[0] == pytest.approx(math.pi / K**2, rel=1e-9)
 
+    def test_krein_window_reaches_fifth_atom(self, quartic0, qspec):
+        # (-0.5, 6e4) holds the Krein atoms 0, 131.9, ..., 3.38e4.
+        m = nextremal_measure(quartic0, 0.0, window=(-0.5, 6e4))
+        ref = border_measure(qspec, "krein", 30)
+        inside = ref.support <= 6e4
+        assert m.support.size == np.count_nonzero(inside) == 5
+        assert m.support[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(m.support[1:], ref.support[inside][1:], rtol=1e-12, atol=0)
+        assert np.allclose(m.mass, ref.mass[inside], rtol=1e-11, atol=0)
+
     def test_mu_convention_friedrichs_is_mu_infinity(self, quartic0):
         alpha = alpha_limit(quartic0)
         m_lam = nextremal_measure(quartic0, alpha, window=(0.5, 1000))
@@ -489,8 +500,11 @@ def _stalls(x: complex) -> bool:
     return abs(x) >= 5e3 and abs(cmath.phase(x)) <= math.radians(6)
 
 
-# One x per quadrant and |x| in {1, 1e2, 1e4}.
-SWEEP_XS = [m * cmath.exp(1j * (q + 0.1) * math.pi / 2) for q in range(4) for m in (1.0, 1e2, 1e4)]
+# One x per quadrant and |x| in {1, 1e2, 1e4}, and the worst point of the c = 1/2
+# Krein limit on a 200-point log-polar sweep when it read five checkpoints.
+SWEEP_XS = [
+    m * cmath.exp(1j * (q + 0.1) * math.pi / 2) for q in range(4) for m in (1.0, 1e2, 1e4)
+] + [652.55 - 33.72j]
 
 
 @pytest.fixture(scope="module")
@@ -625,6 +639,32 @@ def test_unsettled_series_names_the_cap(quartic0):
     # At 1e8i more terms would help; a looser tolerance would not.
     with pytest.raises(ConvergenceError, match="16384-term cap"):
         nevanlinna_eval(quartic0, 1e8j)
+
+
+# Every row leaves [1e-150, 1e150] at 1e300i, so the solve there rescales row
+# by row; a 256-term budget keeps it short and reaches the same verdict.
+@pytest.mark.parametrize(
+    "x, budget", [(1e12j, 16388), (1e20 + 1j, 16388), (-1e11, 16388), (1e300j, 256)]
+)
+def test_dual_series_beyond_double_range_says_so(quartic0, x, budget):
+    with pytest.raises(ConvergenceError, match="double range"):
+        modified_entries_dual(quartic0, x, Tolerance(1e-11, 1e-11, budget))
+
+
+def test_unsettled_dual_series_names_the_budget(quartic0):
+    # At 1e6i the dual series settles with 65552 terms, not with 16388.
+    with pytest.raises(ConvergenceError, match=r"16388-term budget \(achieved [0-9.e+]+ at"):
+        modified_entries_dual(quartic0, 1e6j)
+
+
+@pytest.mark.parametrize("convention", ["lambda", "mu"])
+def test_nan_parameter_raises_value_error(quartic0, convention):
+    nv = nevanlinna_eval(quartic0, 4 + 3j)
+    alpha = alpha_limit(quartic0)
+    with pytest.raises(ValueError, match=f"parameter {convention} is nan"):
+        nextremal_transform(nv, math.nan, convention=convention, alpha=alpha)
+    with pytest.raises(ValueError, match=f"parameter {convention} is nan"):
+        nextremal_measure(quartic0, math.nan, convention=convention, window=(-0.5, 200))
 
 
 class TestSeriesKernel:
