@@ -39,6 +39,7 @@ from .indet import (
     DET_S_INDET_H,
     INDET_S_INDET_H,
     Determinacy,
+    DeterminacyError,
     NevanlinnaValue,
     alpha_limit,
     classify,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import ast
 import math
-import os
 import sys
 
 import numpy as np
@@ -21,8 +20,8 @@ from .contfrac import PoleError, gauss_measure
 from .det_markov import dn_spectral_measure, markov_limit
 from .elliptic import make_context
 from .indet import (
-    DET_S_INDET_H,
-    INDET_S_INDET_H,
+    DET_H,
+    DeterminacyError,
     alpha_limit,
     classify,
     markov_like_limit,
@@ -143,12 +142,12 @@ def _require_float(value, flag: str) -> float:
         raise CliError(f"{flag} must be a number, got {value!r}", EXIT_INPUT) from exc
 
 
-def _parse_complex(text: str) -> complex:
+def _parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
     try:
-        re_s, im_s = text.split(",")
-        return complex(float(re_s), float(im_s))
+        a, b = text.split(",")
+        return float(a), float(b)
     except ValueError as exc:
-        raise CliError(f"--x must be 're,im', got {text!r}", EXIT_INPUT) from exc
+        raise CliError(f"{flag} must be '{form}', got {text!r}", EXIT_INPUT) from exc
 
 
 def _mode_param(mode: str) -> float:
@@ -196,8 +195,7 @@ def emit_report(command: str, inputs: dict, outputs: dict, diagnostics: dict) ->
 
 
 def _tolerance_from(args) -> Tolerance:
-    tol = args.tol if args.tol is not None else os.environ.get("BDSPEC_TOL")
-    t = float(tol) if tol is not None else 1e-10
+    t = float(args.tol) if args.tol is not None else 1e-10
     return Tolerance(abs_tol=t, rel_tol=t, max_iter=args.max_iter)
 
 
@@ -232,12 +230,12 @@ def cmd_classify(args) -> int:
 
 def cmd_transform(args) -> int:
     rates = build_rates(args)
-    x = _parse_complex(args.x)
+    x = complex(*_parse_pair(args.x, "--x", "re,im"))
     tol = _tolerance_from(args)
     mode = args.mode
-    verdict = classify(rates, nmax=max(2000, min(args.nmax, 8000))).verdict
     if mode == "markov":
-        if verdict != "DET_H":
+        verdict = classify(rates).verdict
+        if verdict != DET_H:
             raise CliError(
                 f"markov mode needs a determinate family, classification is {verdict}",
                 EXIT_MODE,
@@ -246,22 +244,10 @@ def cmd_transform(args) -> int:
         value, terms, converged = res.value, res.terms_used, res.converged
         extra = {"last_increment": res.last_increment}
     elif mode in ("friedrichs", "krein"):
-        allowed = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
-        if verdict not in allowed:
-            raise CliError(
-                f"{mode} mode needs an indeterminate Stieltjes family, "
-                f"classification is {verdict}",
-                EXIT_MODE,
-            )
         res = markov_like_limit(rates, x, mode, tol)
         value, terms, converged = res.value, res.terms_used, res.converged
         extra = {"last_increment": res.last_increment}
     elif mode.startswith("nevanlinna:"):
-        if verdict != INDET_S_INDET_H:
-            raise CliError(
-                f"nevanlinna mode needs an indet S family, classification is {verdict}",
-                EXIT_MODE,
-            )
         param = _mode_param(mode)
         nv = nevanlinna_eval(rates, x, tol)
         alpha = alpha_limit(rates) if args.convention == "mu" else None
@@ -297,14 +283,8 @@ def cmd_spectrum(args) -> int:
             raise CliError("border measures exist for --family quartic --c 0 --mu 0", EXIT_MODE)
         measure = border_measure(make_quartic_spec(), kind, nmax=min(args.nmax, 60))
     elif mode.startswith("nextremal:"):
-        verdict = classify(rates, nmax=2000).verdict
-        if verdict != INDET_S_INDET_H:
-            raise CliError(
-                f"nextremal spectra need an indet S family, classification is {verdict}",
-                EXIT_MODE,
-            )
         param = _mode_param(mode)
-        window = tuple(float(v) for v in args.window.split(","))
+        window = _parse_pair(args.window, "--window", "lo,hi")
         measure = nextremal_measure(
             rates, param, convention=args.convention, window=window, tol=tol
         )
@@ -403,6 +383,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
+    except DeterminacyError as exc:  # a ValueError, so caught before that clause
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_MODE
     except (ValueError, ZeroDivisionError, PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -168,10 +168,7 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
     if n < 1:
         raise ValueError("n must be positive")
     jc = jacobi_from_rates(rates, n)
-    if n == 1:
-        nodes = np.array([jc.a[0]])
-    else:
-        nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
+    nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
     pseq, _ = eval_pq(rates, n, nodes)
     sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
     weights = 1.0 / sq.sum(axis=0)

@@ -12,8 +12,10 @@ Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
 solver; the border limits and the dual series read its Stieltjes band from
 one solve; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
-1/alpha_n from its log columns. The verdict and alpha are memoized per
-rates object next to the tables.
+1/alpha_n from its log columns. Every entry point passes one determinacy
+gate, which classifies a rates object once at :func:`classify`'s default
+depth and raises :class:`DeterminacyError` for a family on the wrong side;
+the verdict and alpha are memoized per rates object next to the tables.
 
 Stieltjes' continued fraction is the weak form of Markov's theorem in the
 indeterminate case: its even convergents tend to the Friedrichs transform
@@ -158,19 +160,21 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
     )
 
 
-def _cached_verdict(rates: BirthDeathRates, nmax: int = 2000) -> str:
-    memo = _memo(rates)
-    if "verdict" not in memo:
-        memo["verdict"] = classify(rates, nmax=nmax).verdict
-    return memo["verdict"]
+class DeterminacyError(ValueError):
+    """The rates classify on the wrong side of determinacy for the operation."""
 
 
 def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
-    verdict = _cached_verdict(rates)
-    ok = (INDET_S_INDET_H,) + ((DET_S_INDET_H,) if allow_border else ())
-    if verdict not in ok:
-        raise ValueError(
-            f"operation requires an indeterminate Stieltjes family, got {verdict}"
+    """Raise :class:`DeterminacyError` unless ``rates`` classify as indet S
+    (or, with ``allow_border``, det S / indet H)."""
+    memo = _memo(rates)
+    if "verdict" not in memo:
+        memo["verdict"] = classify(rates).verdict
+    verdict = memo["verdict"]
+    if verdict not in ((INDET_S_INDET_H, DET_S_INDET_H) if allow_border else (INDET_S_INDET_H,)):
+        kind = "Hamburger" if allow_border else "Stieltjes"
+        raise DeterminacyError(
+            f"operation requires an indeterminate {kind} family, classification is {verdict}"
         )
 
 
@@ -311,8 +315,8 @@ def nevanlinna_eval(
 ) -> NevanlinnaValue:
     """Entire functions (A, B, C, D) at ``x`` by extrapolated series summation.
 
-    Refuses rate families that do not classify as indet S; at x = 0 the exact
-    values (0, -1, 1, 0) are returned without summation.
+    Raises :class:`DeterminacyError` unless the rates classify as indet S; at
+    x = 0 the exact values (0, -1, 1, 0) are returned without summation.
     """
     return nevanlinna_batch(rates, [x], tol=tol)[0]
 
@@ -417,8 +421,6 @@ def markov_like_limit(
     _require_finite(x, "x")
     if x.imag == 0:
         raise ValueError("markov_like_limit requires Im x != 0")
-    if rates.mu0 != 0:
-        raise ValueError("markov_like_limit requires mu_0 = 0")
     if mode not in ("friedrichs", "krein"):
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     _require_indet(rates, allow_border=(mode == "friedrichs"))
@@ -445,8 +447,6 @@ def modified_entries_dual(
     _require_indet(rates)
     x = complex(x)
     _require_finite(x, "x")
-    if rates.mu0 != 0:
-        raise ValueError("dual-series entries require mu_0 = 0")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
     cps, ks, band = _border_rows(rates, tol.max_iter, 0)
     rows, exps = _solve(band, np.array([x]), ks)
@@ -524,20 +524,10 @@ def nextremal_measure(
         return g
 
     scan = g_batch(xs, False)
-    roots: list[float] = []
-    brackets: list[tuple[float, float, float]] = []  # (lo, hi, sign at lo)
-    for i in range(xs.size - 1):
-        if scan[i] == 0.0:
-            roots.append(float(xs[i]))
-        elif scan[i] * scan[i + 1] < 0:
-            brackets.append((float(xs[i]), float(xs[i + 1]), float(scan[i])))
-    if scan[-1] == 0.0:
-        roots.append(float(xs[-1]))
-
-    if brackets:
-        a = np.array([b[0] for b in brackets])
-        bb = np.array([b[1] for b in brackets])
-        fa = np.array([b[2] for b in brackets])
+    roots = list(xs[scan == 0.0])
+    cross = np.flatnonzero(scan[:-1] * scan[1:] < 0)  # brackets [xs[cross], xs[cross + 1]]
+    if cross.size:
+        a, bb, fa = xs[cross], xs[cross + 1], scan[cross]
         # Bisection narrows each bracket far enough that the closing Newton
         # steps (on the extrapolated series, with exact derivatives) are safe.
         for _ in range(14):
@@ -551,9 +541,9 @@ def nextremal_measure(
         for _ in range(3):
             g, dg, _, _ = g_batch(mids, True)
             mids = mids - g / np.where(dg == 0, 1.0, dg)
-        roots.extend(float(r) for r in mids)
+        roots.extend(mids)
 
-    roots = sorted(r for r in roots if lo <= r <= hi)
+    roots = sorted(float(r) for r in roots if lo <= r <= hi)
     if not roots:
         raise ValueError(
             f"no spectral points found in window {window}; widen the window"
@@ -567,7 +557,7 @@ def nextremal_measure(
         raise ConvergenceError(
             f"root refinement produced nonpositive masses near {bad}; "
             "offending brackets were "
-            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b, _ in brackets)
+            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b in zip(xs[cross], xs[cross + 1]))
         )
     return DiscreteMeasure(
         support=pts,

@@ -91,6 +91,21 @@ def _cn_integral(spec: QuarticSpec, l: int, rho: complex, tol: Tolerance) -> com
     return integrate(f, 0.0, K, tol) / _SQRT2
 
 
+def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> complex:
+    """(l - 1) [integral of delta_(2-l)(x^(1/4) u / sqrt2) cn(u) du/sqrt2]
+    over sqrt(x) delta_l(x^(1/4) Kbar / sqrt2): the Friedrichs transform at
+    l = 0, the Krein one at l = 2."""
+    _require_base(spec)
+    x = complex(x)
+    rho = _root4(x)
+    den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
+    if den == 0:
+        raise PoleError(f"{name} transform pole", point=x)
+    tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
+    num = _cn_integral(spec, 2 - l, rho, tol)
+    return (num if l else -num) / den
+
+
 def friedrichs_transform(spec: QuarticSpec, x: complex) -> complex:
     """Stieltjes transform of the Friedrichs border measure at c = mu = 0.
 
@@ -98,15 +113,7 @@ def friedrichs_transform(spec: QuarticSpec, x: complex) -> complex:
     divided by sqrt(x) delta_0(x^(1/4) Kbar / sqrt2); poles sit at the zeros
     of the denominator, x_n = ((2n+1) pi / Kbar)^4.
     """
-    _require_base(spec)
-    x = complex(x)
-    rho = _root4(x)
-    sqx = rho * rho
-    den = sqx * delta4(0, rho * spec.qperiod / _SQRT2)
-    if den == 0:
-        raise PoleError("Friedrichs transform pole", point=x)
-    tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
-    return -_cn_integral(spec, 2, rho, tol) / den
+    return _border_transform(spec, x, 0, "Friedrichs")
 
 
 def krein_transform(spec: QuarticSpec, x: complex) -> complex:
@@ -116,15 +123,7 @@ def krein_transform(spec: QuarticSpec, x: complex) -> complex:
     sqrt(x) delta_2(x^(1/4) Kbar / sqrt2); poles at x_n = (2n pi / Kbar)^4,
     including the atom at x = 0.
     """
-    _require_base(spec)
-    x = complex(x)
-    rho = _root4(x)
-    sqx = rho * rho
-    den = sqx * delta4(2, rho * spec.qperiod / _SQRT2)
-    if den == 0:
-        raise PoleError("Krein transform pole", point=x)
-    tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
-    return _cn_integral(spec, 0, rho, tol) / den
+    return _border_transform(spec, x, 2, "Krein")
 
 
 def border_measure(spec: QuarticSpec, mode: str, nmax: int) -> DiscreteMeasure:

@@ -13,7 +13,11 @@ from bdspec import (
     make_context,
     measure_stieltjes,
 )
+from bdspec import cli, indet
 from bdspec.cli import compile_rate_expr, main
+
+
+Q0 = ["--family", "quartic", "--c", "0", "--mu", "0"]
 
 
 def run_cli(capsys, *argv):
@@ -204,7 +208,7 @@ class TestTransformCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "vanished" in err
 
-    def test_mode_conflict_exit_3(self, capsys):
+    def test_mode_conflict_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
             "transform", "--family", "stieltjes-dn", "--k2", "0.5",
@@ -212,6 +216,57 @@ class TestTransformCommand:
         )
         assert code == 3
         assert "classification" in err
+        dn = ["--family", "stieltjes-dn", "--k2", "0.5"]
+        out_path = tmp_path / "x.json"
+        for argv in (
+            ["transform", *dn, "--x", "0,1", "--mode", "krein"],
+            ["transform", *dn, "--x", "0,1", "--mode", "nevanlinna:0"],
+            ["spectrum", *dn, "--mode", "nextremal:0", "--out", str(out_path)],
+            ["transform", *Q0, "--x", "0,1", "--mode", "markov"],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "classification" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["transform", "--family", "stieltjes-dn", "--k2", "0.5", "--x", "0,1", "--mode", "markov"],
+        ["transform", *Q0, "--x", "4,3", "--mode", "nevanlinna:0"],
+        ["transform", *Q0, "--x", "10,10", "--mode", "krein", "--max-iter", "5000",
+         "--tol", "1e-7"],
+        ["spectrum", *Q0, "--mode", "nextremal:0", "--window=-0.5,3000"],
+    ], ids=["markov", "nevanlinna", "krein", "nextremal"])
+    def test_each_mode_classifies_once(self, capsys, tmp_path, monkeypatch, argv):
+        # One determinacy gate per command: the library's for the
+        # indeterminate modes, the CLI's for markov.
+        depths = []
+        classify = indet.classify
+
+        def spy(rates, *args, **kwargs):
+            det = classify(rates, *args, **kwargs)
+            depths.append(det.nmax)
+            return det
+
+        monkeypatch.setattr(indet, "classify", spy)
+        monkeypatch.setattr(cli, "classify", spy)
+        if argv[0] == "spectrum":
+            argv = [*argv, "--out", str(tmp_path / "x.json")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert depths == [4000]
+
+    @pytest.mark.parametrize("value", ["garbage", "", "1e-4"])
+    def test_tolerance_environment_is_ignored(self, capsys, monkeypatch, value):
+        argv = ["transform", "--family", "stieltjes-dn", "--k2", "0.5", "--x", "1,1",
+                "--mode", "markov"]
+        monkeypatch.delenv("BDSPEC_TOL", raising=False)
+        _, plain, _ = run_cli(capsys, *argv)
+        monkeypatch.setenv("BDSPEC_TOL", value)
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == plain
 
     def test_bad_x_exit_2(self, capsys):
         code, _, _ = run_cli(
@@ -365,6 +420,18 @@ class TestSpectrumCommand:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert f"parameter {convention} is nan" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("window", ["5", "1,2,3", "a,b"])
+    def test_malformed_window_exit_2(self, capsys, tmp_path, window):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(
+            capsys,
+            "spectrum", *Q0, "--mode", "nextremal:0", f"--window={window}", "--out", str(out_path),
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --window must be 'lo,hi', got {window!r}\n"
         assert not out_path.exists()
 
     def test_io_error_exit_4(self, capsys, tmp_path):

@@ -11,6 +11,7 @@ from bdspec import (
     INDET_S_INDET_H,
     BirthDeathRates,
     ConvergenceError,
+    DeterminacyError,
     PoleError,
     Tolerance,
     alpha_limit,
@@ -665,6 +666,23 @@ def test_nan_parameter_raises_value_error(quartic0, convention):
         nextremal_transform(nv, math.nan, convention=convention, alpha=alpha)
     with pytest.raises(ValueError, match=f"parameter {convention} is nan"):
         nextremal_measure(quartic0, math.nan, convention=convention, window=(-0.5, 200))
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: nevanlinna_eval(r, 1 + 1j),
+    lambda r: nevanlinna_batch(r, [1 + 1j, 2j]),
+    alpha_limit,
+    lambda r: markov_like_limit(r, 1 + 1j, "krein"),
+    lambda r: modified_entries_dual(r, 1 + 1j),
+    lambda r: nextremal_measure(r, 0.0, window=(0, 10)),
+], ids=["nevanlinna_eval", "nevanlinna_batch", "alpha_limit", "markov_like_limit",
+        "modified_entries_dual", "nextremal_measure"])
+def test_determinate_family_raises_determinacy_error(call):
+    # The one gate of the indeterminate half names the verdict; a fresh rates
+    # object keeps other tests' memoized verdicts out of it.
+    with pytest.raises(DeterminacyError, match="classification is DET_H") as info:
+        call(stieltjes_dn_rates(0.5))
+    assert isinstance(info.value, ValueError)
 
 
 class TestSeriesKernel:
