@@ -20,7 +20,6 @@ from .contfrac import PoleError, gauss_measure
 from .det_markov import dn_spectral_measure, markov_limit
 from .elliptic import make_context
 from .indet import (
-    DET_H,
     DeterminacyError,
     alpha_limit,
     classify,
@@ -153,7 +152,11 @@ def _parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
 def _mode_param(mode: str) -> float:
     """PARAM of a 'nevanlinna:PARAM' or 'nextremal:PARAM' mode; inf or oo is infinity."""
     text = mode.split(":", 1)[1]
-    return math.inf if text in ("inf", "oo") else float(text)
+    try:
+        return math.inf if text == "oo" else float(text)
+    except ValueError as exc:
+        raise CliError(f"PARAM of --mode must be a number, inf or oo, got {text!r}",
+                       EXIT_INPUT) from exc
 
 
 # ---------------------------------------------------------------- reporting
@@ -234,12 +237,6 @@ def cmd_transform(args) -> int:
     tol = _tolerance_from(args)
     mode = args.mode
     if mode == "markov":
-        verdict = classify(rates).verdict
-        if verdict != DET_H:
-            raise CliError(
-                f"markov mode needs a determinate family, classification is {verdict}",
-                EXIT_MODE,
-            )
         res = markov_limit(rates, x, tol)
         value, terms, converged = res.value, res.terms_used, res.converged
         extra = {"last_increment": res.last_increment}
@@ -384,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return exc.code
     except DeterminacyError as exc:  # a ValueError, so caught before that clause
-        sys.stderr.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {args.mode} mode: {exc}\n")
         return EXIT_MODE
     except (ValueError, ZeroDivisionError, PoleError) as exc:
         sys.stderr.write(f"error: {exc}\n")

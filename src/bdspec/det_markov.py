@@ -2,10 +2,13 @@
 
 Markov's theorem as a numerical limit of Q_n/P_n, the discrete dn spectral
 measure, and the continuous-parameter c > 0 family whose transform is a
-ratio of two singular-weight quadratures. The double-precision iterates
-Q_n/P_n come from the segment solver of :mod:`bdspec.recurrence`, with each
-solution rescaled by exact powers of two; the extended-precision iterates
-from its decimal kernel, the one ``eval_pq_mp`` reads.
+ratio of two singular-weight quadratures. ``markov_limit`` first passes the
+determinacy gate of :mod:`bdspec.indet`, as Markov's theorem holds for
+determinate families only; the iterates claim no limit and pass no gate.
+The double-precision iterates Q_n/P_n come from the segment solver of
+:mod:`bdspec.recurrence`, with each solution rescaled by exact powers of
+two; the extended-precision iterates from its decimal kernel, the one
+``eval_pq_mp`` reads.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ from scipy.special import roots_jacobi
 
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
+from .indet import DET_H, _require_verdict
 from .numerics import ConvergedLimit, QuadratureError, Tolerance
 from .recurrence import BirthDeathRates, _coefficients, _extended_rows, _qp_ratios
 
@@ -29,8 +33,11 @@ def markov_limit(
     Stops at the first n >= 8 where |r_n - r_(n-1)| and |r_n - r_(n-2)| both
     fall below the tolerance bound (the ratio can oscillate with period two in
     magnitude), searched over doubling blocks of iterates. Exceeding
-    ``max_iter`` returns ``converged=False`` with the best value.
+    ``max_iter`` returns ``converged=False`` with the best value. Raises
+    ``DeterminacyError`` unless the rates classify DET_H: elsewhere the ratios
+    creep to a border limit algebraically, and the rule would stop short of it.
     """
+    _require_verdict(rates, (DET_H,))
     x = complex(x)
     if x.imag == 0:
         raise ValueError("markov_limit requires Im x != 0")

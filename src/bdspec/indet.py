@@ -12,10 +12,10 @@ Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
 solver; the border limits and the dual series read its Stieltjes band from
 one solve; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
-1/alpha_n from its log columns. Every entry point passes one determinacy
-gate, which classifies a rates object once at :func:`classify`'s default
-depth and raises :class:`DeterminacyError` for a family on the wrong side;
-the verdict and alpha are memoized per rates object next to the tables.
+1/alpha_n from its log columns. Every entry point here, and ``markov_limit``,
+passes one determinacy gate: it reads :func:`classify` at its default depth
+and raises :class:`DeterminacyError` for a family on the wrong side; the
+classification (per depth) and alpha are memoized per rates object.
 
 Stieltjes' continued fraction is the weak form of Markov's theorem in the
 indeterminate case: its even convergents tend to the Friedrichs transform
@@ -122,12 +122,17 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
     tail behaviour of each estimated from the computed terms. Convergent (i)
     means the Stieltjes problem is indeterminate (hence Hamburger too);
     otherwise convergent (ii) separates the det-S/indet-H boundary case
-    from the plainly determinate one.
+    from the plainly determinate one. The result is memoized per rates
+    object and ``nmax``.
     """
     if rates.mu0 != 0:
         raise ValueError("classification requires mu_0 = 0")
     if nmax < 100:
         raise ValueError("nmax must be at least 100")
+    memo = _memo(rates)
+    key = ("determinacy", nmax)
+    if key in memo:
+        return memo[key]
     # The table's log columns, computed without memoizing a table: the rates
     # of a determinate family never need one.
     lam, mu = rates.tabulate(nmax)
@@ -151,30 +156,26 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
         math.inf if ln > 709.0 else math.exp(ln) for ln in map(_log_sum, log_t)
     )
     tails = tuple(b[2] for b in behav)
-    return Determinacy(
+    return memo.setdefault(key, Determinacy(
         verdict=verdict,
         series_values=values,
         tail_estimates=tails,
         confident=confident,
         nmax=nmax,
-    )
+    ))
 
 
 class DeterminacyError(ValueError):
     """The rates classify on the wrong side of determinacy for the operation."""
 
 
-def _require_indet(rates: BirthDeathRates, allow_border: bool = False) -> None:
-    """Raise :class:`DeterminacyError` unless ``rates`` classify as indet S
-    (or, with ``allow_border``, det S / indet H)."""
-    memo = _memo(rates)
-    if "verdict" not in memo:
-        memo["verdict"] = classify(rates).verdict
-    verdict = memo["verdict"]
-    if verdict not in ((INDET_S_INDET_H, DET_S_INDET_H) if allow_border else (INDET_S_INDET_H,)):
-        kind = "Hamburger" if allow_border else "Stieltjes"
+def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> None:
+    """Raise :class:`DeterminacyError` unless ``rates`` classify, at
+    :func:`classify`'s default depth, as one of the ``accepted`` verdicts."""
+    verdict = classify(rates).verdict
+    if verdict not in accepted:
         raise DeterminacyError(
-            f"operation requires an indeterminate {kind} family, classification is {verdict}"
+            f"operation accepts {' or '.join(accepted)} families, classification is {verdict}"
         )
 
 
@@ -284,7 +285,7 @@ def nevanlinna_batch(
     by 16384 terms or its series leaves the double range, and
     :class:`ValueError` for a non-finite point.
     """
-    _require_indet(rates)
+    _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     _require_finite(xs, "Nevanlinna points")
@@ -324,10 +325,10 @@ def nevanlinna_eval(
 def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     """The limit alpha < 0 of P_n(0)/Q_n(0), i.e. -1 / sum 1/(mu_k pi_k).
 
-    The positive series is summed with Richardson acceleration; divergence
-    (a det-S family) raises.
+    The positive series is summed with Richardson acceleration in 1/n; one
+    unsettled within ``tol.max_iter`` terms raises :class:`ConvergenceError`.
     """
-    _require_indet(rates)
+    _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=300_000)
     memo = _memo(rates)
     key = ("alpha", tol)
@@ -345,7 +346,8 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
             break
     if not res.converged:
         raise ConvergenceError(
-            "sum 1/(mu_k pi_k) did not converge; rates look det S"
+            f"sum 1/(mu_k pi_k) did not stabilize within its {tol.max_iter}-term budget "
+            f"(achieved {res.last_increment:.2e})"
         )
     total = res.value.real
     if not total > 0:
@@ -423,7 +425,8 @@ def markov_like_limit(
         raise ValueError("markov_like_limit requires Im x != 0")
     if mode not in ("friedrichs", "krein"):
         raise ValueError("mode must be 'friedrichs' or 'krein'")
-    _require_indet(rates, allow_border=(mode == "friedrichs"))
+    accepted = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
+    _require_verdict(rates, accepted)
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
     cps, ks, band = _border_rows(rates, tol.max_iter, mode == "krein")
     ratios = _qp_ratios(band, x, ks).reshape(-1, 4).mean(axis=1)
@@ -444,7 +447,7 @@ def modified_entries_dual(
     leave the double range. The strongest cross-check of the direct
     Nevanlinna summation.
     """
-    _require_indet(rates)
+    _require_verdict(rates, (INDET_S_INDET_H,))
     x = complex(x)
     _require_finite(x, "x")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
@@ -498,7 +501,7 @@ def nextremal_measure(
     series behind the masses have not settled to ``tol`` or a refined root
     gives a nonpositive mass.
     """
-    _require_indet(rates)
+    _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
     lo, hi = window
     _require_finite(window, "window bounds")

@@ -27,10 +27,8 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class QuarticSpec:
-    """Quartic family parameters plus the lemniscatic constants it needs."""
+    """The lemniscatic constants of the c = mu = 0 quartic member, the one with closed forms."""
 
-    c: float
-    mu: float
     K0: float
     ctx_half: EllipticContext
 
@@ -40,8 +38,8 @@ class QuarticSpec:
         return _SQRT2 * self.K0
 
 
-def make_quartic_spec(c: float = 0.0, mu: float = 0.0) -> QuarticSpec:
-    spec = QuarticSpec(c=float(c), mu=float(mu), K0=lemniscate_K0(), ctx_half=make_context(0.5))
+def make_quartic_spec() -> QuarticSpec:
+    spec = QuarticSpec(K0=lemniscate_K0(), ctx_half=make_context(0.5))
     if abs(spec.qperiod - spec.ctx_half.K) > 1e-12 * spec.ctx_half.K:
         raise AssertionError("lemniscate constant inconsistent with K(1/2)")
     return spec
@@ -71,11 +69,6 @@ def quartic_rates(c: float = 0.0, mu: float = 0.0) -> BirthDeathRates:
     return BirthDeathRates(lam, mu_fn, family="Quartic", params={"c": c, "mu": mu})
 
 
-def _require_base(spec: QuarticSpec) -> None:
-    if spec.c != 0.0 or spec.mu != 0.0:
-        raise ValueError("closed forms are available for the c = mu = 0 member only")
-
-
 def _root4(x: complex) -> complex:
     # Principal fourth root: argument in (-pi, pi] maps to (-pi/4, pi/4].
     return cmath.exp(0.25 * cmath.log(x)) if x != 0 else 0.0j
@@ -95,7 +88,6 @@ def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> compl
     """(l - 1) [integral of delta_(2-l)(x^(1/4) u / sqrt2) cn(u) du/sqrt2]
     over sqrt(x) delta_l(x^(1/4) Kbar / sqrt2): the Friedrichs transform at
     l = 0, the Krein one at l = 2."""
-    _require_base(spec)
     x = complex(x)
     rho = _root4(x)
     den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
@@ -136,7 +128,6 @@ def border_measure(spec: QuarticSpec, mode: str, nmax: int) -> DiscreteMeasure:
     keeps the variant written with K0 in place of Kbar (masses twice as
     large, totalling 2; supports 16x higher).
     """
-    _require_base(spec)
     if nmax < 1:
         raise ValueError("nmax must be at least 1")
     if mode not in ("friedrichs", "krein"):
@@ -204,7 +195,6 @@ def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport
     to 3 pi. The four sequences come from the double-precision kernel
     (`eval_f`), pi_n from `pi_sequence`.
     """
-    _require_base(spec)
     if n < 500:
         raise ValueError("asymptotic checks need n >= 500")
     x = complex(x)

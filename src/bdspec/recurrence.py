@@ -252,8 +252,8 @@ class _Coefficients(_Band):
 # Per-rates memo, weakly keyed by the rates object: the coefficient table
 # ("table") and the Stieltjes band ("stieltjes"), rebuilt larger on demand;
 # the decimal table of each precision (("extended", dps)), grown in place;
-# and the determinacy verdict and alpha (keyed by its tolerance) of the
-# indeterminate half.
+# the classification of each depth (("determinacy", nmax)), which the
+# determinacy gate of both halves reads; and alpha (keyed by its tolerance).
 _MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

@@ -37,6 +37,17 @@ def qspec():
     return make_quartic_spec()
 
 
+@pytest.fixture(scope="session")
+def cubic():
+    # Berg & Valent's cubic family (1994): indeterminate Stieltjes, with
+    # series tails like n^(-1/3) in place of the quartic family's 1/n.
+    return BirthDeathRates(
+        lambda n: (3 * n + 1) ** 2 * (3 * n + 2),
+        lambda n: (3 * n - 1) * (3 * n) ** 2 * (n > 0),
+        family="Cubic",
+    )
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20250810)

@@ -215,7 +215,7 @@ class TestTransformCommand:
             "--x", "0,1", "--mode", "friedrichs",
         )
         assert code == 3
-        assert "classification" in err
+        assert err.startswith("error: friedrichs mode: ") and "classification" in err
         dn = ["--family", "stieltjes-dn", "--k2", "0.5"]
         out_path = tmp_path / "x.json"
         for argv in (
@@ -227,7 +227,8 @@ class TestTransformCommand:
             code, out, err = run_cli(capsys, *argv)
             assert code == 3
             assert out == ""
-            assert err.startswith("error:") and err.count("\n") == 1
+            mode = argv[argv.index("--mode") + 1]
+            assert err.startswith(f"error: {mode} mode: ") and err.count("\n") == 1
             assert "classification" in err
         assert not out_path.exists()
 
@@ -239,8 +240,8 @@ class TestTransformCommand:
         ["spectrum", *Q0, "--mode", "nextremal:0", "--window=-0.5,3000"],
     ], ids=["markov", "nevanlinna", "krein", "nextremal"])
     def test_each_mode_classifies_once(self, capsys, tmp_path, monkeypatch, argv):
-        # One determinacy gate per command: the library's for the
-        # indeterminate modes, the CLI's for markov.
+        # One determinacy gate per command, the library's, markov included;
+        # the CLI classifies only for the classify command.
         depths = []
         classify = indet.classify
 
@@ -420,6 +421,18 @@ class TestSpectrumCommand:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
             assert f"parameter {convention} is nan" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["transform", "spectrum"])
+    def test_non_numeric_parameter_exit_2(self, capsys, tmp_path, command):
+        out_path = tmp_path / "x.json"
+        argv = (["transform", *Q0, "--x", "4,3", "--mode", "nevanlinna:abc"]
+                if command == "transform"
+                else ["spectrum", *Q0, "--mode", "nextremal:abc", "--out", str(out_path)])
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: PARAM of --mode must be a number, inf or oo, got 'abc'\n"
         assert not out_path.exists()
 
     @pytest.mark.parametrize("window", ["5", "1,2,3", "a,b"])

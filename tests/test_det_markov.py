@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdspec import (
+    INDET_S_INDET_H,
+    DeterminacyError,
     QuadratureError,
     Tolerance,
     custom_rates,
@@ -22,6 +24,7 @@ from bdspec import (
     measure_moment,
     measure_stieltjes,
     pi_sequence,
+    quartic_rates,
     s_fraction,
     stieltjes_cn_rates,
     stieltjes_dn_rates,
@@ -65,6 +68,14 @@ class TestMarkovLimit:
     def test_requires_off_axis(self, dn_half):
         with pytest.raises(ValueError):
             markov_limit(dn_half, 3.0)
+
+    @pytest.mark.parametrize("family, x", [("quartic", 1j), ("cubic", 10 + 10j)])
+    def test_refuses_indeterminate(self, cubic, family, x):
+        # On these the ratios creep to the Friedrichs limit algebraically, and
+        # the two-increment rule used to stop on them and report convergence.
+        rates = cubic if family == "cubic" else quartic_rates(0.0, 0.0)
+        with pytest.raises(DeterminacyError, match=f"classification is {INDET_S_INDET_H}"):
+            markov_limit(rates, x)
 
     def test_non_convergence_flag(self, dn_half):
         res = markov_limit(dn_half, 1j, Tolerance(abs_tol=1e-30, rel_tol=0.0, max_iter=50))

@@ -23,6 +23,7 @@ from bdspec import (
     friedrichs_transform,
     krein_transform,
     markov_like_limit,
+    markov_limit,
     modified_entries_dual,
     nevanlinna_batch,
     nevanlinna_eval,
@@ -196,6 +197,15 @@ class TestAlpha:
     def test_rejects_determinate(self, dn_half):
         with pytest.raises(ValueError):
             alpha_limit(dn_half)
+
+    def test_unsettled_sum_names_the_budget(self, cubic):
+        # The cubic family's terms fall like n^(-5/3), so the sum's tail goes
+        # like n^(-2/3), not 1/n; the error names the budget and does not
+        # contradict classify.
+        assert classify(cubic).verdict == INDET_S_INDET_H
+        with pytest.raises(ConvergenceError, match="within its 300000-term budget") as info:
+            alpha_limit(cubic)
+        assert "det S" not in str(info.value)
 
     def test_memo_is_keyed_by_tolerance(self):
         # A loose first call must not fix what a later default call returns.
@@ -683,6 +693,27 @@ def test_determinate_family_raises_determinacy_error(call):
     with pytest.raises(DeterminacyError, match="classification is DET_H") as info:
         call(stieltjes_dn_rates(0.5))
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("family, call", [
+    ("quartic", lambda r: nevanlinna_eval(r, 1 + 1j)),
+    ("dn", lambda r: markov_limit(r, 1 + 1j)),
+], ids=["indeterminate", "determinate"])
+def test_classify_then_gate_classifies_once(monkeypatch, family, call):
+    # The gate of either half reads the classification that classify
+    # memoized on the rates object.
+    log_columns = indet._log_columns
+    calls = []
+
+    def spy(*args):
+        calls.append(args[2])
+        return log_columns(*args)
+
+    monkeypatch.setattr(indet, "_log_columns", spy)
+    rates = quartic_rates(0.0, 0.0) if family == "quartic" else stieltjes_dn_rates(0.5)
+    classify(rates)
+    call(rates)
+    assert calls == [4001]
 
 
 class TestSeriesKernel:

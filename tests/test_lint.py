@@ -206,3 +206,39 @@ def test_no_dynamic_code(path):
     # whitelisted syntax tree; nothing in the library may hand text to the
     # interpreter.
     assert dynamic_code_uses(path.read_text(encoding="utf-8")) == []
+
+
+VERDICTS = {"DET_H", "DET_S_INDET_H", "INDET_S_INDET_H"}
+
+
+def determinacy_reads(source: str) -> list[str]:
+    """Where a source reads a verdict constant, or ``classify`` outside
+    ``cmd_classify``, as a name or an attribute: ``name (line N)``."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = (child.id if isinstance(child, ast.Name)
+                    else child.attr if isinstance(child, ast.Attribute) else None)
+            if name in VERDICTS or name == "classify" and owner != "cmd_classify":
+                found.append(f"{name} (line {child.lineno})")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_detects_determinacy_reads():
+    src = (
+        "from .indet import DET_H, classify\n"
+        "from . import indet\n"
+        "def cmd_classify(r):\n    return classify(r)\n"
+        "def cmd_transform(r):\n    return indet.classify(r).verdict == indet.INDET_S_INDET_H\n"
+    )
+    assert determinacy_reads(src) == ["classify (line 6)", "INDET_S_INDET_H (line 6)"]
+
+
+def test_cli_leaves_determinacy_to_the_library():
+    # The library's one gate decides every mode conflict; the CLI classifies
+    # only to report a classification.
+    assert determinacy_reads((SRC / "cli.py").read_text(encoding="utf-8")) == []

@@ -96,14 +96,6 @@ class TestTransforms:
         expected = [(2 * n + 1) * math.pi / K for n in range(4)]
         assert np.allclose(roots, expected, rtol=1e-9)
 
-    def test_requires_base_member(self):
-        from bdspec import make_quartic_spec, QuarticSpec
-
-        spec = QuarticSpec(c=0.5, mu=12.0, K0=make_quartic_spec().K0,
-                           ctx_half=make_quartic_spec().ctx_half)
-        with pytest.raises(ValueError):
-            friedrichs_transform(spec, 1j)
-
 
 class TestBorderMeasure:
     def test_friedrichs_supports(self, qspec):
