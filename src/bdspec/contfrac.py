@@ -170,8 +170,11 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
     jc = jacobi_from_rates(rates, n)
     nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
     pseq, _ = eval_pq(rates, n, nodes)
-    sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
-    weights = 1.0 / sq.sum(axis=0)
+    # A sum past double range gives a zero weight, which the positivity
+    # check of DiscreteMeasure refuses.
+    with np.errstate(over="ignore"):
+        sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
+        weights = 1.0 / sq.sum(axis=0)
     return DiscreteMeasure(
         support=nodes,
         mass=weights,

@@ -52,6 +52,8 @@ _GROWTH_LIMIT = 1e130
 # The Nevanlinna series' checkpoints, one every half octave: 128, 181, ..., 16384.
 _CHECKPOINTS = tuple(round(128 * 2 ** (j / 2)) for j in range(15))
 _TERM_CAP = _CHECKPOINTS[-1]
+# Derivative passes an N-extremal bracket may take before its Newton iteration settles.
+_NEWTON_CAP = 8
 
 
 @dataclass(frozen=True)
@@ -303,11 +305,10 @@ def nevanlinna_batch(
                 f"(achieved {achieved[worst]:.2e} at x = {sub[worst]:.6g})"
             )
         vals, _ = _assemble(sums, sub)
-        for j, i in enumerate(nonzero):
-            A, B, C, D = (complex(v) for v in vals[:, j])
-            out[i] = NevanlinnaValue(
-                A, B, C, D, complex(xs[i]), int(terms[j]), abs(A * D - B * C - 1.0)
-            )
+        for i, (A, B, C, D), x, n in zip(
+            nonzero.tolist(), vals.T.tolist(), sub.tolist(), terms.tolist()
+        ):
+            out[i] = NevanlinnaValue(A, B, C, D, x, n, abs(A * D - B * C - 1.0))
     return out
 
 
@@ -492,14 +493,19 @@ def nextremal_measure(
     """Window-limited N-extremal measure psi_param.
 
     Support are the zeros of B lam - D (lambda convention; B for lam = inf;
-    the modified combination in the mu convention) inside ``window``, found
-    by a scan plus safeguarded Newton refinement on the extrapolated series.
+    the modified combination in the mu convention) inside ``window``. A scan
+    brackets them; each bracket then runs Newton on the extrapolated series
+    from its false-position point, with a step that leaves the bracket
+    replaced by the bracket's (Illinois) false-position point. A bracket
+    stops once its step or its width is within ``tol.bound(s)``, that is
+    max(abs_tol, rel_tol |s|), and may take at most 8 derivative passes.
     Masses are 1/(B'(s) D(s) - B(s) D'(s)). The result is flagged
     ``normalized=False``: it is a window of an infinite discrete measure.
     Raises :class:`ValueError` when a window bound is not finite or the
-    window holds no spectral point, and :class:`ConvergenceError` when the
-    series behind the masses have not settled to ``tol`` or a refined root
-    gives a nonpositive mass.
+    window holds no spectral point, and :class:`ConvergenceError` when a
+    bracket has not settled within 8 passes, the series behind the masses
+    have not settled to ``tol``, or a refined root gives a nonpositive mass
+    (naming the brackets of those roots).
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
@@ -511,8 +517,8 @@ def nextremal_measure(
     xs = _default_grid(rates, window)
 
     def g_batch(points: np.ndarray, derivs: bool, final: bool = False):
-        # Only the final pass, which gives the masses, must converge; the scan,
-        # bisection and Newton passes need signs only.
+        # Only the final pass, which gives the masses, must converge; the scan
+        # and Newton passes need signs and steps only.
         sums, _, achieved, converged = _nevanlinna_sums(rates, points, tol, derivs=derivs)
         if final and not converged.all():
             raise ConvergenceError(
@@ -527,40 +533,65 @@ def nextremal_measure(
         return g
 
     scan = g_batch(xs, False)
-    roots = list(xs[scan == 0.0])
     cross = np.flatnonzero(scan[:-1] * scan[1:] < 0)  # brackets [xs[cross], xs[cross + 1]]
-    if cross.size:
-        a, bb, fa = xs[cross], xs[cross + 1], scan[cross]
-        # Bisection narrows each bracket far enough that the closing Newton
-        # steps (on the extrapolated series, with exact derivatives) are safe.
-        for _ in range(14):
-            mids = 0.5 * (a + bb)
-            g = g_batch(mids, False)
-            left = fa * g > 0
-            a = np.where(left, mids, a)
-            bb = np.where(left, bb, mids)
-            fa = np.where(left, g, fa)
-        mids = 0.5 * (a + bb)
-        for _ in range(3):
-            g, dg, _, _ = g_batch(mids, True)
-            mids = mids - g / np.where(dg == 0, 1.0, dg)
-        roots.extend(mids)
+    # Per bracket: its ends, their values, and which end the last pass moved.
+    a, b, fa, fb = xs[cross], xs[cross + 1], scan[cross], scan[cross + 1]
+    moved = np.zeros(cross.size)
+    x = a - fa * (b - a) / (fb - fa)  # each bracket's false-position point
+    active = np.arange(cross.size)
+    for _ in range(_NEWTON_CAP):
+        if not active.size:
+            break
+        i, xi = active, x[active]
+        g, dg, _, _ = g_batch(xi, True)
+        left = np.sign(g) == np.sign(fa[i])
+        # Illinois: an end kept twice in a row has its value halved, so that
+        # false position does not stall next to it.
+        fa[i] = np.where(left, g, np.where(moved[i] < 0, 0.5 * fa[i], fa[i]))
+        fb[i] = np.where(left, np.where(moved[i] > 0, 0.5 * fb[i], fb[i]), g)
+        a[i] = np.where(left, xi, a[i])
+        b[i] = np.where(left, b[i], xi)
+        moved[i] = np.where(left, 1.0, -1.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = g / dg
+        newton = xi - step
+        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(newton))
+        # Newton where it stays in the bracket or moves less than the bound
+        # (rounding can put such a step just past an end), false position
+        # where it leaves.
+        take = (np.abs(step) <= bound) | ((a[i] <= newton) & (newton <= b[i]))
+        falsi = a[i] - fa[i] * (b[i] - a[i]) / (fb[i] - fa[i])
+        x[i] = np.where(take, newton, falsi)
+        step = x[i] - xi
+        done = (np.abs(step) <= bound) | (b[i] - a[i] <= bound)
+        active = active[~done]
+    if active.size:
+        k = active[0]
+        raise ConvergenceError(
+            f"N-extremal root refinement did not settle within {_NEWTON_CAP} Newton passes "
+            f"in bracket [{xs[cross[k]]:.6g},{xs[cross[k] + 1]:.6g}] "
+            f"(last step {step[~done][0]:.2e})"
+        )
 
-    roots = sorted(float(r) for r in roots if lo <= r <= hi)
-    if not roots:
+    zeros = xs[scan == 0.0]
+    pts = np.concatenate([zeros, x])
+    brackets = np.concatenate([np.stack([zeros, zeros], 1), np.stack([xs[cross], xs[cross + 1]], 1)])
+    order = np.argsort(pts)
+    order = order[(lo <= pts[order]) & (pts[order] <= hi)]
+    if not order.size:
         raise ValueError(
             f"no spectral points found in window {window}; widen the window"
         )
-    pts = np.array(roots)
+    pts, brackets = pts[order], brackets[order]
     _, _, vals, dvals = g_batch(pts, True, final=True)
     denom = (dvals[1] * vals[3] - vals[1] * dvals[3]).real
     masses = 1.0 / denom
-    bad = [float(p) for p, m in zip(pts, masses) if not m > 0]
-    if bad:
+    bad = ~(masses > 0)
+    if bad.any():
         raise ConvergenceError(
-            f"root refinement produced nonpositive masses near {bad}; "
+            f"root refinement produced nonpositive masses near {pts[bad].tolist()}; "
             "offending brackets were "
-            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b in zip(xs[cross], xs[cross + 1]))
+            + ", ".join(f"[{a:.6g},{b:.6g}]" for a, b in brackets[bad])
         )
     return DiscreteMeasure(
         support=pts,

@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -467,6 +470,23 @@ class TestSpectrumCommand:
         assert code == 5
         assert err.startswith("error:") and "requested" in err
         assert not out_path.exists()
+
+
+def test_gauss_overflow_is_one_error_line(tmp_path):
+    # A fresh process, so that numpy's own warning display reaches stderr.
+    src = Path(cli.__file__).resolve().parents[1]
+    out_path = tmp_path / "g.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bdspec.cli", "spectrum", *Q0, "--mode", "gauss:120",
+         "--out", str(out_path)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])),
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert not out_path.exists()
 
 
 def test_version_flag(capsys):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,14 @@ class TestSFraction:
 
 
 class TestGaussMeasure:
+    def test_overflowing_christoffel_sum_raises_value_error(self, quartic0):
+        # At order 120 the quartic sum of squares passes double range; with
+        # RuntimeWarnings as errors that must still be the positivity check.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="masses must be strictly positive"):
+                gauss_measure(quartic0, 120)
+
     def test_order_one(self, dn_half):
         m = gauss_measure(dn_half, 1)
         assert m.support == pytest.approx([dn_half.lam(0)])

@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -478,6 +479,59 @@ class TestNextremalMeasure:
         monkeypatch.setattr(indet, "_assemble", flipped)
         with pytest.raises(ConvergenceError, match="nonpositive masses"):
             nextremal_measure(quartic0, 0.0, window=(-0.5, 200))
+
+    def test_nonpositive_masses_name_their_brackets(self, quartic0, monkeypatch):
+        # Only derivatives above 1000 are flipped, so of the Krein atoms 0,
+        # 131.9 and 2110 only the last gets a negative mass.
+        assemble = indet._assemble
+
+        def flipped(sums, xs):
+            vals, dvals = assemble(sums, xs)
+            return vals, None if dvals is None else np.where(xs.real > 1000, -dvals, dvals)
+
+        monkeypatch.setattr(indet, "_assemble", flipped)
+        with pytest.raises(ConvergenceError, match="nonpositive masses") as info:
+            nextremal_measure(quartic0, 0.0, window=(-0.5, 3000))
+        named = str(info.value).split("offending brackets were")[1]
+        brackets = [tuple(map(float, b.split(","))) for b in re.findall(r"\[([^\]]*)\]", named)]
+        assert len(brackets) == 1
+        assert brackets[0][0] < 2110.23 < brackets[0][1]
+
+    @pytest.mark.parametrize("param, window", [("alpha", (0.5, 21000)), (0.0, (-0.5, 11000))])
+    def test_bench_windows_take_seven_passes_at_most(self, quartic0, monkeypatch, param, window):
+        # The scan, the Newton passes and the mass pass; fixed bisection took 19.
+        param = alpha_limit(quartic0) if param == "alpha" else param
+        sums = indet._nevanlinna_sums
+        passes = []
+
+        def counting(*args, **kwargs):
+            passes.append(args[1].size)
+            return sums(*args, **kwargs)
+
+        monkeypatch.setattr(indet, "_nevanlinna_sums", counting)
+        m = nextremal_measure(quartic0, param, window=window)
+        assert m.support.size == 4
+        assert len(passes) <= 7
+
+    @pytest.mark.parametrize("window", [(-0.5, 3000), (-0.5, 11000), (0.5, 21000)])
+    @pytest.mark.parametrize("mode", ["krein", "friedrichs"])
+    def test_atoms_match_border_measure(self, quartic0, qspec, mode, window):
+        # lambda = 0 gives the Krein measure, lambda = alpha the Friedrichs one.
+        param = 0.0 if mode == "krein" else alpha_limit(quartic0)
+        m = nextremal_measure(quartic0, param, window=window)
+        ref = border_measure(qspec, mode, 30)
+        inside = (window[0] <= ref.support) & (ref.support <= window[1])
+        support, mass = ref.support[inside], ref.mass[inside]
+        assert m.support.size == support.size
+        assert np.all(np.abs(m.support - support) <= 1e-12 * np.where(support == 0, 1.0, support))
+        assert np.allclose(m.mass, mass, rtol=1e-11, atol=0)
+
+    def test_newton_cap_raises(self, quartic0, monkeypatch):
+        monkeypatch.setattr(indet, "_NEWTON_CAP", 2)
+        with pytest.raises(
+            ConvergenceError, match=r"within 2 Newton passes in bracket \[.+\] \(last step "
+        ):
+            nextremal_measure(quartic0, 0.0, window=(-0.5, 3000))
 
 
 NONFINITE_XS = [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(1.0, -math.inf)]
