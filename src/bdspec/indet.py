@@ -3,10 +3,13 @@
 The four Nevanlinna series converge like 1/n for quartic-growth rate
 families, so every series and border limit here is read at geometric
 checkpoints (averaged over four consecutive partial sums to damp
-bounded-period oscillation) and extrapolated in 1/n by
-:func:`bdspec.numerics.neville_limit`, which also says when it has settled.
-The Nevanlinna series place a checkpoint every half octave, the border
-limits and the dual series every octave.
+bounded-period oscillation) and extrapolated in 1/n by one Neville tableau
+(:mod:`bdspec.numerics`). The Nevanlinna series place a checkpoint every
+half octave from 64 and extend each point's tableau row by one sample per
+checkpoint; a point stops once what its caller reads there has settled:
+every sum for :func:`nevanlinna_batch`, and for :func:`nextremal_measure` a
+sign, a Newton step or a mass. The border limits and the dual series place
+a checkpoint every octave and settle on :func:`neville_limit`.
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
@@ -30,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DiscreteMeasure, PoleError
-from .numerics import ConvergedLimit, ConvergenceError, Tolerance, neville_limit, richardson_sum
+from .numerics import (
+    ConvergedLimit,
+    ConvergenceError,
+    Tolerance,
+    neville_extend,
+    neville_limit,
+    richardson_sum,
+)
 from .recurrence import (
     _CHUNK,
     BirthDeathRates,
@@ -49,8 +59,8 @@ INDET_S_INDET_H = "INDET_S_INDET_H"
 DET_S_INDET_H = "DET_S_INDET_H"
 
 _GROWTH_LIMIT = 1e130
-# The Nevanlinna series' checkpoints, one every half octave: 128, 181, ..., 16384.
-_CHECKPOINTS = tuple(round(128 * 2 ** (j / 2)) for j in range(15))
+# The Nevanlinna series' checkpoints, one every half octave: 64, 91, ..., 16384.
+_CHECKPOINTS = tuple(round(64 * 2 ** (j / 2)) for j in range(17))
 _TERM_CAP = _CHECKPOINTS[-1]
 # Derivative passes an N-extremal bracket may take before its Newton iteration settles.
 _NEWTON_CAP = 8
@@ -187,24 +197,21 @@ def _require_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]}")
 
 
-def _nevanlinna_sums(
-    rates: BirthDeathRates,
-    xs: np.ndarray,
-    tol: Tolerance,
-    derivs: bool = False,
-):
+def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bool = False):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
     The recurrence advances by one :func:`_advance` per checkpoint segment and
-    chunk of points, over ``_CHECKPOINTS``. Each point stops at the first
-    checkpoint where its own extrapolation has settled, so its result does
-    not depend on the batch. A point needs four checkpoints before it can
-    settle, so it uses at least 365 terms; most points of the plane stop at
-    727 or 1027 terms. Rows past ``_GROWTH_LIMIT`` raise a
-    :class:`ConvergenceError` that names the double range.
-    Returns (sums, terms_used, achieved increment, converged) over the batch;
+    chunk of points, over ``_CHECKPOINTS``. Each point extends its own row of
+    the Neville tableau at every checkpoint and stops at the first one where
+    ``settled(sums, increments, xs)``, the caller's test over the points
+    still running, holds for it; so its result does not depend on the batch.
+    A point needs four checkpoints before it can settle, so it uses at least
+    184 terms. Rows past ``_GROWTH_LIMIT`` raise a :class:`ConvergenceError`
+    that names the double range.
+    Returns (sums, terms_used, increments, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
-    (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
+    (Q_k(0), P_k(0)), :func:`_assemble` turns it into (A, B, C, D) and
+    :func:`_entries` carries the increments, of the same shape, into them.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     tab = _coefficients(rates, _TERM_CAP + 3)
@@ -213,16 +220,16 @@ def _nevanlinna_sums(
     running = carry[:, :, 0, None] * W[0] + carry[:, :, 1, None] * W[1]
 
     result = np.zeros_like(running)
+    incs = np.full(running.shape, math.inf)
     terms = np.zeros(xs.size, dtype=int)
-    achieved = np.full(xs.size, math.inf)
     converged = np.zeros(xs.size, dtype=bool)
     active = np.arange(xs.size)
     hs: list[float] = []
-    snapshots: list[np.ndarray] = []
+    row: list = []  # the active points' row of the Neville tableau
     lo = 2
     for cp in _CHECKPOINTS:
         hi = cp + 3
-        avg = np.zeros_like(running)
+        avg = np.empty((running.shape[0], active.size, 2), dtype=complex)
         step = max(1, _CHUNK // (hi - lo))
         for i0 in range(0, active.size, step):
             idx = active[i0 : i0 + step]
@@ -245,32 +252,47 @@ def _nevanlinna_sums(
                 s = s + rows[:, :, j - 3, None] * W[cp + j]
                 total = total + s
             running[:, idx] = s
-            avg[:, idx] = total / 4
+            avg[:, i0 : i0 + step] = total / 4
         lo = hi
         terms[active] = hi
         hs.append(1.0 / (cp + 1.5))
-        snapshots.append(avg)
-        if len(snapshots) < 4:  # no point settles on fewer than four checkpoints
+        row, inc = neville_extend(hs, row, avg)
+        if len(row) < 4:  # no point settles on fewer than four checkpoints
             continue
-        extrap, inc, settled = neville_limit(hs, [snap[:, active] for snap in snapshots], tol)
-        result[:, active] = extrap
-        achieved[active] = inc.max(axis=(0, 2))
-        converged[active] = settled.all(axis=(0, 2))
-        active = active[~converged[active]]
+        result[:, active] = row[-1]
+        incs[:, active] = inc
+        done = settled(row[-1], inc, xs[active])
+        converged[active] = done
+        active = active[~done]
         if not active.size:
             break
-    return result, terms, achieved, converged
+        row = [entry[:, ~done] for entry in row]
+    return result, terms, incs, converged
+
+
+def _every_sum_settled(sums: np.ndarray, inc: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Per point of :func:`_nevanlinna_sums`: whether every extrapolated sum is
+    within ``tol.bound`` of its value."""
+    return np.all(inc <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2))
+
+
+def _entries(sums: np.ndarray, xs: np.ndarray):
+    """Rows x S of (A, B, C, D) from :func:`_nevanlinna_sums` without their
+    constants and, when its sums are primed too, rows d(xS)/dx = S + x S'.
+    Given the increments and |x|, the rows bound the increments carried
+    into the entries and their derivatives."""
+    s = np.stack([sums[r, :, c] for c in (0, 1) for r in (0, 1)])
+    if sums.shape[0] == 2:
+        return xs * s, None
+    ds = np.stack([sums[r, :, c] for c in (0, 1) for r in (2, 3)])
+    return xs * s, s + xs * ds
 
 
 def _assemble(sums: np.ndarray, xs: np.ndarray):
     """Rows (A, B, C, D) from :func:`_nevanlinna_sums` and, when its sums are
-    primed too, rows (A', B', C', D'); d(xS)/dx = S + x S'."""
-    s = np.stack([sums[r, :, c] for c in (0, 1) for r in (0, 1)])
-    vals = np.array([0.0, -1.0, 1.0, 0.0])[:, None] + xs * s
-    if sums.shape[0] == 2:
-        return vals, None
-    ds = np.stack([sums[r, :, c] for c in (0, 1) for r in (2, 3)])
-    return vals, s + xs * ds
+    primed too, rows (A', B', C', D')."""
+    vals, dvals = _entries(sums, xs)
+    return np.array([0.0, -1.0, 1.0, 0.0])[:, None] + vals, dvals
 
 
 def nevanlinna_batch(
@@ -281,7 +303,8 @@ def nevanlinna_batch(
     """Vectorized :func:`nevanlinna_eval` over a batch of points.
 
     The points share one series pass, but each stops at the first checkpoint
-    where its own extrapolation has settled, so ``terms_used`` is per point
+    where every one of its extrapolated sums is within ``tol.bound`` of its
+    value (at least 184 terms), so ``terms_used`` is per point
     and ``nevanlinna_batch(rates, xs)[i]`` equals ``nevanlinna_eval(rates,
     xs[i])``. Raises :class:`ConvergenceError` when any point has not settled
     by 16384 terms or its series leaves the double range, and
@@ -297,8 +320,11 @@ def nevanlinna_batch(
     ] * xs.size
     if nonzero.size:
         sub = xs[nonzero]
-        sums, terms, achieved, converged = _nevanlinna_sums(rates, sub, tol)
+        sums, terms, incs, converged = _nevanlinna_sums(
+            rates, sub, lambda sums, inc, points: _every_sum_settled(sums, inc, tol)
+        )
         if not converged.all():
+            achieved = incs.max(axis=(0, 2))
             worst = np.argmax(np.where(converged, -1.0, achieved))
             raise ConvergenceError(
                 f"Nevanlinna series did not stabilize within the {_TERM_CAP}-term cap "
@@ -499,13 +525,19 @@ def nextremal_measure(
     replaced by the bracket's (Illinois) false-position point. A bracket
     stops once its step or its width is within ``tol.bound(s)``, that is
     max(abs_tol, rel_tol |s|), and may take at most 8 derivative passes.
-    Masses are 1/(B'(s) D(s) - B(s) D'(s)). The result is flagged
-    ``normalized=False``: it is a window of an infinite discrete measure.
-    Raises :class:`ValueError` when a window bound is not finite or the
-    window holds no spectral point, and :class:`ConvergenceError` when a
-    bracket has not settled within 8 passes, the series behind the masses
-    have not settled to ``tol``, or a refined root gives a nonpositive mass
-    (naming the brackets of those roots).
+    Masses are 1/(B'(s) D(s) - B(s) D'(s)). Each series pass stops a point
+    on what it reads there, with the extrapolation increments carried into
+    it: the scan once the sign of g = pB + qD exceeds them, a Newton pass
+    once the step g/g' is known to within ``tol.bound(s)``, and the mass
+    pass once (|B'| dD + |D| dB' + |B| dD' + |D'| dB) / |B'D - BD'| is
+    within ``tol.rel_tol`` or every sum has settled as in
+    :func:`nevanlinna_batch`. The result is flagged ``normalized=False``: it
+    is a window of an infinite discrete measure. Raises :class:`ValueError`
+    when a window bound is not finite or the window holds no spectral point,
+    and :class:`ConvergenceError` when a bracket has not settled within 8
+    passes, a mass has not settled within the 16384-term cap (naming its
+    atom), or a refined root gives a nonpositive mass (naming the brackets
+    of those roots).
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
@@ -516,23 +548,50 @@ def nextremal_measure(
     p, q = _pencil(param, convention, lambda: alpha_limit(rates))
     xs = _default_grid(rates, window)
 
-    def g_batch(points: np.ndarray, derivs: bool, final: bool = False):
-        # Only the final pass, which gives the masses, must converge; the scan
-        # and Newton passes need signs and steps only.
-        sums, _, achieved, converged = _nevanlinna_sums(rates, points, tol, derivs=derivs)
-        if final and not converged.all():
-            raise ConvergenceError(
-                f"N-extremal masses: the Nevanlinna series reached "
-                f"{achieved[~converged].max():.2e}, requested abs_tol "
-                f"{tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e}; loosen the tolerance"
-            )
+    def carried(sums, inc, points):
+        # The entries (B, D[, B', D']) at the points, and the increments of
+        # the sums carried into each.
+        vals, dvals = _assemble(sums, points)
+        err, derr = _entries(inc, np.abs(points))
+        if dvals is None:
+            return (vals[1], vals[3]), (err[1], err[3])
+        return (vals[1], vals[3], dvals[1], dvals[3]), (err[1], err[3], derr[1], derr[3])
+
+    # Each pass stops a point once what it reads there is known: the scan
+    # reads the sign of g = pB + qD, a Newton pass the step g/g', and the
+    # mass pass 1/(B'D - BD') to rel_tol, or every sum settled.
+    def sign_known(sums, inc, points):
+        (B, D), (eB, eD) = carried(sums, inc, points)
+        return np.abs((p * B + q * D).real) > abs(p) * eB + abs(q) * eD
+
+    def step_known(sums, inc, points):
+        (B, D, dB, dD), (eB, eD, edB, edD) = carried(sums, inc, points)
+        g, dg = (p * B + q * D).real, (p * dB + q * dD).real
+        g_err, dg_err = abs(p) * eB + abs(q) * eD, abs(p) * edB + abs(q) * edD
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step_err = (g_err + np.abs(g / dg) * dg_err) / np.abs(dg)
+        return step_err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(points))
+
+    def mass_spread(sums, inc, points):
+        (B, D, dB, dD), (eB, eD, edB, edD) = carried(sums, inc, points)
+        spread = np.abs(dB) * eD + np.abs(D) * edB + np.abs(B) * edD + np.abs(dD) * eB
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return spread / np.abs(dB * D - B * dD)
+
+    def mass_known(sums, inc, points):
+        # Where B'D and BD' cancel, the carried spread can stay above rel_tol
+        # to the cap while every sum has settled and the mass is accurate, as
+        # at the Friedrichs atoms past 4e5 at c = 0 (within 4.3e-12 of
+        # border_measure).
+        return (mass_spread(sums, inc, points) <= tol.rel_tol) | _every_sum_settled(sums, inc, tol)
+
+    def g_pass(points: np.ndarray, settled, derivs: bool):
+        sums, _, _, _ = _nevanlinna_sums(rates, points, settled, derivs=derivs)
         vals, dvals = _assemble(sums, points)
         g = (p * vals[1] + q * vals[3]).real
-        if derivs:
-            return g, (p * dvals[1] + q * dvals[3]).real, vals, dvals
-        return g
+        return (g, (p * dvals[1] + q * dvals[3]).real) if derivs else g
 
-    scan = g_batch(xs, False)
+    scan = g_pass(xs, sign_known, False)
     cross = np.flatnonzero(scan[:-1] * scan[1:] < 0)  # brackets [xs[cross], xs[cross + 1]]
     # Per bracket: its ends, their values, and which end the last pass moved.
     a, b, fa, fb = xs[cross], xs[cross + 1], scan[cross], scan[cross + 1]
@@ -543,7 +602,7 @@ def nextremal_measure(
         if not active.size:
             break
         i, xi = active, x[active]
-        g, dg, _, _ = g_batch(xi, True)
+        g, dg = g_pass(xi, step_known, True)
         left = np.sign(g) == np.sign(fa[i])
         # Illinois: an end kept twice in a row has its value halved, so that
         # false position does not stall next to it.
@@ -570,7 +629,8 @@ def nextremal_measure(
         raise ConvergenceError(
             f"N-extremal root refinement did not settle within {_NEWTON_CAP} Newton passes "
             f"in bracket [{xs[cross[k]]:.6g},{xs[cross[k] + 1]:.6g}] "
-            f"(last step {step[~done][0]:.2e})"
+            f"(last step {step[~done][0]:.2e}, requested abs_tol {tol.abs_tol:.1e} "
+            f"/ rel_tol {tol.rel_tol:.1e})"
         )
 
     zeros = xs[scan == 0.0]
@@ -583,7 +643,15 @@ def nextremal_measure(
             f"no spectral points found in window {window}; widen the window"
         )
     pts, brackets = pts[order], brackets[order]
-    _, _, vals, dvals = g_batch(pts, True, final=True)
+    sums, _, incs, converged = _nevanlinna_sums(rates, pts, mass_known, derivs=True)
+    if not converged.all():
+        spread = mass_spread(sums[:, ~converged], incs[:, ~converged], pts[~converged])
+        raise ConvergenceError(
+            f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not "
+            f"settle within the {_TERM_CAP}-term cap (reached {spread.max():.2e} relative, "
+            f"requested abs_tol {tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
+        )
+    vals, dvals = _assemble(sums, pts)
     denom = (dvals[1] * vals[3] - vals[1] * dvals[3]).real
     masses = 1.0 / denom
     bad = ~(masses > 0)

@@ -3,9 +3,9 @@
 Adaptive Gauss-Legendre quadrature of smooth integrands, symmetric
 tridiagonal eigenvalues, and the one extrapolation rule for every limit that
 converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
-settled when the last two extrapolations agree within the tolerance
-(:func:`neville_limit`), which :func:`richardson_sum` applies to the partial
-sums of a series.
+one tableau row per snapshot (:func:`neville_extend`), settled when the last
+two extrapolations agree within the tolerance (:func:`neville_limit`), which
+:func:`richardson_sum` applies to the partial sums of a series.
 """
 from __future__ import annotations
 
@@ -158,31 +158,51 @@ def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray
     return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
 
 
+def neville_extend(hs: Sequence[float], row: list, y):
+    """One more sample for a Neville tableau in h, built one row at a time.
+
+    ``row`` holds, for j < k, the extrapolation at h = 0 of the samples
+    k-1-j .. k-1 (the empty list before the first sample); ``y`` is sample k,
+    taken at ``hs[k]``. Returns the row of sample k, whose entry k is e_(k+1),
+    the extrapolation of all k + 1 samples, and the increment
+    |e_(k+1) - e_k| (inf below four samples). Each entry depends only on its
+    own samples, so extending a row per sample gives the bits a tableau
+    rebuilt over all samples gives; array samples extend elementwise.
+    """
+    k = len(row)
+    new = [np.asarray(y, dtype=complex)]
+    for j in range(1, k + 1):
+        new.append(new[j - 1] + (new[j - 1] - row[j - 1]) * hs[k] / (hs[k - j] - hs[k]))
+    if k < 3:
+        inc = math.inf if new[0].ndim == 0 else np.full(new[0].shape, math.inf)
+    elif new[0].ndim == 0:
+        inc = abs(complex(new[-1]) - complex(row[-1]))
+    else:
+        inc = np.abs(new[-1] - row[-1])
+    return new, inc
+
+
 def neville_limit(hs: Sequence[float], ys: Sequence, tol: Tolerance):
     """Limit at h = 0 of samples ``(h_i, y_i)`` of a quantity converging like
     a power series in h, and whether it has settled.
 
-    One Neville tableau over all k samples gives the extrapolation e_k; its
-    entry i then holds e_(i+1), the extrapolation of the first i + 1 samples,
-    so e_(k-1) comes for free. Returns ``(e_k, |e_k - e_(k-1)|, settled)``
-    with settled meaning that increment is within
-    ``max(abs_tol, rel_tol * |e_k|)``; below four samples the increment is
-    inf. Samples that are arrays of one shape give elementwise results;
-    scalar samples give a ``complex``, a ``float`` and a ``bool``.
+    The tableau of :func:`neville_extend` over all k samples gives the
+    extrapolation e_k and e_(k-1), that of the first k - 1 samples. Returns
+    ``(e_k, |e_k - e_(k-1)|, settled)`` with settled meaning that increment
+    is within ``max(abs_tol, rel_tol * |e_k|)``; below four samples the
+    increment is inf. Samples that are arrays of one shape give elementwise
+    results; scalar samples give a ``complex``, a ``float`` and a ``bool``.
     """
-    vals = list(np.asarray(ys, dtype=complex))
-    n = len(vals)
-    if len(hs) != n or n == 0:
+    vals = np.asarray(ys, dtype=complex)
+    if len(hs) != len(vals) or len(vals) == 0:
         raise ValueError("need equally many abscissae and values")
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
-    if vals[-1].ndim == 0:
-        value = complex(vals[-1])
-        inc = abs(value - complex(vals[-2])) if n >= 4 else math.inf
+    row: list = []
+    for y in vals:
+        row, inc = neville_extend(hs, row, y)
+    if row[-1].ndim == 0:
+        value = complex(row[-1])
         return value, inc, inc <= tol.bound(value)
-    inc = np.abs(vals[-1] - vals[-2]) if n >= 4 else np.full(vals[-1].shape, math.inf)
-    return vals[-1], inc, inc <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(vals[-1]))
+    return row[-1], inc, inc <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(row[-1]))
 
 
 def richardson_sum(
@@ -196,26 +216,28 @@ def richardson_sum(
     The first ``tol.max_iter`` of ``terms`` form the budget. Checkpoints sit
     at n0, 2 n0, 4 n0, ... as long as the four partial sums S_cp .. S_(cp+3)
     fit in it; their average (which damps bounded-period oscillation) is the
-    snapshot at h = 1/(cp + 1.5), and the sum stops at the first checkpoint
-    where :func:`neville_limit` has settled. Intended for algebraically
-    decaying terms; geometric series converge before extrapolation matters.
-    Without a settled checkpoint the result has ``converged=False``, the last
-    extrapolation (the plain sum below three snapshots) and the whole budget.
+    snapshot at h = 1/(cp + 1.5), which extends one Neville row
+    (:func:`neville_extend`), and the sum stops at the first checkpoint
+    where the extrapolation has settled as in :func:`neville_limit`.
+    Intended for algebraically decaying terms; geometric series converge
+    before extrapolation matters. Without a settled checkpoint the result
+    has ``converged=False``, the last extrapolation (the plain sum below
+    three snapshots) and the whole budget.
     """
     tol = tol or Tolerance()
     partial = np.cumsum(np.asarray(terms, dtype=complex)[: tol.max_iter])
     hs: list[float] = []
-    ys: list[complex] = []
+    row: list = []
     value = complex(partial[-1]) if partial.size else 0j
     inc = math.inf
     cp = max(8, n0)
     while cp + 3 <= partial.size:
         s0, s1, s2, s3 = partial[cp - 1 : cp + 3]
         hs.append(1.0 / (cp + 1.5))
-        ys.append((s0 + s1 + s2 + s3) / 4)
-        if len(ys) >= 3:
-            value, inc, settled = neville_limit(hs, ys, tol)
-            if settled:
+        row, inc = neville_extend(hs, row, (s0 + s1 + s2 + s3) / 4)
+        if len(row) >= 3:
+            value = complex(row[-1])
+            if inc <= tol.bound(value):
                 return ConvergedLimit(value, cp + 3, inc, True)
         cp *= 2
     return ConvergedLimit(value, partial.size, inc, False)

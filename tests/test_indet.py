@@ -108,6 +108,14 @@ class TestNevanlinna:
         # The checkpoints start at 128, so 3+4i can settle at 2048.
         assert nevanlinna_eval(quartic0, 3 + 4j).terms_used <= 2051
 
+    def test_ladder_starts_at_64(self, quartic0, qspec):
+        # On the ladder from 64, 3+4i settles at checkpoint 362 (365 terms);
+        # on the one from 128 it ran to 727.
+        nv = nevanlinna_eval(quartic0, 3 + 4j)
+        assert nv.terms_used <= 365
+        kr = krein_transform(qspec, 3 + 4j)
+        assert abs(nv.C / nv.D - kr) <= 1e-11 * abs(kr)
+
     def test_truncation_det_identity_along_summation(self, quartic0):
         # A_n D_n - B_n C_n = 1 at every level of the partial sums
         x = 2.2 + 0.7j
@@ -525,6 +533,65 @@ class TestNextremalMeasure:
         assert m.support.size == support.size
         assert np.all(np.abs(m.support - support) <= 1e-12 * np.where(support == 0, 1.0, support))
         assert np.allclose(m.mass, mass, rtol=1e-11, atol=0)
+
+    def test_quarter_window_reaches_fifth_atom(self):
+        # The mass pass stops on the mass, so whether the fifth root settles no
+        # longer depends on the sum that vanishes there; under the per-sum rule
+        # its last digits decided between 5 atoms and an error.
+        m = nextremal_measure(quartic_rates(0.25, 0.0), 0.0, window=(-0.5, 6e4))
+        assert m.support.size == 5
+        assert m.support[4] == pytest.approx(43029.5004307636, rel=1e-12)
+        assert np.all(m.mass > 0)
+
+    def test_krein_window_reaches_sixth_atom(self, quartic0, qspec):
+        # (-0.5, 1e5) adds the Krein atom 8.2e4; the per-sum rule stopped its
+        # mass pass at the 16384-term cap.
+        m = nextremal_measure(quartic0, 0.0, window=(-0.5, 1e5))
+        ref = border_measure(qspec, "krein", 30)
+        inside = ref.support <= 1e5
+        assert m.support.size == np.count_nonzero(inside) == 6
+        assert m.support[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(m.support[1:], ref.support[inside][1:], rtol=1e-12, atol=0)
+        assert np.allclose(m.mass, ref.mass[inside], rtol=1e-11, atol=0)
+
+    def test_friedrichs_window_keeps_its_ninth_atom(self, quartic0, qspec):
+        # Next to the Friedrichs atoms past 4e5, B'D and BD' cancel, and the
+        # increments carried into the mass stay above 1e-11 to the 16384-term
+        # cap; the mass pass stops there once every sum has settled.
+        m = nextremal_measure(quartic0, alpha_limit(quartic0), window=(-0.5, 1e6))
+        ref = border_measure(qspec, "friedrichs", 30)
+        inside = ref.support <= 1e6
+        assert m.support.size == np.count_nonzero(inside) == 9
+        assert np.allclose(m.support, ref.support[inside], rtol=1e-12, atol=0)
+        assert np.allclose(m.mass, ref.mass[inside], rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize(
+        "param, window, most_terms",
+        [
+            ("alpha", (0.5, 21000), [184, 727, 727, 727, 727, 1027]),
+            (0.0, (-0.5, 11000), [184, 515, 515, 515, 515, 727]),
+        ],
+    )
+    def test_bench_windows_stop_each_pass_on_what_it_reads(
+        self, quartic0, monkeypatch, param, window, most_terms
+    ):
+        # The scan stops a point on the sign of g, a Newton pass on the step
+        # and the mass pass on the mass; when every pass waited for every sum
+        # to settle, they ran to [1027] * 6 and [1027] + [1451] * 5 terms.
+        param = alpha_limit(quartic0) if param == "alpha" else param
+        sums = indet._nevanlinna_sums
+        terms = []
+
+        def counting(*args, **kwargs):
+            out = sums(*args, **kwargs)
+            terms.append(out[1].max())
+            return out
+
+        monkeypatch.setattr(indet, "_nevanlinna_sums", counting)
+        m = nextremal_measure(quartic0, param, window=window)
+        assert m.support.size == 4
+        assert len(terms) <= len(most_terms)
+        assert all(t <= cap for t, cap in zip(terms, most_terms))
 
     def test_newton_cap_raises(self, quartic0, monkeypatch):
         monkeypatch.setattr(indet, "_NEWTON_CAP", 2)

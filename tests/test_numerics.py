@@ -12,7 +12,7 @@ from bdspec import (
     quartic_rates,
     tridiag_eigen,
 )
-from bdspec.numerics import compensated_sum, neville_limit, richardson_sum
+from bdspec.numerics import compensated_sum, neville_extend, neville_limit, richardson_sum
 
 from conftest import SUM_INV_MUPI_REF
 
@@ -229,6 +229,40 @@ def test_neville_limit_reads_prefix_extrapolations_off_one_tableau(rng):
         assert value == 3.0 and inc == math.inf and not settled
     _, inc, settled = neville_limit(hs[:3], [np.ones(2)] * 3, tol)
     assert np.all(inc == math.inf) and not settled.any()
+
+
+def _rebuilt_tableau(hs, ys):
+    # The whole tableau over every sample, as each checkpoint rebuilt it before
+    # rows were extended one sample at a time: (e_k, e_(k-1)).
+    vals = list(np.asarray(ys, dtype=complex))
+    for j in range(1, len(vals)):
+        for i in range(len(vals) - 1, j - 1, -1):
+            vals[i] = vals[i] + (vals[i] - vals[i - 1]) * hs[i] / (hs[i - j] - hs[i])
+    return vals[-1], vals[-2] if len(vals) > 1 else None
+
+
+def test_neville_rows_match_the_rebuilt_tableau(rng):
+    # One row extended per sample, as the Nevanlinna series and
+    # richardson_sum keep it, gives the rebuilt tableau's value and
+    # neville_limit's value and increment bit for bit at every prefix.
+    hs = [1.0 / (round(64 * 2 ** (j / 2)) + 1.5) for j in range(17)]
+    ys = rng.normal(size=(17, 4, 3, 2)) + 1j * rng.normal(size=(17, 4, 3, 2))
+    tol = Tolerance(1e-11, 1e-11)
+    row, scalar_row = [], []
+    for k in range(1, len(hs) + 1):
+        row, inc = neville_extend(hs, row, ys[k - 1])
+        value, ref_inc, _ = neville_limit(hs[:k], ys[:k], tol)
+        ref, ref_prev = _rebuilt_tableau(hs[:k], ys[:k])
+        assert np.array_equal(row[-1], value) and np.array_equal(row[-1], ref)
+        assert np.array_equal(inc, ref_inc)
+        if k >= 4:
+            assert np.array_equal(inc, np.abs(ref - ref_prev))
+        else:
+            assert np.all(inc == math.inf)
+        scalar_row, scalar_inc = neville_extend(hs, scalar_row, ys[k - 1, 0, 0, 0])
+        value, ref_inc, _ = neville_limit(hs[:k], ys[:k, 0, 0, 0], tol)
+        assert complex(scalar_row[-1]) == value == _neville(hs[:k], ys[:k, 0, 0, 0])
+        assert scalar_inc == ref_inc and isinstance(scalar_inc, float)
 
 
 def test_compensated_sum_vs_mpmath():
