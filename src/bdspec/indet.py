@@ -6,10 +6,11 @@ checkpoints (averaged over four consecutive partial sums to damp
 bounded-period oscillation) and extrapolated in 1/n by one Neville tableau
 (:mod:`bdspec.numerics`). The Nevanlinna series place a checkpoint every
 half octave from 64 and extend each point's tableau row by one sample per
-checkpoint; a point stops once what its caller reads there has settled:
-every sum for :func:`nevanlinna_batch`, and for :func:`nextremal_measure` a
-sign, a Newton step or a mass. The border limits and the dual series place
-a checkpoint every octave and settle on :func:`neville_limit`.
+checkpoint; a point stops once what its caller reads there agrees at the
+last two extrapolations: every sum for :func:`nevanlinna_batch`, and for
+:func:`nextremal_measure` a sign, a Newton step or a mass. The border
+limits and the dual series place a checkpoint every octave and settle on
+:func:`neville_limit`.
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
@@ -203,15 +204,15 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
     The recurrence advances by one :func:`_advance` per checkpoint segment and
     chunk of points, over ``_CHECKPOINTS``. Each point extends its own row of
     the Neville tableau at every checkpoint and stops at the first one where
-    ``settled(sums, increments, xs)``, the caller's test over the points
-    still running, holds for it; so its result does not depend on the batch.
-    A point needs four checkpoints before it can settle, so it uses at least
-    184 terms. Rows past ``_GROWTH_LIMIT`` raise a :class:`ConvergenceError`
-    that names the double range.
-    Returns (sums, terms_used, increments, converged) over the batch;
+    ``settled(sums, previous, xs)``, the caller's test over the points still
+    running, holds for it: ``sums`` is the extrapolation of all the point's
+    samples and ``previous`` the one before the last sample, so its result
+    does not depend on the batch. A point needs four checkpoints before it
+    can settle, so it uses at least 184 terms. Rows past ``_GROWTH_LIMIT``
+    raise a :class:`ConvergenceError` that names the double range.
+    Returns (sums, terms_used, previous, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
-    (Q_k(0), P_k(0)), :func:`_assemble` turns it into (A, B, C, D) and
-    :func:`_entries` carries the increments, of the same shape, into them.
+    (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     tab = _coefficients(rates, _TERM_CAP + 3)
@@ -220,7 +221,7 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
     running = carry[:, :, 0, None] * W[0] + carry[:, :, 1, None] * W[1]
 
     result = np.zeros_like(running)
-    incs = np.full(running.shape, math.inf)
+    earlier = np.zeros_like(running)
     terms = np.zeros(xs.size, dtype=int)
     converged = np.zeros(xs.size, dtype=bool)
     active = np.arange(xs.size)
@@ -256,43 +257,36 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
         lo = hi
         terms[active] = hi
         hs.append(1.0 / (cp + 1.5))
-        row, inc = neville_extend(hs, row, avg)
+        previous = row[-1] if row else None
+        row, _ = neville_extend(hs, row, avg)
         if len(row) < 4:  # no point settles on fewer than four checkpoints
             continue
         result[:, active] = row[-1]
-        incs[:, active] = inc
-        done = settled(row[-1], inc, xs[active])
+        earlier[:, active] = previous
+        done = settled(row[-1], previous, xs[active])
         converged[active] = done
         active = active[~done]
         if not active.size:
             break
         row = [entry[:, ~done] for entry in row]
-    return result, terms, incs, converged
+    return result, terms, earlier, converged
 
 
-def _every_sum_settled(sums: np.ndarray, inc: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _every_sum_settled(sums: np.ndarray, previous: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Per point of :func:`_nevanlinna_sums`: whether every extrapolated sum is
-    within ``tol.bound`` of its value."""
-    return np.all(inc <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2))
-
-
-def _entries(sums: np.ndarray, xs: np.ndarray):
-    """Rows x S of (A, B, C, D) from :func:`_nevanlinna_sums` without their
-    constants and, when its sums are primed too, rows d(xS)/dx = S + x S'.
-    Given the increments and |x|, the rows bound the increments carried
-    into the entries and their derivatives."""
-    s = np.stack([sums[r, :, c] for c in (0, 1) for r in (0, 1)])
-    if sums.shape[0] == 2:
-        return xs * s, None
-    ds = np.stack([sums[r, :, c] for c in (0, 1) for r in (2, 3)])
-    return xs * s, s + xs * ds
+    within ``tol.bound`` of its value at the previous extrapolation."""
+    return np.all(
+        np.abs(sums - previous) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2)
+    )
 
 
 def _assemble(sums: np.ndarray, xs: np.ndarray):
     """Rows (A, B, C, D) from :func:`_nevanlinna_sums` and, when its sums are
-    primed too, rows (A', B', C', D')."""
-    vals, dvals = _entries(sums, xs)
-    return np.array([0.0, -1.0, 1.0, 0.0])[:, None] + vals, dvals
+    primed too, rows (A', B', C', D'), or None: entry 2c + r of x S is sum r
+    against weight c, and its derivative is S + x S'."""
+    s = sums.reshape(-1, 2, xs.size, 2).transpose(0, 3, 1, 2).reshape(-1, 4, xs.size)
+    vals = np.array([0.0, -1.0, 1.0, 0.0])[:, None] + xs * s[0]
+    return vals, (s[0] + xs * s[1] if len(s) > 1 else None)
 
 
 def nevanlinna_batch(
@@ -320,11 +314,11 @@ def nevanlinna_batch(
     ] * xs.size
     if nonzero.size:
         sub = xs[nonzero]
-        sums, terms, incs, converged = _nevanlinna_sums(
-            rates, sub, lambda sums, inc, points: _every_sum_settled(sums, inc, tol)
+        sums, terms, previous, converged = _nevanlinna_sums(
+            rates, sub, lambda sums, previous, points: _every_sum_settled(sums, previous, tol)
         )
         if not converged.all():
-            achieved = incs.max(axis=(0, 2))
+            achieved = np.abs(sums - previous).max(axis=(0, 2))
             worst = np.argmax(np.where(converged, -1.0, achieved))
             raise ConvergenceError(
                 f"Nevanlinna series did not stabilize within the {_TERM_CAP}-term cap "
@@ -525,12 +519,12 @@ def nextremal_measure(
     replaced by the bracket's (Illinois) false-position point. A bracket
     stops once its step or its width is within ``tol.bound(s)``, that is
     max(abs_tol, rel_tol |s|), and may take at most 8 derivative passes.
-    Masses are 1/(B'(s) D(s) - B(s) D'(s)). Each series pass stops a point
-    on what it reads there, with the extrapolation increments carried into
-    it: the scan once the sign of g = pB + qD exceeds them, a Newton pass
-    once the step g/g' is known to within ``tol.bound(s)``, and the mass
-    pass once (|B'| dD + |D| dB' + |B| dD' + |D'| dB) / |B'D - BD'| is
-    within ``tol.rel_tol`` or every sum has settled as in
+    Masses are 1/d with d = B'(s) D(s) - B(s) D'(s). Each series pass stops
+    a point once what it reads there, computed at the last two
+    extrapolations, agrees: the scan once |g| exceeds the change of
+    g = pB + qD, a Newton pass once the step g/g' changes by at most
+    ``tol.bound(s)``, and the mass pass once d changes by at most
+    ``tol.bound(d)`` or every sum has settled as in
     :func:`nevanlinna_batch`. The result is flagged ``normalized=False``: it
     is a window of an infinite discrete measure. Raises :class:`ValueError`
     when a window bound is not finite or the window holds no spectral point,
@@ -548,50 +542,41 @@ def nextremal_measure(
     p, q = _pencil(param, convention, lambda: alpha_limit(rates))
     xs = _default_grid(rates, window)
 
-    def carried(sums, inc, points):
-        # The entries (B, D[, B', D']) at the points, and the increments of
-        # the sums carried into each.
+    def readings(sums, points):
+        # g = pB + qD at the points and, from primed sums, g' and d = B'D - BD'.
         vals, dvals = _assemble(sums, points)
-        err, derr = _entries(inc, np.abs(points))
+        g = (p * vals[1] + q * vals[3]).real
         if dvals is None:
-            return (vals[1], vals[3]), (err[1], err[3])
-        return (vals[1], vals[3], dvals[1], dvals[3]), (err[1], err[3], derr[1], derr[3])
+            return g, None, None
+        return g, (p * dvals[1] + q * dvals[3]).real, (dvals[1] * vals[3] - vals[1] * dvals[3]).real
 
-    # Each pass stops a point once what it reads there is known: the scan
-    # reads the sign of g = pB + qD, a Newton pass the step g/g', and the
-    # mass pass 1/(B'D - BD') to rel_tol, or every sum settled.
-    def sign_known(sums, inc, points):
-        (B, D), (eB, eD) = carried(sums, inc, points)
-        return np.abs((p * B + q * D).real) > abs(p) * eB + abs(q) * eD
+    # Each pass stops a point once what it reads there agrees at the last two
+    # extrapolations: the scan reads the sign of g, a Newton pass the step
+    # g/g', and the mass pass d, to tol.bound(d), or every sum settled.
+    def sign_known(sums, previous, points):
+        g, g_prev = readings(sums, points)[0], readings(previous, points)[0]
+        return np.abs(g) > np.abs(g - g_prev)
 
-    def step_known(sums, inc, points):
-        (B, D, dB, dD), (eB, eD, edB, edD) = carried(sums, inc, points)
-        g, dg = (p * B + q * D).real, (p * dB + q * dD).real
-        g_err, dg_err = abs(p) * eB + abs(q) * eD, abs(p) * edB + abs(q) * edD
+    def step_known(sums, previous, points):
+        (g, dg, _), (g_prev, dg_prev, _) = readings(sums, points), readings(previous, points)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step_err = (g_err + np.abs(g / dg) * dg_err) / np.abs(dg)
-        return step_err <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(points))
+            change = np.abs(g / dg - g_prev / dg_prev)
+        return change <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(points))
 
-    def mass_spread(sums, inc, points):
-        (B, D, dB, dD), (eB, eD, edB, edD) = carried(sums, inc, points)
-        spread = np.abs(dB) * eD + np.abs(D) * edB + np.abs(B) * edD + np.abs(dD) * eB
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return spread / np.abs(dB * D - B * dD)
-
-    def mass_known(sums, inc, points):
-        # Where B'D and BD' cancel, the carried spread can stay above rel_tol
-        # to the cap while every sum has settled and the mass is accurate, as
-        # at the Friedrichs atoms past 4e5 at c = 0 (within 4.3e-12 of
-        # border_measure).
-        return (mass_spread(sums, inc, points) <= tol.rel_tol) | _every_sum_settled(sums, inc, tol)
+    def mass_known(sums, previous, points):
+        # Where B'D and BD' cancel, the rounding of d can stay above the
+        # bound to the cap while every sum has settled and the mass is
+        # accurate, as at the Friedrichs atoms on (0.5, 21000) at c = 0 with
+        # Tolerance(1e-13, 1e-13).
+        d, d_prev = readings(sums, points)[2], readings(previous, points)[2]
+        change = np.abs(d - d_prev) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(d))
+        return change | _every_sum_settled(sums, previous, tol)
 
     def g_pass(points: np.ndarray, settled, derivs: bool):
         sums, _, _, _ = _nevanlinna_sums(rates, points, settled, derivs=derivs)
-        vals, dvals = _assemble(sums, points)
-        g = (p * vals[1] + q * vals[3]).real
-        return (g, (p * dvals[1] + q * dvals[3]).real) if derivs else g
+        return readings(sums, points)
 
-    scan = g_pass(xs, sign_known, False)
+    scan = g_pass(xs, sign_known, False)[0]
     cross = np.flatnonzero(scan[:-1] * scan[1:] < 0)  # brackets [xs[cross], xs[cross + 1]]
     # Per bracket: its ends, their values, and which end the last pass moved.
     a, b, fa, fb = xs[cross], xs[cross + 1], scan[cross], scan[cross + 1]
@@ -602,7 +587,7 @@ def nextremal_measure(
         if not active.size:
             break
         i, xi = active, x[active]
-        g, dg = g_pass(xi, step_known, True)
+        g, dg, _ = g_pass(xi, step_known, True)
         left = np.sign(g) == np.sign(fa[i])
         # Illinois: an end kept twice in a row has its value halved, so that
         # false position does not stall next to it.
@@ -643,17 +628,16 @@ def nextremal_measure(
             f"no spectral points found in window {window}; widen the window"
         )
     pts, brackets = pts[order], brackets[order]
-    sums, _, incs, converged = _nevanlinna_sums(rates, pts, mass_known, derivs=True)
+    sums, _, previous, converged = _nevanlinna_sums(rates, pts, mass_known, derivs=True)
+    d = readings(sums, pts)[2]
     if not converged.all():
-        spread = mass_spread(sums[:, ~converged], incs[:, ~converged], pts[~converged])
+        spread = np.abs(d - readings(previous, pts)[2]) / np.abs(d)
         raise ConvergenceError(
             f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not "
-            f"settle within the {_TERM_CAP}-term cap (reached {spread.max():.2e} relative, "
-            f"requested abs_tol {tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
+            f"settle within the {_TERM_CAP}-term cap (reached {spread[~converged].max():.2e} "
+            f"relative, requested abs_tol {tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
         )
-    vals, dvals = _assemble(sums, pts)
-    denom = (dvals[1] * vals[3] - vals[1] * dvals[3]).real
-    masses = 1.0 / denom
+    masses = 1.0 / d
     bad = ~(masses > 0)
     if bad.any():
         raise ConvergenceError(

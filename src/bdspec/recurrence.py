@@ -371,7 +371,8 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
     A segment ends after the first row at which, for some point, a solution
     and its derivative leave [1e-150, 1e150] over the last two rows; the
     carried rows of each such solution are scaled by an exact power of two
-    back to [0.5, 1), and the next segment starts there. Scaling by a power of
+    back to [0.5, 1), and the next segment starts there, trying twice the
+    length of the one cut short (up to the full span). Scaling by a power of
     two is exact and every row is computed by the same operations wherever a
     segment starts, so where the segments break changes no bit: each point's
     rows and exponents are those of a lone evaluation.
@@ -388,9 +389,9 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
         pts = slice(i0, i0 + step)
         carry = start[:, pts]
         scale = np.zeros((2, carry.shape[1]), dtype=int)
-        lo, j = 2, head
+        lo, j, width = 2, head, span
         while lo <= n:
-            hi = min(lo + span, n + 1)
+            hi = min(lo + width, n + 1)
             while True:
                 seg = _advance(tab, xs[pts], carry, lo, hi)
                 cut, rescale = hi - lo, False
@@ -414,6 +415,7 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
                     break
                 hi = lo + cut
             lo += cut
+            width = min(span, 2 * cut)
             j1 = np.searchsorted(ks, lo)
             rows[:, pts, j:j1] = seg[:, :, ks[j:j1] - (lo - cut - 2)]
             exps[:, pts, j:j1] = scale[:, :, None]

@@ -37,7 +37,7 @@ from bdspec import (
     stieltjes_dn_rates,
 )
 
-from bdspec import indet
+from bdspec import indet, recurrence
 from bdspec.numerics import neville_limit
 from bdspec.recurrence import (
     _advance,
@@ -105,7 +105,7 @@ class TestNevanlinna:
             nevanlinna_eval(dn_half, 1.0)
 
     def test_settles_from_early_checkpoints(self, quartic0):
-        # The checkpoints start at 128, so 3+4i can settle at 2048.
+        # The checkpoints start at 64, so 3+4i settles at 365 terms.
         assert nevanlinna_eval(quartic0, 3 + 4j).terms_used <= 2051
 
     def test_ladder_starts_at_64(self, quartic0, qspec):
@@ -593,6 +593,56 @@ class TestNextremalMeasure:
         assert len(terms) <= len(most_terms)
         assert all(t <= cap for t, cap in zip(terms, most_terms))
 
+    def test_krein_window_reaches_tenth_atom(self, quartic0, qspec):
+        # (-0.5, 1e6) adds the Krein atoms 3.2e5 and 8.7e5, whose masses
+        # settle on d = B'D - BD' at its last two extrapolations.
+        m = nextremal_measure(quartic0, 0.0, window=(-0.5, 1e6))
+        ref = border_measure(qspec, "krein", 30)
+        inside = ref.support <= 1e6
+        support = ref.support[inside]
+        assert m.support.size == support.size == 10
+        assert np.all(np.abs(m.support - support) <= 1e-12 * np.where(support == 0, 1.0, support))
+        assert np.allclose(m.mass, ref.mass[inside], rtol=1e-11, atol=0)
+
+    @pytest.mark.parametrize("param", [0.0, "alpha"])
+    @pytest.mark.parametrize("c", [0.25, 1.0])
+    def test_widest_window_moments(self, c, param):
+        # lambda in {0, alpha} gives a positively supported measure, so
+        # (-0.5, 1e6) holds all but a tail of its mass: s_0 = 1 and
+        # s_1 = lambda_0, and at c = 1/4 s_2 = lambda_0^2 + lambda_0 mu_1 (at
+        # c = 1 the window misses up to 3.6e-10 of s_2).
+        rates = quartic_rates(c, 0.0)
+        param = alpha_limit(rates) if param == "alpha" else param
+        m = nextremal_measure(rates, param, window=(-0.5, 1e6))
+        lam0, mu1 = rates.lam(0), rates.mu(1)
+        assert abs(m.mass.sum() - 1.0) <= 1e-12
+        assert abs(np.dot(m.mass, m.support) - lam0) <= 1e-11 * lam0
+        if c == 0.25:
+            s2 = lam0**2 + lam0 * mu1
+            assert abs(np.dot(m.mass, m.support**2) - s2) <= 1e-12 * s2
+
+    @pytest.mark.parametrize(
+        "c, param, tol, atoms",
+        [
+            (0.0, 0.0, Tolerance(1e-13, 1e-13), 3),
+            (1.0, math.inf, Tolerance(1e-11, 0), 2),
+            # B'D and BD' cancel at these atoms, so the rounding of d stays
+            # above 1e-13 to the cap; their masses settle on every sum.
+            (0.0, "alpha", Tolerance(1e-13, 1e-13), 4),
+        ],
+    )
+    def test_nondefault_tolerances(self, qspec, c, param, tol, atoms):
+        rates = quartic_rates(c, 0.0)
+        param = alpha_limit(rates) if param == "alpha" else param
+        m = nextremal_measure(rates, param, window=(0.5, 21000), tol=tol)
+        assert m.support.size == atoms
+        assert np.all(m.mass > 0)
+        if c == 0.0:
+            ref = border_measure(qspec, "krein" if param == 0.0 else "friedrichs", 30)
+            inside = (0.5 <= ref.support) & (ref.support <= 21000)
+            assert np.allclose(m.support, ref.support[inside], rtol=1e-12, atol=0)
+            assert np.allclose(m.mass, ref.mass[inside], rtol=1e-11, atol=0)
+
     def test_newton_cap_raises(self, quartic0, monkeypatch):
         monkeypatch.setattr(indet, "_NEWTON_CAP", 2)
         with pytest.raises(
@@ -745,7 +795,7 @@ def test_stall_wedge_settles(c, qspec):
 
 @pytest.mark.parametrize("x", [2.5e6j, 1e7])
 def test_reach_in_modulus(quartic0, qspec, x):
-    # Checkpoints every half octave settle these at 2899 and 4099 terms;
+    # Checkpoints every half octave settle these at 2051 and 4099 terms;
     # every octave, they did not settle within the 16384-term cap.
     nv = nevanlinna_eval(quartic0, x)
     kr = krein_transform(qspec, x)
@@ -781,6 +831,22 @@ def test_unsettled_series_names_the_cap(quartic0):
 def test_dual_series_beyond_double_range_says_so(quartic0, x, budget):
     with pytest.raises(ConvergenceError, match="double range"):
         modified_entries_dual(quartic0, x, Tolerance(1e-11, 1e-11, budget))
+
+
+def test_rescaled_solve_grows_its_segments_back(quartic0, monkeypatch):
+    # At 1e160 every row leaves [1e-150, 1e150], so each segment is cut after
+    # one row; the next one tries twice the cut, not a full _CHUNK span.
+    advance = recurrence._advance
+    rows = []
+
+    def counting(tab, xs, carry, lo, hi):
+        rows.append(hi - lo)
+        return advance(tab, xs, carry, lo, hi)
+
+    monkeypatch.setattr(recurrence, "_advance", counting)
+    with pytest.raises(ConvergenceError, match="double range"):
+        modified_entries_dual(quartic0, 1e160)
+    assert sum(rows) <= 200_000
 
 
 def test_unsettled_dual_series_names_the_budget(quartic0):

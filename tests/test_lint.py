@@ -165,6 +165,40 @@ def test_public_names_have_callers():
     assert set(uncalled(names, sources)) == TEST_ONLY_SURFACE
 
 
+def private_definitions(source: str) -> list[str]:
+    """Names that a source binds at module level, by ``def``, ``class`` or
+    assignment, and that start with one underscore."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_detects_unread_private_names():
+    src = (
+        "__all__ = ['g']\n"
+        "_A = 1\n_B, _C = 2, 3\n_D: int = 4\n"
+        "def _entries(s):\n    return s\n"
+        "def _assemble(s):\n    return s + _A\n"
+        "class _K:\n    pass\n"
+        "def g(x):\n    return _assemble(x)\n"
+    )
+    names = private_definitions(src)
+    assert names == ["_A", "_B", "_C", "_D", "_entries", "_assemble", "_K"]
+    assert uncalled(names, [src]) == ["_B", "_C", "_D", "_K", "_entries"]
+
+
+def test_private_names_have_callers():
+    # A private function, class or constant that nothing in the library reads
+    # is a leftover; the tests do not count as readers.
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert uncalled([n for s in sources for n in private_definitions(s)], sources) == []
+
+
 DYNAMIC_CODE = {"eval", "exec", "compile", "__import__"}
 
 
