@@ -4,18 +4,19 @@ The four Nevanlinna series converge like 1/n for quartic-growth rate
 families, so every series and border limit here is read at geometric
 checkpoints (averaged over four consecutive partial sums to damp
 bounded-period oscillation) and extrapolated in 1/n by one Neville tableau
-(:mod:`bdspec.numerics`). The Nevanlinna series place a checkpoint every
-half octave from 64 and extend each point's tableau row by one sample per
-checkpoint; a point stops once what its caller reads there agrees at the
-last two extrapolations: every sum for :func:`nevanlinna_batch`, and for
-:func:`nextremal_measure` a sign, a Newton step or a mass. The border
-limits and the dual series place a checkpoint every octave and settle on
-:func:`neville_limit`.
+(:mod:`bdspec.numerics`). The Nevanlinna series, the border limits and the
+dual series place a checkpoint every half octave from 64, extend a tableau
+row by one sample per checkpoint, and stop once what their caller reads
+there agrees at the last two extrapolations: for the Nevanlinna series
+every sum (:func:`nevanlinna_batch`) or a sign, a Newton step or a mass
+(:func:`nextremal_measure`); for the border limits and the dual series
+the Q and P rows of the Stieltjes band (:func:`_border_march`).
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
-solver; the border limits and the dual series read its Stieltjes band from
-one solve; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
+solver, and the border limits and the dual series on its Stieltjes band,
+falling back to six checkpoints from one solve where their rows do not
+settle; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
 1/alpha_n from its log columns. Every entry point here, and ``markov_limit``,
 passes one determinacy gate: it reads :func:`classify` at its default depth
 and raises :class:`DeterminacyError` for a family on the wrong side; the
@@ -60,8 +61,18 @@ INDET_S_INDET_H = "INDET_S_INDET_H"
 DET_S_INDET_H = "DET_S_INDET_H"
 
 _GROWTH_LIMIT = 1e130
-# The Nevanlinna series' checkpoints, one every half octave: 64, 91, ..., 16384.
-_CHECKPOINTS = tuple(round(64 * 2 ** (j / 2)) for j in range(17))
+
+
+def _ladder(top: int) -> list[int]:
+    """The checkpoints round(64 2^(j/2)), one every half octave, up to ``top``."""
+    cps = []
+    while (cp := round(64 * 2 ** (len(cps) / 2))) <= top:
+        cps.append(cp)
+    return cps
+
+
+# The Nevanlinna series' checkpoints: 64, 91, ..., 16384.
+_CHECKPOINTS = tuple(_ladder(16384))
 _TERM_CAP = _CHECKPOINTS[-1]
 # Derivative passes an N-extremal bracket may take before its Newton iteration settles.
 _NEWTON_CAP = 8
@@ -182,14 +193,15 @@ class DeterminacyError(ValueError):
     """The rates classify on the wrong side of determinacy for the operation."""
 
 
-def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> None:
-    """Raise :class:`DeterminacyError` unless ``rates`` classify, at
-    :func:`classify`'s default depth, as one of the ``accepted`` verdicts."""
+def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> str:
+    """The verdict of ``rates`` at :func:`classify`'s default depth; raises
+    :class:`DeterminacyError` unless it is one of the ``accepted`` ones."""
     verdict = classify(rates).verdict
     if verdict not in accepted:
         raise DeterminacyError(
             f"operation accepts {' or '.join(accepted)} families, classification is {verdict}"
         )
+    return verdict
 
 
 def _require_finite(values, what: str) -> None:
@@ -273,8 +285,9 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
 
 
 def _every_sum_settled(sums: np.ndarray, previous: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Per point of :func:`_nevanlinna_sums`: whether every extrapolated sum is
-    within ``tol.bound`` of its value at the previous extrapolation."""
+    """Per point of :func:`_nevanlinna_sums` (or :func:`_border_march`): whether
+    every extrapolated sum (or row) is within ``tol.bound`` of its value at the
+    previous extrapolation."""
     return np.all(
         np.abs(sums - previous) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2)
     )
@@ -417,6 +430,13 @@ def nextremal_transform(
     return (p * nv.A + q * nv.C) / den
 
 
+# The bound to which the border march settles its rows, or the caller's where
+# that is tighter. Rows settled to 1e-11 put the Friedrichs limit 3.3e-12 from
+# the Nevanlinna combination at c = 1, x = 0.156 - 0.988i, and cut the dual
+# series' worst margin inside its 1e-8 benchmark bound from 4.1 to 3.5 digits.
+_ROW_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
+
+
 def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int):
     """The checkpoints cp = N // 2^j (j < 6, N = max(max_iter, 64)), the
     indices 2(cp + i) + parity (i < 4) of the Stieltjes rows averaged at
@@ -427,6 +447,43 @@ def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int):
     return cps, ks, _stieltjes_band(rates, ks[-1] + 1)
 
 
+def _border_march(rates: BirthDeathRates, x: complex, parity: int, tol: Tolerance):
+    """The limits of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
+
+    The band is solved one checkpoint segment at a time over the half-octave
+    ladder up to ``tol.max_iter``, and grown with the march. At each
+    checkpoint cp the rows 2(cp + i) + parity (i < 4) are averaged and extend
+    one Neville row each; the march stops at the first checkpoint (the fourth
+    at the earliest) where both extrapolations are within ``_ROW_TOL``, or
+    ``tol`` where tighter, of the ones before. Returns ([Q, P], the previous
+    [Q, P], cp), or None where the rows have not settled by the last
+    checkpoint or pass ``_GROWTH_LIMIT``.
+    """
+    bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
+    xs = np.array([x])
+    band = _stieltjes_band(rates, 2)
+    carry = _start(band, xs, 2)
+    hs: list[float] = []
+    row: list = []
+    lo = 2
+    for cp in _ladder(tol.max_iter):
+        hi = 2 * (cp + 3) + parity + 1
+        if band.inv_b.size < hi:
+            band = _stieltjes_band(rates, 2 * hi)
+        rows = _advance(band, xs, carry, lo, hi)
+        carry = rows[:, :, -2:]
+        if not np.all(np.abs(carry) <= _GROWTH_LIMIT):
+            return None
+        avg = rows[:, :, 2 * cp + parity - (lo - 2) :: 2].mean(axis=2, keepdims=True)
+        lo = hi
+        hs.append(1.0 / (cp + 1.5))
+        previous = row[-1] if row else None
+        row, _ = neville_extend(hs, row, avg)
+        if len(row) >= 4 and _every_sum_settled(row[-1], previous, bound).all():
+            return row[-1][:, 0, 0], previous[:, 0, 0], cp
+    return None
+
+
 def markov_like_limit(
     rates: BirthDeathRates,
     x: complex,
@@ -434,22 +491,38 @@ def markov_like_limit(
     tol: Tolerance | None = None,
 ) -> ConvergedLimit:
     """Border-measure transforms of indet-S families: the limits of the even
-    (Friedrichs) and odd (Krein) convergents of Stieltjes' continued fraction.
+    (Friedrichs) and odd (Krein) convergents of Stieltjes' continued fraction,
+    at x off the real axis or real x < 0.
 
-    Both converge like 1/n, so the convergents averaged over four rows at
-    each of six checkpoints, ``tol.max_iter`` / 2^j, are Neville-extrapolated;
-    diagnostics report the extrapolation increment.
+    The convergents are Q/P on the rows 2n (Friedrichs) or 2n + 1 (Krein) of
+    the Stieltjes band, and on an indet-S family both rows converge like 1/n.
+    The value is the ratio of their limits from :func:`_border_march`, which
+    settles each row to ``_ROW_TOL`` or ``tol``, where tighter;
+    ``terms_used`` is the checkpoint n where they settled and
+    ``last_increment`` the change of the ratio from the previous
+    extrapolations. Where the march cannot finish, and for det-S families
+    (Friedrichs only), whose rows diverge, the convergents averaged over four
+    rows at each of six checkpoints, ``tol.max_iter`` / 2^j, are
+    Neville-extrapolated instead; ``terms_used`` is then the last of them,
+    and the result settled when its extrapolation increment is within
+    ``tol.bound`` of the value.
     """
     x = complex(x)
     _require_finite(x, "x")
-    if x.imag == 0:
-        raise ValueError("markov_like_limit requires Im x != 0")
+    if x.imag == 0 and x.real >= 0:
+        raise ValueError("markov_like_limit requires Im x != 0 or real x < 0")
     if mode not in ("friedrichs", "krein"):
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     accepted = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
-    _require_verdict(rates, accepted)
+    verdict = _require_verdict(rates, accepted)
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    cps, ks, band = _border_rows(rates, tol.max_iter, mode == "krein")
+    parity = int(mode == "krein")
+    march = _border_march(rates, x, parity, tol) if verdict == INDET_S_INDET_H else None
+    if march is not None:
+        (q, p), (q_prev, p_prev), cp = march
+        value = complex(q / p)
+        return ConvergedLimit(value, cp, abs(value - q_prev / p_prev), True)
+    cps, ks, band = _border_rows(rates, tol.max_iter, parity)
     ratios = _qp_ratios(band, x, ks).reshape(-1, 4).mean(axis=1)
     value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
     return ConvergedLimit(value, cps[-1], inc, converged)
@@ -461,17 +534,23 @@ def modified_entries_dual(
     """(B - D/alpha, A - C/alpha) through the dual-polynomial series
     -1 + (x/lambda_0) sum Ftilde_n(x) and (1/lambda_0) sum Fhat_n(x).
 
-    Their partial sums, minus the even rows (P, Q) of the Stieltjes band, are
-    Neville-extrapolated from the checkpoints of :func:`markov_like_limit`, up
-    to ``tol.max_iter`` (by default 16388, where the Nevanlinna series ends);
-    raises :class:`ConvergenceError` when either has not settled or the sums
-    leave the double range. The strongest cross-check of the direct
-    Nevanlinna summation.
+    Their partial sums are minus the even rows (P, Q) of the Stieltjes band,
+    whose limits :func:`_border_march` settles to ``_ROW_TOL`` or ``tol``,
+    where tighter, within ``tol.max_iter`` terms (by default 16388, where the
+    Nevanlinna series ends). Where the march cannot finish, the sums at six
+    checkpoints, ``tol.max_iter`` / 2^j, are Neville-extrapolated instead,
+    and :class:`ConvergenceError` raised when either has not settled within
+    ``tol.bound`` or the sums leave the double range. The strongest
+    cross-check of the direct Nevanlinna summation.
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     x = complex(x)
     _require_finite(x, "x")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
+    march = _border_march(rates, x, 0, tol)
+    if march is not None:
+        (q, p), _, _ = march
+        return -complex(p), -complex(q)
     cps, ks, band = _border_rows(rates, tol.max_iter, 0)
     rows, exps = _solve(band, np.array([x]), ks)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -610,12 +689,14 @@ def nextremal_measure(
         done = (np.abs(step) <= bound) | (b[i] - a[i] <= bound)
         active = active[~done]
     if active.size:
-        k = active[0]
+        # The step relative to |s| shows an abs_tol finer than the rounding
+        # of the series at the root.
+        k, last = active[0], step[~done][0]
         raise ConvergenceError(
             f"N-extremal root refinement did not settle within {_NEWTON_CAP} Newton passes "
             f"in bracket [{xs[cross[k]]:.6g},{xs[cross[k] + 1]:.6g}] "
-            f"(last step {step[~done][0]:.2e}, requested abs_tol {tol.abs_tol:.1e} "
-            f"/ rel_tol {tol.rel_tol:.1e})"
+            f"(last step {last:.2e}, {abs(last / x[k]):.1e} of |s|, requested abs_tol "
+            f"{tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
         )
 
     zeros = xs[scan == 0.0]

@@ -9,11 +9,13 @@ power of two wherever its rows leave [1e-150, 1e150]. The products pi_n and
 the partial sums 1/alpha_n are read from the log columns, so determinate
 families neither underflow nor overflow there. ``eval_f`` (F_n = (-1)^n
 sqrt(pi_n) P_n, its order-one associated family and the dual systems) reads
-the same kernel rows and log column, and the border limits run the solver
-on its Stieltjes band. The extended-precision iterates (``eval_pq_mp`` and
-``markov_iterates(..., dps=...)``) alone step the recurrence index by index:
-in stdlib ``decimal`` arithmetic at dps + 2 digits, on a per-rates decimal
-table of a_k, b_k and 1/b_k, with the results returned as mpmath numbers.
+the same kernel rows and log column, and the border limits run the kernel
+on its Stieltjes band. A row that leaves the double range in one step, from
+inside [1e-150, 1e150], raises :class:`ConvergenceError`. The
+extended-precision iterates (``eval_pq_mp`` and ``markov_iterates(...,
+dps=...)``) alone step the recurrence index by index: in stdlib ``decimal``
+arithmetic at dps + 2 digits, on a per-rates decimal table of a_k, b_k and
+1/b_k, with the results returned as mpmath numbers.
 ``eval_pq_mp`` is the independent reference the kernel is checked against.
 """
 from __future__ import annotations
@@ -25,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import ztbtrs
+
+from .numerics import ConvergenceError
 
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
@@ -375,7 +379,9 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
     length of the one cut short (up to the full span). Scaling by a power of
     two is exact and every row is computed by the same operations wherever a
     segment starts, so where the segments break changes no bit: each point's
-    rows and exponents are those of a lone evaluation.
+    rows and exponents are those of a lone evaluation. A row that overflows
+    in one step, where a rescale would need its exponent, raises
+    :class:`ConvergenceError` naming the double range and the point.
     """
     n = int(ks[-1])
     rows = np.empty((nrhs, xs.size, ks.size), dtype=complex)
@@ -422,6 +428,14 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
             j = j1
             carry = seg[:, :, cut : cut + 2]
             if rescale:
+                # A row that overflows in one step from inside the range has
+                # no exponent to carry.
+                lost = ~np.isfinite(carry).all(axis=(0, 2))
+                if lost.any():
+                    raise ConvergenceError(
+                        f"recurrence rows leave the double range in one step at "
+                        f"x = {xs[pts][lost][0]:.6g}"
+                    )
                 e = np.where(out[:, :, cut - 1], np.frexp(pair[:, :, cut - 1])[1], 0)
                 carry = carry * np.ldexp(1.0, -e)[np.arange(nrhs) % 2, :, None]
                 scale = scale + e

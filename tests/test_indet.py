@@ -365,13 +365,72 @@ class TestMarkovLike:
     def test_validation(self, quartic0, dn_half):
         with pytest.raises(ValueError):
             markov_like_limit(quartic0, 2.0, "friedrichs")
+        with pytest.raises(ValueError, match="real x < 0"):
+            markov_like_limit(quartic0, 0.0, "krein")
         with pytest.raises(ValueError):
             markov_like_limit(quartic0, 1j, "other")
         with pytest.raises(ValueError):
             markov_like_limit(dn_half, 1j, "krein")
 
+    @pytest.mark.parametrize("c", [0.0, 0.25, 1.0])
+    def test_negative_axis(self, c, qspec):
+        # No border measure has support on x < 0, so both limits are real
+        # there, and every N-extremal transform with lambda in (alpha, 0)
+        # lies strictly between them; at c = 0 they are the closed forms.
+        rates = quartic_rates(c, 0.0)
+        alpha = alpha_limit(rates)
+        for x in -np.logspace(-1.5, 3.5, 20):
+            fr = markov_like_limit(rates, x, "friedrichs").value
+            kr = markov_like_limit(rates, x, "krein").value
+            assert fr.imag == kr.imag == 0
+            if c == 0:
+                assert abs(fr - friedrichs_transform(qspec, x)) <= 1e-12 * abs(fr)
+                assert abs(kr - krein_transform(qspec, x)) <= 1e-12 * abs(kr)
+            nv = nevanlinna_eval(rates, x)
+            for f in (0.75, 0.5, 0.1):
+                v = nextremal_transform(nv, f * alpha).real
+                assert min(fr.real, kr.real) < v < max(fr.real, kr.real)
+
+    def test_border_calls_march_few_rows(self, quartic0, monkeypatch):
+        # Each call marches the band only until its rows settle, where the
+        # six-checkpoint readout solved 40007 (border) or 32782 (dual) rows.
+        rows = []
+
+        def counting(tab, xs, carry, lo, hi):
+            rows.append(hi - lo)
+            return _advance(tab, xs, carry, lo, hi)
+
+        monkeypatch.setattr(indet, "_advance", counting)
+        monkeypatch.setattr(recurrence, "_advance", counting)
+        calls = [lambda r, x, m=m: markov_like_limit(r, x, m) for m in ("friedrichs", "krein")]
+        calls.append(modified_entries_dual)
+        for rates in (quartic0, quartic_rates(0.5, 0.0), quartic_rates(1.0, 0.0)):
+            for x in SWEEP_XS:
+                for call in calls:
+                    rows.clear()
+                    call(rates, x)
+                    assert sum(rows) <= 3000
+
+    def test_far_rays_fall_back(self, quartic0, qspec):
+        # At |x| = 1e10 the rows pass the growth guard, and the six-checkpoint
+        # readout gives both limits on the rays of the reach study.
+        for t in (0.05, 1.0, math.pi / 2, math.pi):
+            x = 1e10 * cmath.exp(1j * t)
+            for mode, closed in (("friedrichs", friedrichs_transform), ("krein", krein_transform)):
+                ref = closed(qspec, x)
+                assert abs(markov_like_limit(quartic0, x, mode).value - ref) <= 1e-12 * abs(ref)
+
 
 class TestModifiedEntriesDual:
+    def test_settles_at_1e6i(self, quartic0):
+        # The six-checkpoint readout needed 65552 terms here; the march
+        # settles the rows within the default budget.
+        alpha = alpha_limit(quartic0)
+        nv = nevanlinna_eval(quartic0, 1e6j)
+        bt, at = modified_entries_dual(quartic0, 1e6j)
+        assert abs(bt - (nv.B - nv.D / alpha)) <= 1e-11 * abs(bt)
+        assert abs(at - (nv.A - nv.C / alpha)) <= 1e-11 * abs(at)
+
     def test_at_zero(self, quartic0):
         bt, at = modified_entries_dual(quartic0, 0.0)
         assert bt == pytest.approx(-1.0)
@@ -650,6 +709,14 @@ class TestNextremalMeasure:
         ):
             nextremal_measure(quartic0, 0.0, window=(-0.5, 3000))
 
+    def test_newton_cap_names_the_relative_step(self, quartic0):
+        # An abs_tol of 1e-11 at an atom near 5.1e3 asks for a few ulps: the
+        # error shows the last step at rounding level relative to |s|.
+        alpha = alpha_limit(quartic0)
+        with pytest.raises(ConvergenceError, match=r"\(last step -3.02e-10, [0-9.e-]+ of \|s\|") as info:
+            nextremal_measure(quartic0, alpha, window=(0.5, 21000), tol=Tolerance(1e-11, 0))
+        assert float(re.search(r"e-10, ([0-9.e-]+) of", str(info.value)).group(1)) < 1e-13
+
 
 NONFINITE_XS = [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(1.0, -math.inf)]
 
@@ -850,9 +917,10 @@ def test_rescaled_solve_grows_its_segments_back(quartic0, monkeypatch):
 
 
 def test_unsettled_dual_series_names_the_budget(quartic0):
-    # At 1e6i the dual series settles with 65552 terms, not with 16388.
-    with pytest.raises(ConvergenceError, match=r"16388-term budget \(achieved [0-9.e+]+ at"):
-        modified_entries_dual(quartic0, 1e6j)
+    # At 1e6i the rows settle within the default budget, not within 1024
+    # terms, so the six-checkpoint readout runs and names that budget.
+    with pytest.raises(ConvergenceError, match=r"1024-term budget \(achieved [0-9.e+]+ at"):
+        modified_entries_dual(quartic0, 1e6j, Tolerance(1e-11, 1e-11, 1024))
 
 
 @pytest.mark.parametrize("convention", ["lambda", "mu"])

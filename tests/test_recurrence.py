@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bdspec import (
     BirthDeathRates,
+    ConvergenceError,
     custom_rates,
     dual_rates,
     eval_f,
@@ -321,6 +322,17 @@ class TestEvalPQ:
                     assert np.array_equal(got.scaling_log[:, i], one.scaling_log)
                     if with_deriv:
                         assert np.array_equal(got.derivs[:, i], one.derivs)
+
+
+@pytest.mark.filterwarnings("error")
+def test_rows_beyond_double_range_say_so(quartic0):
+    # From |x| ~ 1e157, P_2 overflows in one step from P_1 ~ |x|, before a
+    # rescale can act; the error names the range, and numpy never warns.
+    for f in (lambda x: eval_pq(quartic0, 3000, x)[0], lambda x: eval_f(quartic0, 3000, x)):
+        assert np.isfinite(f(1e156).values).all()
+        for x in (1e160, 1e200j):
+            with pytest.raises(ConvergenceError, match="double range in one step at x = "):
+                f(x)
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)
