@@ -14,13 +14,13 @@ the Q and P rows of the Stieltjes band (:func:`_border_march`).
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
-solver, and the border limits and the dual series on its Stieltjes band,
-falling back to six checkpoints from one solve where their rows do not
-settle; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
+solver, and the border limits and the dual series once on its Stieltjes
+band, the border limits reading the octave checkpoints where the rows do
+not settle; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
 1/alpha_n from its log columns. Every entry point here, and ``markov_limit``,
 passes one determinacy gate: it reads :func:`classify` at its default depth
-and raises :class:`DeterminacyError` for a family on the wrong side; the
-classification (per depth) and alpha are memoized per rates object.
+and raises :class:`DeterminacyError` for a family on the wrong side or an
+unconfident verdict; the classification and alpha are memoized per rates.
 
 Stieltjes' continued fraction is the weak form of Markov's theorem in the
 indeterminate case: its even convergents tend to the Friedrichs transform
@@ -50,8 +50,7 @@ from .recurrence import (
     _coefficients,
     _log_columns,
     _memo,
-    _qp_ratios,
-    _solve,
+    _rescaled_rows,
     _start,
     _stieltjes_band,
 )
@@ -193,15 +192,16 @@ class DeterminacyError(ValueError):
     """The rates classify on the wrong side of determinacy for the operation."""
 
 
-def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> str:
-    """The verdict of ``rates`` at :func:`classify`'s default depth; raises
-    :class:`DeterminacyError` unless it is one of the ``accepted`` ones."""
-    verdict = classify(rates).verdict
-    if verdict not in accepted:
+def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> None:
+    """Raises :class:`DeterminacyError` unless :func:`classify`, at its default
+    depth, gives one of the ``accepted`` verdicts and is confident of it."""
+    det = classify(rates)
+    if not det.confident:
+        raise DeterminacyError(f"classification is inconclusive: {det.verdict}, not confident")
+    if det.verdict not in accepted:
         raise DeterminacyError(
-            f"operation accepts {' or '.join(accepted)} families, classification is {verdict}"
+            f"operation accepts {' or '.join(accepted)} families, classification is {det.verdict}"
         )
-    return verdict
 
 
 def _require_finite(values, what: str) -> None:
@@ -285,9 +285,8 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
 
 
 def _every_sum_settled(sums: np.ndarray, previous: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Per point of :func:`_nevanlinna_sums` (or :func:`_border_march`): whether
-    every extrapolated sum (or row) is within ``tol.bound`` of its value at the
-    previous extrapolation."""
+    """Per point of :func:`_nevanlinna_sums`: whether every extrapolated sum
+    is within ``tol.bound`` of its value at the previous extrapolation."""
     return np.all(
         np.abs(sums - previous) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2)
     )
@@ -437,51 +436,50 @@ def nextremal_transform(
 _ROW_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 
 
-def _border_rows(rates: BirthDeathRates, max_iter: int, parity: int):
-    """The checkpoints cp = N // 2^j (j < 6, N = max(max_iter, 64)), the
-    indices 2(cp + i) + parity (i < 4) of the Stieltjes rows averaged at
-    each, and a band that holds them."""
-    N = max(max_iter, 64)
-    cps = sorted({max(8, N // (2**j)) for j in range(6)})
-    ks = 2 * np.add.outer(cps, np.arange(4)).ravel() + parity
-    return cps, ks, _stieltjes_band(rates, ks[-1] + 1)
-
-
-def _border_march(rates: BirthDeathRates, x: complex, parity: int, tol: Tolerance):
+def _border_march(rates: BirthDeathRates, x: complex, parity: int, tol: Tolerance, bounded: bool):
     """The limits of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
 
-    The band is solved one checkpoint segment at a time over the half-octave
-    ladder up to ``tol.max_iter``, and grown with the march. At each
-    checkpoint cp the rows 2(cp + i) + parity (i < 4) are averaged and extend
-    one Neville row each; the march stops at the first checkpoint (the fourth
-    at the earliest) where both extrapolations are within ``_ROW_TOL``, or
-    ``tol`` where tighter, of the ones before. Returns ([Q, P], the previous
-    [Q, P], cp), or None where the rows have not settled by the last
-    checkpoint or pass ``_GROWTH_LIMIT``.
+    The band is solved by :func:`_rescaled_rows` one segment at a time over
+    the half-octave ladder up to ``tol.max_iter`` (64 at the least). At each
+    checkpoint cp the rows 2(cp + i) + parity (i < 4), brought to their
+    largest power of two 2^e, are averaged and extend one Neville row each,
+    kept at 2^e; with ``bounded``, rows past the double range at their true
+    scale raise :class:`ConvergenceError`. The march stops at the first
+    checkpoint (the fourth at the earliest) where both extrapolations are
+    within ``_ROW_TOL``, or ``tol`` where tighter, of the ones before.
+    Returns ([Q, P] and the previous [Q, P], times 2^-e; e; cp; settled;
+    (cp, rows, exps) at the octave checkpoints 64 2^k).
     """
     bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
     xs = np.array([x])
     band = _stieltjes_band(rates, 2)
-    carry = _start(band, xs, 2)
-    hs: list[float] = []
-    row: list = []
-    lo = 2
-    for cp in _ladder(tol.max_iter):
-        hi = 2 * (cp + 3) + parity + 1
-        if band.inv_b.size < hi:
-            band = _stieltjes_band(rates, 2 * hi)
-        rows = _advance(band, xs, carry, lo, hi)
-        carry = rows[:, :, -2:]
-        if not np.all(np.abs(carry) <= _GROWTH_LIMIT):
-            return None
-        avg = rows[:, :, 2 * cp + parity - (lo - 2) :: 2].mean(axis=2, keepdims=True)
-        lo = hi
+    carry, unscaled = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
+    scale, e, abs_tol = unscaled, np.zeros((2, 1, 1), dtype=int), bound.abs_tol
+    hs, row, octaves, lo = [], [], [], 2
+    for cp in _ladder(max(tol.max_iter, 64)):
+        first = 2 * cp + parity
+        if band.inv_b.size <= first + 6:
+            band = _stieltjes_band(rates, 2 * (first + 7))
+        rows, exps = np.empty((2, 1, 4), dtype=complex), np.empty((2, 1, 4), dtype=int)
+        ks = np.arange(first, first + 8, 2)
+        carry, scale = _rescaled_rows(band, xs, ks, carry, scale, lo, rows, exps)
+        lo = first + 7
+        if cp & (cp - 1) == 0:  # an octave checkpoint
+            octaves.append((cp, rows, exps))
+        # Until the first rescale, every exponent is 0 and the scale the one given.
+        if scale is not unscaled:
+            if bounded and (np.frexp(np.abs(rows))[1] + exps).max() > 1024:
+                raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
+            top = exps.max(axis=2, keepdims=True)
+            row = [entry * np.ldexp(1.0, e - top) for entry in row]
+            rows, e = rows * np.ldexp(1.0, exps - top), top
+            abs_tol = np.ldexp(bound.abs_tol, -e)
         hs.append(1.0 / (cp + 1.5))
-        previous = row[-1] if row else None
-        row, _ = neville_extend(hs, row, avg)
-        if len(row) >= 4 and _every_sum_settled(row[-1], previous, bound).all():
-            return row[-1][:, 0, 0], previous[:, 0, 0], cp
-    return None
+        previous = row[-1] if row else np.inf
+        row, change = neville_extend(hs, row, rows.sum(axis=2, keepdims=True) / 4)
+        if settled := len(row) >= 4 and (change <= np.maximum(abs_tol, bound.rel_tol * np.abs(row[-1]))).all():
+            break
+    return row[-1].ravel(), np.ravel(previous), e.ravel(), cp, settled, octaves
 
 
 def markov_like_limit(
@@ -496,13 +494,13 @@ def markov_like_limit(
 
     The convergents are Q/P on the rows 2n (Friedrichs) or 2n + 1 (Krein) of
     the Stieltjes band, and on an indet-S family both rows converge like 1/n.
-    The value is the ratio of their limits from :func:`_border_march`, which
-    settles each row to ``_ROW_TOL`` or ``tol``, where tighter;
-    ``terms_used`` is the checkpoint n where they settled and
-    ``last_increment`` the change of the ratio from the previous
-    extrapolations. Where the march cannot finish, and for det-S families
-    (Friedrichs only), whose rows diverge, the convergents averaged over four
-    rows at each of six checkpoints, ``tol.max_iter`` / 2^j, are
+    One march of the band (:func:`_border_march`) gives both readings. Where
+    the rows settle, to ``_ROW_TOL`` or ``tol`` where tighter, the value is
+    the ratio of their limits, ``terms_used`` the checkpoint n where they
+    settled and ``last_increment`` the change of the ratio from the previous
+    extrapolations. Where they do not by ``tol.max_iter`` (the rows of det-S
+    families, Friedrichs only, diverge), the convergents averaged over the
+    four rows at the march's last six octave checkpoints 64 2^k are
     Neville-extrapolated instead; ``terms_used`` is then the last of them,
     and the result settled when its extrapolation increment is within
     ``tol.bound`` of the value.
@@ -514,16 +512,17 @@ def markov_like_limit(
     if mode not in ("friedrichs", "krein"):
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     accepted = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
-    verdict = _require_verdict(rates, accepted)
+    _require_verdict(rates, accepted)
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    parity = int(mode == "krein")
-    march = _border_march(rates, x, parity, tol) if verdict == INDET_S_INDET_H else None
-    if march is not None:
-        (q, p), (q_prev, p_prev), cp = march
-        value = complex(q / p)
-        return ConvergedLimit(value, cp, abs(value - q_prev / p_prev), True)
-    cps, ks, band = _border_rows(rates, tol.max_iter, parity)
-    ratios = _qp_ratios(band, x, ks).reshape(-1, 4).mean(axis=1)
+    (q, p), previous, (eq, ep), cp, settled, octaves = _border_march(
+        rates, x, int(mode == "krein"), tol, False
+    )
+    if settled:
+        scale = math.ldexp(1.0, int(eq - ep))
+        value = complex(q / p) * scale
+        return ConvergedLimit(value, cp, abs(value - previous[0] / previous[1] * scale), True)
+    cps, ratios = zip(*[(cp, (rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1])).mean())
+                        for cp, rows, exps in octaves[-6:]])
     value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
     return ConvergedLimit(value, cps[-1], inc, converged)
 
@@ -537,32 +536,24 @@ def modified_entries_dual(
     Their partial sums are minus the even rows (P, Q) of the Stieltjes band,
     whose limits :func:`_border_march` settles to ``_ROW_TOL`` or ``tol``,
     where tighter, within ``tol.max_iter`` terms (by default 16388, where the
-    Nevanlinna series ends). Where the march cannot finish, the sums at six
-    checkpoints, ``tol.max_iter`` / 2^j, are Neville-extrapolated instead,
-    and :class:`ConvergenceError` raised when either has not settled within
-    ``tol.bound`` or the sums leave the double range. The strongest
-    cross-check of the direct Nevanlinna summation.
+    Nevanlinna series ends). Raises :class:`ConvergenceError` naming the
+    double range at the first checkpoint whose rows pass it, and naming the
+    budget and the last row increment where the rows have not settled. The
+    strongest cross-check of the direct Nevanlinna summation.
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     x = complex(x)
     _require_finite(x, "x")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
-    march = _border_march(rates, x, 0, tol)
-    if march is not None:
-        (q, p), _, _ = march
-        return -complex(p), -complex(q)
-    cps, ks, band = _border_rows(rates, tol.max_iter, 0)
-    rows, exps = _solve(band, np.array([x]), ks)
-    with np.errstate(over="ignore", invalid="ignore"):
-        avg = (rows[:, 0] * np.ldexp(1.0, exps[:, 0])).reshape(2, -1, 4).mean(axis=2)
-    if not np.isfinite(avg).all():
-        raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
-    (q, p), inc, settled = neville_limit([1.0 / (cp + 1.5) for cp in cps], avg.T, tol)
-    if not settled.all():
+    limits, previous, e, _, settled, _ = _border_march(rates, x, 0, tol, True)
+    scale = np.ldexp(1.0, e)
+    if not settled:
         raise ConvergenceError(
             f"dual polynomial series did not stabilize within its {tol.max_iter}-term budget "
-            f"(achieved {inc.max():.2e} at x = {x:.6g}); at large |x| it needs a larger max_iter"
+            f"(achieved {(np.abs(limits - previous) * scale).max():.2e} at x = {x:.6g}); "
+            "at large |x| it needs a larger max_iter"
         )
+    q, p = limits * scale
     return -complex(p), -complex(q)
 
 

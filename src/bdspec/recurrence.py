@@ -10,8 +10,9 @@ the partial sums 1/alpha_n are read from the log columns, so determinate
 families neither underflow nor overflow there. ``eval_f`` (F_n = (-1)^n
 sqrt(pi_n) P_n, its order-one associated family and the dual systems) reads
 the same kernel rows and log column, and the border limits run the kernel
-on its Stieltjes band. A row that leaves the double range in one step, from
-inside [1e-150, 1e150], raises :class:`ConvergenceError`. The
+on its Stieltjes band; both resume the one rescaling segment loop,
+:func:`_rescaled_rows`. A row that leaves the double range in one step,
+from inside [1e-150, 1e150], raises :class:`ConvergenceError`. The
 extended-precision iterates (``eval_pq_mp`` and ``markov_iterates(...,
 dps=...)``) alone step the recurrence index by index: in stdlib ``decimal``
 arithmetic at dps + 2 digits, on a per-rates decimal table of a_k, b_k and
@@ -365,80 +366,86 @@ def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
     return rows
 
 
-def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
-    """Rows ``ks`` (ascending indices) of (Q, P), and of (Q', P') when ``nrhs``
-    is 4, at each point of ``xs``, as ``(rows, exps)``: the true value of
-    solution r at point i and index ``ks[j]`` is ``rows[r, i, j] *
-    2**exps[r % 2, i, j]`` (a derivative shares the exponent of its solution).
+def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
+    """Fills ``rows`` (nrhs, points, ks) and ``exps`` (2, points, ks) with rows
+    ``ks`` (ascending, none below ``lo``) at each point of ``xs``, continued
+    from rows lo-2 and lo-1, ``carry`` (nrhs, points, 2) times ``2**scale``
+    (2, points): solution r is ``rows[r] * 2**exps[r % 2]`` (a derivative
+    shares its solution's exponent). Returns the carry and scale that
+    continue from ks[-1] + 1 (the scale given, where no row was rescaled).
 
-    Chunks of points are solved in segments of at most ``_CHUNK`` point-steps.
-    A segment ends after the first row at which, for some point, a solution
-    and its derivative leave [1e-150, 1e150] over the last two rows; the
-    carried rows of each such solution are scaled by an exact power of two
-    back to [0.5, 1), and the next segment starts there, trying twice the
-    length of the one cut short (up to the full span). Scaling by a power of
-    two is exact and every row is computed by the same operations wherever a
-    segment starts, so where the segments break changes no bit: each point's
-    rows and exponents are those of a lone evaluation. A row that overflows
-    in one step, where a rescale would need its exponent, raises
+    A segment, of at most ``_CHUNK`` point-steps, ends after the first row at
+    which, for some point, a solution and its derivative leave [1e-150, 1e150]
+    over the last two rows; those carried rows are scaled by an exact power of
+    two back to [0.5, 1), and the next segment tries twice the length of the
+    one cut short. Every row is computed by the same operations wherever a
+    segment starts, so each point's rows and exponents are those of a lone
+    evaluation. A row that overflows in one step raises
     :class:`ConvergenceError` naming the double range and the point.
     """
-    n = int(ks[-1])
+    nrhs, n = carry.shape[0], int(ks[-1])
+    j = 0
+    width = span = min(n - lo + 1, _CHUNK // xs.size)
+    while lo <= n:
+        hi = min(lo + width, n + 1)
+        while True:
+            seg = _advance(tab, xs, carry, lo, hi)
+            cut, rescale = hi - lo, False
+            parts = np.abs(seg[:, :, 2:].view(float))
+            # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
+            # inside; only otherwise (nan included) are the moduli needed.
+            if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
+                mag = np.abs(seg[:, :, 1:])
+                if nrhs == 4:
+                    mag = np.maximum(mag[:2], mag[2:])
+                pair = np.maximum(mag[:, :, 1:], mag[:, :, :-1])
+                out = (pair > _RESCALE_HI) | (pair < _RESCALE_LO)
+                hit = out.any(axis=(0, 1))
+                rescale = hit.any()
+                if rescale:
+                    cut = int(hit.argmax()) + 1
+            # A point whose rows overflowed by the end of the segment spoils
+            # the points solved after it (inf * 0 is nan): solve again, up
+            # to the first row that leaves the range.
+            if cut == hi - lo or np.isfinite(seg[:, :-1, -2:]).all():
+                break
+            hi = lo + cut
+        lo += cut
+        width = min(span, 2 * cut)
+        j1 = ks.size if lo > n else ks.searchsorted(lo)
+        rows[:, :, j:j1] = seg.take(ks[j:j1] - (lo - cut - 2), axis=2)
+        exps[:, :, j:j1] = scale[:, :, None]
+        j = j1
+        carry = seg[:, :, cut : cut + 2]
+        if rescale:
+            # A row that overflows in one step from inside the range has
+            # no exponent to carry.
+            lost = ~np.isfinite(carry).all(axis=(0, 2))
+            if lost.any():
+                raise ConvergenceError(
+                    f"recurrence rows leave the double range in one step at x = {xs[lost][0]:.6g}"
+                )
+            e = np.where(out[:, :, cut - 1], np.frexp(pair[:, :, cut - 1])[1], 0)
+            carry = carry * np.ldexp(1.0, -e)[np.arange(nrhs) % 2, :, None]
+            scale = scale + e
+    return carry, scale
+
+
+def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
+    """Rows ``ks`` (ascending) of (Q, P), and of (Q', P') when ``nrhs`` is 4, at
+    each point of ``xs``, as the ``(rows, exps)`` that :func:`_rescaled_rows`
+    fills from rows 0 and 1, over chunks of points of at most ``_CHUNK``
+    point-steps."""
     rows = np.empty((nrhs, xs.size, ks.size), dtype=complex)
     exps = np.zeros((2, xs.size, ks.size), dtype=int)
     start = _start(tab, xs, nrhs)
     head = np.searchsorted(ks, 2)
     rows[:, :, :head] = start[:, :, ks[:head]]
-    span = max(1, min(n - 1, _CHUNK))
-    step = max(1, _CHUNK // span)
-    for i0 in range(0, xs.size, step):
+    step = max(1, _CHUNK // max(1, int(ks[-1]) - 1))
+    for i0 in range(0, xs.size if head < ks.size else 0, step):
         pts = slice(i0, i0 + step)
-        carry = start[:, pts]
-        scale = np.zeros((2, carry.shape[1]), dtype=int)
-        lo, j, width = 2, head, span
-        while lo <= n:
-            hi = min(lo + width, n + 1)
-            while True:
-                seg = _advance(tab, xs[pts], carry, lo, hi)
-                cut, rescale = hi - lo, False
-                parts = np.abs(seg[:, :, 2:].view(float))
-                # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
-                # inside; only otherwise (nan included) are the moduli needed.
-                if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
-                    mag = np.abs(seg[:, :, 1:])
-                    if nrhs == 4:
-                        mag = np.maximum(mag[:2], mag[2:])
-                    pair = np.maximum(mag[:, :, 1:], mag[:, :, :-1])
-                    out = (pair > _RESCALE_HI) | (pair < _RESCALE_LO)
-                    hit = out.any(axis=(0, 1))
-                    rescale = hit.any()
-                    if rescale:
-                        cut = int(hit.argmax()) + 1
-                # A point whose rows overflowed by the end of the segment spoils
-                # the points solved after it (inf * 0 is nan): solve again, up
-                # to the first row that leaves the range.
-                if cut == hi - lo or np.isfinite(seg[:, :-1, -2:]).all():
-                    break
-                hi = lo + cut
-            lo += cut
-            width = min(span, 2 * cut)
-            j1 = np.searchsorted(ks, lo)
-            rows[:, pts, j:j1] = seg[:, :, ks[j:j1] - (lo - cut - 2)]
-            exps[:, pts, j:j1] = scale[:, :, None]
-            j = j1
-            carry = seg[:, :, cut : cut + 2]
-            if rescale:
-                # A row that overflows in one step from inside the range has
-                # no exponent to carry.
-                lost = ~np.isfinite(carry).all(axis=(0, 2))
-                if lost.any():
-                    raise ConvergenceError(
-                        f"recurrence rows leave the double range in one step at "
-                        f"x = {xs[pts][lost][0]:.6g}"
-                    )
-                e = np.where(out[:, :, cut - 1], np.frexp(pair[:, :, cut - 1])[1], 0)
-                carry = carry * np.ldexp(1.0, -e)[np.arange(nrhs) % 2, :, None]
-                scale = scale + e
+        _rescaled_rows(tab, xs[pts], ks[head:], start[:, pts], np.zeros_like(exps[:, pts, 0]), 2,
+                       rows[:, pts, head:], exps[:, pts, head:])
     return rows, exps
 
 

@@ -393,7 +393,7 @@ class TestMarkovLike:
 
     def test_border_calls_march_few_rows(self, quartic0, monkeypatch):
         # Each call marches the band only until its rows settle, where the
-        # six-checkpoint readout solved 40007 (border) or 32782 (dual) rows.
+        # whole ladder is 2 (16384 + 3) + 2 rows.
         rows = []
 
         def counting(tab, xs, carry, lo, hi):
@@ -412,19 +412,51 @@ class TestMarkovLike:
                     assert sum(rows) <= 3000
 
     def test_far_rays_fall_back(self, quartic0, qspec):
-        # At |x| = 1e10 the rows pass the growth guard, and the six-checkpoint
-        # readout gives both limits on the rays of the reach study.
+        # At |x| = 1e10 the rows do not settle on the ladder, and the ratios
+        # at the march's last six octave checkpoints give both limits on the
+        # rays of the reach study.
         for t in (0.05, 1.0, math.pi / 2, math.pi):
             x = 1e10 * cmath.exp(1j * t)
             for mode, closed in (("friedrichs", friedrichs_transform), ("krein", krein_transform)):
                 ref = closed(qspec, x)
                 assert abs(markov_like_limit(quartic0, x, mode).value - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.parametrize("modulus", [1e15, 1e100, 1e200])
+    def test_far_field(self, quartic0, modulus):
+        # Past |x| = 1e10 the rows pass 1e150 between checkpoints and carry
+        # their own powers of two; x F(x) tends to the mass 1 of the measure.
+        for t in (0.05, 1.0, math.pi / 2, math.pi):
+            x = modulus * cmath.exp(1j * t)
+            for mode in ("friedrichs", "krein"):
+                assert abs(x * markov_like_limit(quartic0, x, mode).value - 1) <= 1e-12
+
+    def test_unsettled_calls_march_once(self, cubic, monkeypatch):
+        # The cubic family's rows do not settle on the ladder, nor do the
+        # diverging rows of a det-S family: each call reads its own march,
+        # at most the ladder's 2 (16384 + 3) + 2 rows.
+        rows = []
+
+        def counting(tab, xs, carry, lo, hi):
+            rows.append(hi - lo)
+            return _advance(tab, xs, carry, lo, hi)
+
+        monkeypatch.setattr(indet, "_advance", counting)
+        monkeypatch.setattr(recurrence, "_advance", counting)
+        det_s = BirthDeathRates(lambda n: (n + 1) ** 8 / (n + 2) ** 4, lambda n: n**4)
+        for rates, mode in ((cubic, "friedrichs"), (cubic, "krein"), (det_s, "friedrichs")):
+            rows.clear()
+            markov_like_limit(rates, 10 + 10j, mode)
+            assert sum(rows) <= 2 * (16384 + 3) + 2
+        rows.clear()
+        with pytest.raises(ConvergenceError, match="16388-term budget"):
+            modified_entries_dual(cubic, 10 + 10j)
+        assert sum(rows) <= 2 * (16384 + 3) + 2
+
 
 class TestModifiedEntriesDual:
     def test_settles_at_1e6i(self, quartic0):
-        # The six-checkpoint readout needed 65552 terms here; the march
-        # settles the rows within the default budget.
+        # The march settles the rows here at checkpoint 2048, within the
+        # default budget.
         alpha = alpha_limit(quartic0)
         nv = nevanlinna_eval(quartic0, 1e6j)
         bt, at = modified_entries_dual(quartic0, 1e6j)
@@ -918,7 +950,7 @@ def test_rescaled_solve_grows_its_segments_back(quartic0, monkeypatch):
 
 def test_unsettled_dual_series_names_the_budget(quartic0):
     # At 1e6i the rows settle within the default budget, not within 1024
-    # terms, so the six-checkpoint readout runs and names that budget.
+    # terms, so the march ends unsettled and the error names that budget.
     with pytest.raises(ConvergenceError, match=r"1024-term budget \(achieved [0-9.e+]+ at"):
         modified_entries_dual(quartic0, 1e6j, Tolerance(1e-11, 1e-11, 1024))
 
@@ -948,6 +980,20 @@ def test_determinate_family_raises_determinacy_error(call):
     with pytest.raises(DeterminacyError, match="classification is DET_H") as info:
         call(stieltjes_dn_rates(0.5))
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("call", [
+    lambda r: nevanlinna_eval(r, 1 + 1j),
+    alpha_limit,
+    lambda r: markov_like_limit(r, 1 + 1j, "friedrichs"),
+], ids=["nevanlinna_eval", "alpha_limit", "markov_like_limit"])
+def test_inconclusive_classification_raises_determinacy_error(call):
+    # lambda_n = (n+1)^3, mu_n = n (n+1)^2 has pi_n = 1/(n+1)^2, so it is
+    # det S on the divide, where classify says INDET_S_INDET_H unconfidently.
+    rates = BirthDeathRates(lambda n: (n + 1.0) ** 3, lambda n: n * (n + 1.0) ** 2)
+    assert not classify(rates).confident
+    with pytest.raises(DeterminacyError, match="inconclusive"):
+        call(rates)
 
 
 @pytest.mark.parametrize("family, call", [
