@@ -9,14 +9,14 @@ dual series place a checkpoint every half octave from 64, extend a tableau
 row by one sample per checkpoint, and stop once what their caller reads
 there agrees at the last two extrapolations: for the Nevanlinna series
 every sum (:func:`nevanlinna_batch`) or a sign, a Newton step or a mass
-(:func:`nextremal_measure`); for the border limits and the dual series
-the Q and P rows of the Stieltjes band (:func:`_border_march`).
+(:func:`nextremal_measure`); for the border limits the ratio of the Q and
+P rows of the Stieltjes band, which they return, and for the dual series
+those rows (:func:`_border_march`).
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
 solver, and the border limits and the dual series once on its Stieltjes
-band, the border limits reading the octave checkpoints where the rows do
-not settle; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
+band; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
 1/alpha_n from its log columns. Every entry point here, and ``markov_limit``,
 passes one determinacy gate: it reads :func:`classify` at its default depth
 and raises :class:`DeterminacyError` for a family on the wrong side or an
@@ -40,7 +40,6 @@ from .numerics import (
     ConvergenceError,
     Tolerance,
     neville_extend,
-    neville_limit,
     richardson_sum,
 )
 from .recurrence import (
@@ -192,9 +191,9 @@ class DeterminacyError(ValueError):
     """The rates classify on the wrong side of determinacy for the operation."""
 
 
-def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> None:
-    """Raises :class:`DeterminacyError` unless :func:`classify`, at its default
-    depth, gives one of the ``accepted`` verdicts and is confident of it."""
+def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> str:
+    """The verdict of :func:`classify` at its default depth; raises
+    :class:`DeterminacyError` unless it is confident and ``accepted``."""
     det = classify(rates)
     if not det.confident:
         raise DeterminacyError(f"classification is inconclusive: {det.verdict}, not confident")
@@ -202,6 +201,7 @@ def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> None:
         raise DeterminacyError(
             f"operation accepts {' or '.join(accepted)} families, classification is {det.verdict}"
         )
+    return det.verdict
 
 
 def _require_finite(values, what: str) -> None:
@@ -429,34 +429,32 @@ def nextremal_transform(
     return (p * nv.A + q * nv.C) / den
 
 
-# The bound to which the border march settles its rows, or the caller's where
-# that is tighter. Rows settled to 1e-11 put the Friedrichs limit 3.3e-12 from
-# the Nevanlinna combination at c = 1, x = 0.156 - 0.988i, and cut the dual
-# series' worst margin inside its 1e-8 benchmark bound from 4.1 to 3.5 digits.
+# The bound to which the dual series settles its rows, or the caller's where
+# that is tighter. Rows settled to 1e-11 cut the dual series' worst margin
+# inside its 1e-8 benchmark bound from 4.1 to 3.5 digits.
 _ROW_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 
 
-def _border_march(rates: BirthDeathRates, x: complex, parity: int, tol: Tolerance, bounded: bool):
-    """The limits of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
+def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int, bounded: bool, ratios: bool):
+    """Extrapolations of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
 
     The band is solved by :func:`_rescaled_rows` one segment at a time over
-    the half-octave ladder up to ``tol.max_iter`` (64 at the least). At each
+    the half-octave ladder up to ``max_iter`` (64 at the least). At each
     checkpoint cp the rows 2(cp + i) + parity (i < 4), brought to their
     largest power of two 2^e, are averaged and extend one Neville row each,
-    kept at 2^e; with ``bounded``, rows past the double range at their true
-    scale raise :class:`ConvergenceError`. The march stops at the first
-    checkpoint (the fourth at the earliest) where both extrapolations are
-    within ``_ROW_TOL``, or ``tol`` where tighter, of the ones before.
-    Returns ([Q, P] and the previous [Q, P], times 2^-e; e; cp; settled;
-    (cp, rows, exps) at the octave checkpoints 64 2^k).
+    kept at 2^e; with ``ratios`` the samples are the averaged convergents
+    Q/P, paired with 1 (e = 0), and with ``bounded``, rows past the double
+    range at their true scale raise :class:`ConvergenceError`. Yields, per
+    checkpoint, (cp, the extrapolations [Q, P] times 2^-e, their changes
+    from the ones before (inf below four samples), e, the averaged samples
+    times 2^-e); the caller stops the march.
     """
-    bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
     xs = np.array([x])
     band = _stieltjes_band(rates, 2)
     carry, unscaled = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
-    scale, e, abs_tol = unscaled, np.zeros((2, 1, 1), dtype=int), bound.abs_tol
-    hs, row, octaves, lo = [], [], [], 2
-    for cp in _ladder(max(tol.max_iter, 64)):
+    scale, e = unscaled, np.zeros((2, 1, 1), dtype=int)
+    hs, row, lo = [], [], 2
+    for cp in _ladder(max(max_iter, 64)):
         first = 2 * cp + parity
         if band.inv_b.size <= first + 6:
             band = _stieltjes_band(rates, 2 * (first + 7))
@@ -464,22 +462,18 @@ def _border_march(rates: BirthDeathRates, x: complex, parity: int, tol: Toleranc
         ks = np.arange(first, first + 8, 2)
         carry, scale = _rescaled_rows(band, xs, ks, carry, scale, lo, rows, exps)
         lo = first + 7
-        if cp & (cp - 1) == 0:  # an octave checkpoint
-            octaves.append((cp, rows, exps))
+        if ratios:
+            rows = np.stack([rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1]), np.ones((1, 4))])
         # Until the first rescale, every exponent is 0 and the scale the one given.
-        if scale is not unscaled:
+        elif scale is not unscaled:
             if bounded and (np.frexp(np.abs(rows))[1] + exps).max() > 1024:
                 raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
             top = exps.max(axis=2, keepdims=True)
             row = [entry * np.ldexp(1.0, e - top) for entry in row]
             rows, e = rows * np.ldexp(1.0, exps - top), top
-            abs_tol = np.ldexp(bound.abs_tol, -e)
         hs.append(1.0 / (cp + 1.5))
-        previous = row[-1] if row else np.inf
-        row, change = neville_extend(hs, row, rows.sum(axis=2, keepdims=True) / 4)
-        if settled := len(row) >= 4 and (change <= np.maximum(abs_tol, bound.rel_tol * np.abs(row[-1]))).all():
-            break
-    return row[-1].ravel(), np.ravel(previous), e.ravel(), cp, settled, octaves
+        row, change = neville_extend(hs, row, sample := rows.sum(axis=2, keepdims=True) / 4)
+        yield cp, row[-1].ravel(), change.ravel(), e.ravel(), sample.ravel()
 
 
 def markov_like_limit(
@@ -494,16 +488,16 @@ def markov_like_limit(
 
     The convergents are Q/P on the rows 2n (Friedrichs) or 2n + 1 (Krein) of
     the Stieltjes band, and on an indet-S family both rows converge like 1/n.
-    One march of the band (:func:`_border_march`) gives both readings. Where
-    the rows settle, to ``_ROW_TOL`` or ``tol`` where tighter, the value is
-    the ratio of their limits, ``terms_used`` the checkpoint n where they
-    settled and ``last_increment`` the change of the ratio from the previous
-    extrapolations. Where they do not by ``tol.max_iter`` (the rows of det-S
-    families, Friedrichs only, diverge), the convergents averaged over the
-    four rows at the march's last six octave checkpoints 64 2^k are
-    Neville-extrapolated instead; ``terms_used`` is then the last of them,
-    and the result settled when its extrapolation increment is within
-    ``tol.bound`` of the value.
+    The value at each checkpoint of the march (:func:`_border_march`) is the
+    ratio of the two row extrapolations, or, for a det-S family, whose rows
+    diverge, the extrapolation of the averaged convergents. The march stops
+    at the first checkpoint (the fourth at the earliest) where the value
+    changes by at most min(``tol.bound``, 1e-12 relative) from the one
+    before; ``terms_used`` is that checkpoint and ``last_increment`` the
+    change. Where it does not by ``tol.max_iter``, the last value is
+    returned, settled only if its change is within ``tol.bound`` and the
+    unextrapolated value changes 2 +- 0.2 times as much from cp/4 to cp/2 as
+    from cp/2 to the last checkpoint cp, as the 1/n model has it.
     """
     x = complex(x)
     _require_finite(x, "x")
@@ -512,19 +506,22 @@ def markov_like_limit(
     if mode not in ("friedrichs", "krein"):
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     accepted = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
-    _require_verdict(rates, accepted)
+    ratios = _require_verdict(rates, accepted) == DET_S_INDET_H
     tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    (q, p), previous, (eq, ep), cp, settled, octaves = _border_march(
-        rates, x, int(mode == "krein"), tol, False
-    )
-    if settled:
+    march = _border_march(rates, x, int(mode == "krein"), tol.max_iter, False, ratios)
+    plain, previous = [], math.inf
+    for k, (cp, (q, p), _, (eq, ep), (sq, sp)) in enumerate(march):
         scale = math.ldexp(1.0, int(eq - ep))
         value = complex(q / p) * scale
-        return ConvergedLimit(value, cp, abs(value - previous[0] / previous[1] * scale), True)
-    cps, ratios = zip(*[(cp, (rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1])).mean())
-                        for cp, rows, exps in octaves[-6:]])
-    value, inc, converged = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, tol)
-    return ConvergedLimit(value, cps[-1], inc, converged)
+        plain.append(complex(sq / sp) * scale)
+        inc = abs(value - previous)
+        if k >= 3 and inc <= min(tol.bound(value), 1e-12 * abs(value)):
+            return ConvergedLimit(value, cp, inc, True)
+        previous = value  # carried: the rows rescaled to a far larger 2^e can be 0 / 0
+    # The 1/n model halves the unextrapolated value's change per octave.
+    d1, d2 = np.abs(np.diff(plain[-5::2])) if len(plain) >= 5 else (1.0, 0.0)
+    fits = abs(d1 - 2 * d2) <= 0.2 * d2
+    return ConvergedLimit(value, cp, inc, inc <= tol.bound(value) and fits)
 
 
 def modified_entries_dual(
@@ -534,8 +531,9 @@ def modified_entries_dual(
     -1 + (x/lambda_0) sum Ftilde_n(x) and (1/lambda_0) sum Fhat_n(x).
 
     Their partial sums are minus the even rows (P, Q) of the Stieltjes band,
-    whose limits :func:`_border_march` settles to ``_ROW_TOL`` or ``tol``,
-    where tighter, within ``tol.max_iter`` terms (by default 16388, where the
+    whose march (:func:`_border_march`) stops at the first checkpoint where
+    both extrapolations are within ``_ROW_TOL``, or ``tol`` where tighter, of
+    the ones before, within ``tol.max_iter`` terms (by default 16388, where the
     Nevanlinna series ends). Raises :class:`ConvergenceError` naming the
     double range at the first checkpoint whose rows pass it, and naming the
     budget and the last row increment where the rows have not settled. The
@@ -545,15 +543,17 @@ def modified_entries_dual(
     x = complex(x)
     _require_finite(x, "x")
     tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
-    limits, previous, e, _, settled, _ = _border_march(rates, x, 0, tol, True)
-    scale = np.ldexp(1.0, e)
-    if not settled:
+    bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
+    for _, limits, change, e, _ in _border_march(rates, x, 0, tol.max_iter, True, False):
+        if (change <= np.maximum(np.ldexp(bound.abs_tol, -e), bound.rel_tol * np.abs(limits))).all():
+            break
+    else:
         raise ConvergenceError(
             f"dual polynomial series did not stabilize within its {tol.max_iter}-term budget "
-            f"(achieved {(np.abs(limits - previous) * scale).max():.2e} at x = {x:.6g}); "
+            f"(achieved {(change * np.ldexp(1.0, e)).max():.2e} at x = {x:.6g}); "
             "at large |x| it needs a larger max_iter"
         )
-    q, p = limits * scale
+    q, p = limits * np.ldexp(1.0, e)
     return -complex(p), -complex(q)
 
 

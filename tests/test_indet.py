@@ -392,8 +392,9 @@ class TestMarkovLike:
                 assert min(fr.real, kr.real) < v < max(fr.real, kr.real)
 
     def test_border_calls_march_few_rows(self, quartic0, monkeypatch):
-        # Each call marches the band only until its rows settle, where the
-        # whole ladder is 2 (16384 + 3) + 2 rows.
+        # Each call marches the band only until what it returns settles (the
+        # border limits' ratio, the dual series' rows), where the whole
+        # ladder is 2 (16384 + 3) + 2 rows.
         rows = []
 
         def counting(tab, xs, carry, lo, hi):
@@ -412,9 +413,9 @@ class TestMarkovLike:
                     assert sum(rows) <= 3000
 
     def test_far_rays_fall_back(self, quartic0, qspec):
-        # At |x| = 1e10 the rows do not settle on the ladder, and the ratios
-        # at the march's last six octave checkpoints give both limits on the
-        # rays of the reach study.
+        # At |x| = 1e10 the rows do not settle on the ladder, but the ratio of
+        # their extrapolations does, at checkpoint 181, on the rays of the
+        # reach study.
         for t in (0.05, 1.0, math.pi / 2, math.pi):
             x = 1e10 * cmath.exp(1j * t)
             for mode, closed in (("friedrichs", friedrichs_transform), ("krein", krein_transform)):
@@ -424,16 +425,18 @@ class TestMarkovLike:
     @pytest.mark.parametrize("modulus", [1e15, 1e100, 1e200])
     def test_far_field(self, quartic0, modulus):
         # Past |x| = 1e10 the rows pass 1e150 between checkpoints and carry
-        # their own powers of two; x F(x) tends to the mass 1 of the measure.
+        # their own powers of two, and their ratio settles at checkpoint 181;
+        # x F(x) tends to the mass 1 of the measure.
         for t in (0.05, 1.0, math.pi / 2, math.pi):
             x = modulus * cmath.exp(1j * t)
             for mode in ("friedrichs", "krein"):
                 assert abs(x * markov_like_limit(quartic0, x, mode).value - 1) <= 1e-12
 
     def test_unsettled_calls_march_once(self, cubic, monkeypatch):
-        # The cubic family's rows do not settle on the ladder, nor do the
-        # diverging rows of a det-S family: each call reads its own march,
-        # at most the ladder's 2 (16384 + 3) + 2 rows.
+        # The cubic family's border limits and dual rows do not settle on the
+        # ladder, nor do the averaged convergents of a det-S family at 10+10i
+        # to 1e-12: each call marches once, at most the ladder's
+        # 2 (16384 + 3) + 2 rows.
         rows = []
 
         def counting(tab, xs, carry, lo, hi):
@@ -451,6 +454,56 @@ class TestMarkovLike:
         with pytest.raises(ConvergenceError, match="16388-term budget"):
             modified_entries_dual(cubic, 10 + 10j)
         assert sum(rows) <= 2 * (16384 + 3) + 2
+
+    def test_far_field_calls_march_few_rows(self, quartic0, monkeypatch):
+        # The ratio settles at checkpoint 181 on the four rays, where the rows
+        # do not settle on the ladder (1e10) or leave [1e-150, 1e150] within a
+        # step or two of each rescale (1e100).
+        rows = []
+
+        def counting(tab, xs, carry, lo, hi):
+            rows.append(hi - lo)
+            return _advance(tab, xs, carry, lo, hi)
+
+        monkeypatch.setattr(indet, "_advance", counting)
+        monkeypatch.setattr(recurrence, "_advance", counting)
+        for modulus in (1e8, 1e10, 1e15, 1e100, 1e200):
+            for t in (0.05, 1.0, math.pi / 2, math.pi):
+                for mode in ("friedrichs", "krein"):
+                    rows.clear()
+                    markov_like_limit(quartic0, modulus * cmath.exp(1j * t), mode)
+                    assert sum(rows) <= 2000
+
+    @pytest.mark.parametrize("modulus, theta, mode, ref", [
+        (30, 2.4, "friedrichs", -0.024224352312144794 - 0.02087757572994053j),
+        (30, 3.1, "friedrichs", -0.031655332726630056 - 0.001260083605226525j),
+        (300, 0.1, "krein", 0.0033403832519349804 - 0.0003380000080673576j),
+        (100, 1.6, "krein", -0.0004762717212112492 - 0.00995841581495407j),
+        (100, 0.8, "friedrichs", 0.006926011358793802 - 0.007377060118663647j),
+    ])
+    def test_cubic_claims_hold(self, cubic, modulus, theta, mode, ref):
+        # The cubic family's limits do not settle on the ladder, and its
+        # octave differences do not halve as the 1/n model has them, so a
+        # call claims convergence only within its bound. References: the
+        # march to checkpoint 2^23 plus the geometric remainder of its octave
+        # differences, within 2.2e-10 of the march to 2^21.
+        res = markov_like_limit(cubic, modulus * cmath.exp(1j * theta), mode)
+        assert not res.converged or abs(res.value - ref) <= max(1e-8, 1e-8 * abs(ref))
+
+    @pytest.mark.parametrize("x, ref", [
+        (10 + 10j, 0.04997855795404913 - 0.05032327175500266j),
+        (-50 + 5j, -0.019778186984701625 - 0.001975438291596043j),
+        (1e3 - 2e3j, 0.0001999924941533048 + 0.0004000099989271539j),
+    ])
+    def test_det_s_friedrichs_matches_extended_references(self, x, ref):
+        # test_det_s_friedrichs' family against 34-digit references: the
+        # J-form convergents Q_k/P_k of recurrence._extended_rows, averaged
+        # over four rows at the octave checkpoints 1024 ... 131072 and
+        # Neville-extrapolated (spread 2.6e-13 at 10+10i).
+        rates = BirthDeathRates(lambda n: (n + 1) ** 8 / (n + 2) ** 4, lambda n: n**4)
+        res = markov_like_limit(rates, x, "friedrichs")
+        assert res.converged
+        assert abs(res.value - ref) <= 1e-10 * abs(ref)
 
 
 class TestModifiedEntriesDual:
