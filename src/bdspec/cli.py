@@ -324,7 +324,8 @@ def _add_rate_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda", dest="lam", help="custom lambda_n expression")
     p.add_argument("--nmax", type=int, default=4000)
     p.add_argument("--tol", default=None)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000,
+                   help="term budget of every series and march in every mode (default %(default)s)")
     p.add_argument("--convention", choices=["lambda", "mu"], default="lambda")
 
 

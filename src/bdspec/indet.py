@@ -5,13 +5,13 @@ families, so every series and border limit here is read at geometric
 checkpoints (averaged over four consecutive partial sums to damp
 bounded-period oscillation) and extrapolated in 1/n by one Neville tableau
 (:mod:`bdspec.numerics`). The Nevanlinna series, the border limits and the
-dual series place a checkpoint every half octave from 64, extend a tableau
-row by one sample per checkpoint, and stop once what their caller reads
-there agrees at the last two extrapolations: for the Nevanlinna series
-every sum (:func:`nevanlinna_batch`) or a sign, a Newton step or a mass
-(:func:`nextremal_measure`); for the border limits the ratio of the Q and
-P rows of the Stieltjes band, which they return, and for the dual series
-those rows (:func:`_border_march`).
+dual series place a checkpoint every half octave from 64 to ``tol.max_iter``
+(by default 16384), extend a tableau row by one sample per checkpoint, and
+stop once what their caller reads there agrees at the last two
+extrapolations: for the Nevanlinna series every sum (:func:`nevanlinna_batch`)
+or a sign, a Newton step or a mass (:func:`nextremal_measure`); for the
+border limits the ratio of the Q and P rows of the Stieltjes band, which
+they return, and for the dual series those rows (:func:`_border_march`).
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
 Nevanlinna series advance one checkpoint segment at a time on its banded
@@ -62,16 +62,14 @@ _GROWTH_LIMIT = 1e130
 
 
 def _ladder(top: int) -> list[int]:
-    """The checkpoints round(64 2^(j/2)), one every half octave, up to ``top``."""
-    cps = []
+    """The checkpoints round(64 2^(j/2)), one every half octave, from 64 to ``top``."""
+    cps = [64]
     while (cp := round(64 * 2 ** (len(cps) / 2))) <= top:
         cps.append(cp)
     return cps
 
 
-# The Nevanlinna series' checkpoints: 64, 91, ..., 16384.
-_CHECKPOINTS = tuple(_ladder(16384))
-_TERM_CAP = _CHECKPOINTS[-1]
+_BUDGET = 16384  # the term budget of every series and march here by default
 # Derivative passes an N-extremal bracket may take before its Newton iteration settles.
 _NEWTON_CAP = 8
 
@@ -210,38 +208,40 @@ def _require_finite(values, what: str) -> None:
         raise ValueError(f"{what} must be finite, got {bad[0]}")
 
 
-def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bool = False):
+def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: int, derivs: bool = False):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
     The recurrence advances by one :func:`_advance` per checkpoint segment and
-    chunk of points, over ``_CHECKPOINTS``. Each point extends its own row of
-    the Neville tableau at every checkpoint and stops at the first one where
-    ``settled(sums, previous, xs)``, the caller's test over the points still
-    running, holds for it: ``sums`` is the extrapolation of all the point's
-    samples and ``previous`` the one before the last sample, so its result
-    does not depend on the batch. A point needs four checkpoints before it
-    can settle, so it uses at least 184 terms. Rows past ``_GROWTH_LIMIT``
-    raise a :class:`ConvergenceError` that names the double range.
+    chunk of points over ``_ladder(max_iter)``, on a table grown with it. Each
+    point extends its own row of the Neville tableau at every checkpoint and
+    stops at the first one where ``settled(sums, previous, xs)``, the
+    caller's test over the points still running, holds for it: ``sums`` is
+    the extrapolation of all the point's samples and ``previous`` the one
+    before the last sample, so its result does not depend on the batch. A
+    point needs four checkpoints before it can settle, so it uses at least
+    184 terms. Rows past ``_GROWTH_LIMIT`` raise a :class:`ConvergenceError`
+    that names the double range.
     Returns (sums, terms_used, previous, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
     (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
-    tab = _coefficients(rates, _TERM_CAP + 3)
-    W = tab.weights
+    cps = _ladder(max_iter)
+    tab = _coefficients(rates, 2)
     carry = _start(tab, xs, 4 if derivs else 2)
-    running = carry[:, :, 0, None] * W[0] + carry[:, :, 1, None] * W[1]
+    running = carry[:, :, 0, None] * tab.weights[0] + carry[:, :, 1, None] * tab.weights[1]
 
-    result = np.zeros_like(running)
-    earlier = np.zeros_like(running)
+    result, earlier = np.zeros_like(running), np.zeros_like(running)
     terms = np.zeros(xs.size, dtype=int)
     converged = np.zeros(xs.size, dtype=bool)
     active = np.arange(xs.size)
     hs: list[float] = []
     row: list = []  # the active points' row of the Neville tableau
     lo = 2
-    for cp in _CHECKPOINTS:
+    for cp in cps:
         hi = cp + 3
+        if tab.inv_b.size < hi:  # every entry depends on its index alone
+            tab = _coefficients(rates, min(2 * hi, cps[-1] + 3))
         avg = np.empty((running.shape[0], active.size, 2), dtype=complex)
         step = max(1, _CHUNK // (hi - lo))
         for i0 in range(0, active.size, step):
@@ -259,10 +259,10 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, derivs: bo
                 )
             # One (1, L) @ (L, 2) product per point keeps each point's sums
             # independent of how many points share the chunk.
-            s = running[:, idx] + (rows[:, :, None, :-3] @ W[lo:cp])[:, :, 0]
+            s = running[:, idx] + (rows[:, :, None, :-3] @ tab.weights[lo:cp])[:, :, 0]
             total = s
             for j in range(3):
-                s = s + rows[:, :, j - 3, None] * W[cp + j]
+                s = s + rows[:, :, j - 3, None] * tab.weights[cp + j]
                 total = total + s
             running[:, idx] = s
             avg[:, i0 : i0 + step] = total / 4
@@ -313,28 +313,28 @@ def nevanlinna_batch(
     value (at least 184 terms), so ``terms_used`` is per point
     and ``nevanlinna_batch(rates, xs)[i]`` equals ``nevanlinna_eval(rates,
     xs[i])``. Raises :class:`ConvergenceError` when any point has not settled
-    by 16384 terms or its series leaves the double range, and
-    :class:`ValueError` for a non-finite point.
+    by the last checkpoint within ``tol.max_iter`` terms, naming that cap, or
+    its series leaves the double range, and :class:`ValueError` for a
+    non-finite point.
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
+    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     _require_finite(xs, "Nevanlinna points")
     nonzero = np.flatnonzero(xs)
-    out = [
-        NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)
-    ] * xs.size
+    out = [NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)] * xs.size
     if nonzero.size:
         sub = xs[nonzero]
         sums, terms, previous, converged = _nevanlinna_sums(
-            rates, sub, lambda sums, previous, points: _every_sum_settled(sums, previous, tol)
+            rates, sub, lambda sums, previous, points: _every_sum_settled(sums, previous, tol),
+            tol.max_iter,
         )
         if not converged.all():
             achieved = np.abs(sums - previous).max(axis=(0, 2))
             worst = np.argmax(np.where(converged, -1.0, achieved))
             raise ConvergenceError(
-                f"Nevanlinna series did not stabilize within the {_TERM_CAP}-term cap "
-                f"(achieved {achieved[worst]:.2e} at x = {sub[worst]:.6g})"
+                f"Nevanlinna series did not stabilize within the {_ladder(tol.max_iter)[-1]}-term "
+                f"cap (achieved {achieved[worst]:.2e} at x = {sub[worst]:.6g})"
             )
         vals, _ = _assemble(sums, sub)
         for i, (A, B, C, D), x, n in zip(
@@ -435,26 +435,25 @@ def nextremal_transform(
 _ROW_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 
 
-def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int, bounded: bool, ratios: bool):
+def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int, ratios: bool):
     """Extrapolations of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
 
     The band is solved by :func:`_rescaled_rows` one segment at a time over
-    the half-octave ladder up to ``max_iter`` (64 at the least). At each
+    the half-octave ladder up to ``max_iter`` (:func:`_ladder`). At each
     checkpoint cp the rows 2(cp + i) + parity (i < 4), brought to their
     largest power of two 2^e, are averaged and extend one Neville row each,
     kept at 2^e; with ``ratios`` the samples are the averaged convergents
-    Q/P, paired with 1 (e = 0), and with ``bounded``, rows past the double
-    range at their true scale raise :class:`ConvergenceError`. Yields, per
-    checkpoint, (cp, the extrapolations [Q, P] times 2^-e, their changes
-    from the ones before (inf below four samples), e, the averaged samples
-    times 2^-e); the caller stops the march.
+    Q/P, paired with 1 (e = 0). Yields, per checkpoint, (cp, the
+    extrapolations [Q, P] times 2^-e, their changes from the ones before
+    (inf below four samples), e, the averaged samples times 2^-e); the
+    caller stops the march.
     """
     xs = np.array([x])
     band = _stieltjes_band(rates, 2)
     carry, unscaled = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
     scale, e = unscaled, np.zeros((2, 1, 1), dtype=int)
     hs, row, lo = [], [], 2
-    for cp in _ladder(max(max_iter, 64)):
+    for cp in _ladder(max_iter):
         first = 2 * cp + parity
         if band.inv_b.size <= first + 6:
             band = _stieltjes_band(rates, 2 * (first + 7))
@@ -466,8 +465,6 @@ def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int
             rows = np.stack([rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1]), np.ones((1, 4))])
         # Until the first rescale, every exponent is 0 and the scale the one given.
         elif scale is not unscaled:
-            if bounded and (np.frexp(np.abs(rows))[1] + exps).max() > 1024:
-                raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
             top = exps.max(axis=2, keepdims=True)
             row = [entry * np.ldexp(1.0, e - top) for entry in row]
             rows, e = rows * np.ldexp(1.0, exps - top), top
@@ -507,8 +504,8 @@ def markov_like_limit(
         raise ValueError("mode must be 'friedrichs' or 'krein'")
     accepted = (INDET_S_INDET_H, DET_S_INDET_H) if mode == "friedrichs" else (INDET_S_INDET_H,)
     ratios = _require_verdict(rates, accepted) == DET_S_INDET_H
-    tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=20000)
-    march = _border_march(rates, x, int(mode == "krein"), tol.max_iter, False, ratios)
+    tol = tol or Tolerance(abs_tol=1e-8, rel_tol=1e-8, max_iter=_BUDGET)
+    march = _border_march(rates, x, int(mode == "krein"), tol.max_iter, ratios)
     plain, previous = [], math.inf
     for k, (cp, (q, p), _, (eq, ep), (sq, sp)) in enumerate(march):
         scale = math.ldexp(1.0, int(eq - ep))
@@ -533,18 +530,20 @@ def modified_entries_dual(
     Their partial sums are minus the even rows (P, Q) of the Stieltjes band,
     whose march (:func:`_border_march`) stops at the first checkpoint where
     both extrapolations are within ``_ROW_TOL``, or ``tol`` where tighter, of
-    the ones before, within ``tol.max_iter`` terms (by default 16388, where the
-    Nevanlinna series ends). Raises :class:`ConvergenceError` naming the
-    double range at the first checkpoint whose rows pass it, and naming the
-    budget and the last row increment where the rows have not settled. The
+    the ones before, within ``tol.max_iter`` terms. Raises
+    :class:`ConvergenceError` naming the double range at the first checkpoint
+    whose extrapolations pass it at their true scale, and naming the budget
+    and the last row increment where the rows have not settled. The
     strongest cross-check of the direct Nevanlinna summation.
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     x = complex(x)
     _require_finite(x, "x")
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=16388)
+    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
     bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
-    for _, limits, change, e, _ in _border_march(rates, x, 0, tol.max_iter, True, False):
+    for _, limits, change, e, _ in _border_march(rates, x, 0, tol.max_iter, False):
+        if (np.frexp(np.abs(limits))[1] + e).max() > 1024:  # past the double range at 2^e
+            raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
         if (change <= np.maximum(np.ldexp(bound.abs_tol, -e), bound.rel_tol * np.abs(limits))).all():
             break
     else:
@@ -599,12 +598,12 @@ def nextremal_measure(
     is a window of an infinite discrete measure. Raises :class:`ValueError`
     when a window bound is not finite or the window holds no spectral point,
     and :class:`ConvergenceError` when a bracket has not settled within 8
-    passes, a mass has not settled within the 16384-term cap (naming its
-    atom), or a refined root gives a nonpositive mass (naming the brackets
-    of those roots).
+    passes, a mass has not settled within ``tol.max_iter`` terms, which
+    bound every pass (naming its atom and the last checkpoint), or a refined
+    root gives a nonpositive mass (naming the brackets of those roots).
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11)
+    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
     lo, hi = window
     _require_finite(window, "window bounds")
     if not lo < hi:
@@ -643,7 +642,7 @@ def nextremal_measure(
         return change | _every_sum_settled(sums, previous, tol)
 
     def g_pass(points: np.ndarray, settled, derivs: bool):
-        sums, _, _, _ = _nevanlinna_sums(rates, points, settled, derivs=derivs)
+        sums, _, _, _ = _nevanlinna_sums(rates, points, settled, tol.max_iter, derivs=derivs)
         return readings(sums, points)
 
     scan = g_pass(xs, sign_known, False)[0]
@@ -700,13 +699,13 @@ def nextremal_measure(
             f"no spectral points found in window {window}; widen the window"
         )
     pts, brackets = pts[order], brackets[order]
-    sums, _, previous, converged = _nevanlinna_sums(rates, pts, mass_known, derivs=True)
+    sums, _, previous, converged = _nevanlinna_sums(rates, pts, mass_known, tol.max_iter, True)
     d = readings(sums, pts)[2]
     if not converged.all():
         spread = np.abs(d - readings(previous, pts)[2]) / np.abs(d)
         raise ConvergenceError(
-            f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not "
-            f"settle within the {_TERM_CAP}-term cap (reached {spread[~converged].max():.2e} "
+            f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not settle "
+            f"within the {_ladder(tol.max_iter)[-1]}-term cap (reached {spread[~converged].max():.2e} "
             f"relative, requested abs_tol {tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
         )
     masses = 1.0 / d

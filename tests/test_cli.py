@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from bdspec import (
     DiscreteMeasure,
     dn_spectral_measure,
+    krein_transform,
     make_context,
     measure_stieltjes,
 )
@@ -293,17 +294,42 @@ class TestTransformCommand:
         assert out == ""
         assert err.startswith("error:") and "finite" in err
 
-    # The CLI asks for 1e-10, which 1e8i still meets.
+    # The CLI asks for 1e-10, which 1e9i meets at 23173 terms, past a
+    # 16384-term budget.
     @pytest.mark.parametrize("x, says", [("0,1e9", "16384-term cap"), ("0,1e12", "double range")])
     def test_series_failure_exit_5(self, capsys, x, says):
         code, out, err = run_cli(
             capsys,
             "transform", "--family", "quartic", "--c", "0", "--mu", "0",
-            f"--x={x}", "--mode", "nevanlinna:0",
+            f"--x={x}", "--mode", "nevanlinna:0", "--max-iter", "16384",
         )
         assert code == 5
         assert out == ""
         assert err.startswith("error:") and says in err
+
+    # A 200-term budget ends the ladder at checkpoint 181, before 4+3i
+    # settles (365 terms) and before the window's masses do.
+    @pytest.mark.parametrize("argv", [
+        ["transform", *Q0, "--x", "4,3", "--mode", "nevanlinna:0"],
+        ["spectrum", *Q0, "--mode", "nextremal:0", "--window=-0.5,3000", "--out"],
+    ])
+    def test_max_iter_bounds_the_series(self, capsys, tmp_path, argv):
+        if argv[-1] == "--out":
+            argv = [*argv, str(tmp_path / "krein_window.json")]
+        code, out, err = run_cli(capsys, *argv, "--max-iter", "200")
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and "181-term cap" in err
+
+    def test_default_budget_settles_past_16384_terms(self, capsys, qspec):
+        # The default --max-iter of 100000 lets 1e9i settle, at 23173 terms.
+        code, out, _ = run_cli(capsys, "transform", *Q0, "--x=0,1e9", "--mode", "nevanlinna:0")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["diagnostics"]["terms_used"] == 23173
+        value = complex(rep["outputs"]["value"]["re"], rep["outputs"]["value"]["im"])
+        kr = krein_transform(qspec, 1e9j)
+        assert abs(value - kr) <= 1e-11 * abs(kr)
 
 
 class TestSpectrumCommand:

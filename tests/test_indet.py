@@ -38,7 +38,7 @@ from bdspec import (
 )
 
 from bdspec import indet, recurrence
-from bdspec.numerics import neville_limit
+from bdspec.numerics import neville_limit, richardson_sum
 from bdspec.recurrence import (
     _advance,
     _coefficients,
@@ -451,7 +451,7 @@ class TestMarkovLike:
             markov_like_limit(rates, 10 + 10j, mode)
             assert sum(rows) <= 2 * (16384 + 3) + 2
         rows.clear()
-        with pytest.raises(ConvergenceError, match="16388-term budget"):
+        with pytest.raises(ConvergenceError, match="16384-term budget"):
             modified_entries_dual(cubic, 10 + 10j)
         assert sum(rows) <= 2 * (16384 + 3) + 2
 
@@ -769,7 +769,7 @@ class TestNextremalMeasure:
         "c, param, tol, atoms",
         [
             (0.0, 0.0, Tolerance(1e-13, 1e-13), 3),
-            (1.0, math.inf, Tolerance(1e-11, 0), 2),
+            (1.0, math.inf, Tolerance(1e-11, 0, 16384), 2),
             # B'D and BD' cancel at these atoms, so the rounding of d stays
             # above 1e-13 to the cap; their masses settle on every sum.
             (0.0, "alpha", Tolerance(1e-13, 1e-13), 4),
@@ -799,8 +799,38 @@ class TestNextremalMeasure:
         # error shows the last step at rounding level relative to |s|.
         alpha = alpha_limit(quartic0)
         with pytest.raises(ConvergenceError, match=r"\(last step -3.02e-10, [0-9.e-]+ of \|s\|") as info:
-            nextremal_measure(quartic0, alpha, window=(0.5, 21000), tol=Tolerance(1e-11, 0))
+            nextremal_measure(quartic0, alpha, window=(0.5, 21000), tol=Tolerance(1e-11, 0, 16384))
         assert float(re.search(r"e-10, ([0-9.e-]+) of", str(info.value)).group(1)) < 1e-13
+
+    @pytest.mark.parametrize("param, window", [("alpha", (0.5, 21000)), (0.0, (-0.5, 11000))])
+    @pytest.mark.parametrize("c", [0.25, 0.5, 1.0])
+    def test_masses_are_christoffel_numbers(self, c, param, window):
+        # An N-extremal measure puts mass 1/sum_k P_k(s)^2 at each atom s
+        # (the Christoffel function; Akhiezer 1965): an oracle where no
+        # closed form exists, from the P rows alone. Over 16384 rows the
+        # sums match to 3.5e-13 on these windows, and at c = 0 to 9.7e-14.
+        rates = quartic_rates(c, 0.0)
+        m = nextremal_measure(rates, alpha_limit(rates) if param == "alpha" else param, window=window)
+        P, _ = eval_pq(rates, 16384, m.support)
+        squares = (P.values.real * np.exp(P.scaling_log)) ** 2
+        for k, mass in enumerate(m.mass):
+            total = richardson_sum(squares[:, k], Tolerance(1e-13, 1e-13, 16385))
+            assert total.converged
+            assert abs(1.0 / total.value.real - mass) <= 1e-11 * mass
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="ROADMAP item 4: the scan accepts a sign that has not settled")
+    def test_scan_reads_settled_signs(self, quartic0, qspec):
+        # At its first admissible checkpoint (184 terms) the scan reads
+        # g = +8.57e22 at 6675752.749, after 8.11e22; from 1027 terms on g
+        # is -9.8065e20. So its bracket [6500096.3, 6675752.7] misses the
+        # Krein atom 6676911.502, and Newton creeps to the bracket's end.
+        m = nextremal_measure(quartic0, 0.0, window=(-0.5, 1e7))
+        ref = border_measure(qspec, "krein", 40)
+        inside = ref.support <= 1e7
+        assert m.support.size == np.count_nonzero(inside) == 17
+        assert m.support[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.allclose(m.support[1:], ref.support[inside][1:], rtol=1e-12, atol=0)
 
 
 NONFINITE_XS = [complex(math.nan, 1.0), complex(math.inf, 0.0), complex(1.0, -math.inf)]
@@ -973,6 +1003,53 @@ def test_unsettled_series_names_the_cap(quartic0):
     # At 1e8i more terms would help; a looser tolerance would not.
     with pytest.raises(ConvergenceError, match="16384-term cap"):
         nevanlinna_eval(quartic0, 1e8j)
+
+
+def test_series_budget_below_the_default(quartic0):
+    # 4+3i settles at 365 terms; a 200-term budget ends the ladder at
+    # checkpoint 181, and the error names that cap.
+    with pytest.raises(ConvergenceError, match="181-term cap"):
+        nevanlinna_eval(quartic0, 4 + 3j, Tolerance(1e-11, 1e-11, 200))
+
+
+def test_series_budget_above_the_default(quartic0, qspec):
+    # The default budget ends at checkpoint 16384; 1e8i settles at 23173
+    # terms on a 92682-term one.
+    nv = nevanlinna_eval(quartic0, 1e8j, Tolerance(1e-11, 1e-11, 92682))
+    assert nv.terms_used == 23173
+    kr = krein_transform(qspec, 1e8j)
+    assert abs(nv.C / nv.D - kr) <= 1e-11 * abs(kr)
+
+
+BUDGETED_CALLS = {
+    "nevanlinna_eval": lambda rates, tol: nevanlinna_eval(rates, 4 + 3j, tol),
+    "nevanlinna_batch": lambda rates, tol: nevanlinna_batch(rates, [4 + 3j, 1e4j], tol),
+    "nextremal_measure": lambda rates, tol: nextremal_measure(rates, 0.0, window=(-0.5, 11000), tol=tol),
+    "friedrichs": lambda rates, tol: markov_like_limit(rates, 1e4j, "friedrichs", tol),
+    "krein": lambda rates, tol: markov_like_limit(rates, 1e4j, "krein", tol),
+    "modified_entries_dual": lambda rates, tol: modified_entries_dual(rates, 1e4j, tol),
+}
+
+
+@pytest.mark.parametrize("call", list(BUDGETED_CALLS))
+def test_every_series_keeps_to_its_budget(quartic0, monkeypatch, call):
+    # max_iter 256 ends the ladder at checkpoint 256: a series reads rows
+    # below 256 + 3 of the coefficient table, a march rows below
+    # 2 (256 + 3) + 2 of the Stieltjes band. A call that has not settled
+    # by then may raise.
+    reached = []
+
+    def spying(tab, xs, carry, lo, hi):
+        reached.append(hi <= (259 if isinstance(tab, recurrence._Coefficients) else 520))
+        return _advance(tab, xs, carry, lo, hi)
+
+    monkeypatch.setattr(indet, "_advance", spying)
+    monkeypatch.setattr(recurrence, "_advance", spying)
+    try:
+        BUDGETED_CALLS[call](quartic0, Tolerance(1e-11, 1e-11, 256))
+    except ConvergenceError:
+        pass
+    assert reached and all(reached)
 
 
 # Every row leaves [1e-150, 1e150] at 1e300i, so the solve there rescales row
