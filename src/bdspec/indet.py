@@ -218,20 +218,23 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
     caller's test over the points still running, holds for it: ``sums`` is
     the extrapolation of all the point's samples and ``previous`` the one
     before the last sample, so its result does not depend on the batch. A
-    point needs four checkpoints before it can settle, so it uses at least
-    184 terms. Rows past ``_GROWTH_LIMIT`` raise a :class:`ConvergenceError`
-    that names the double range.
+    point settles on four checkpoints at the least (184 terms). A shorter
+    ladder, and rows past ``_GROWTH_LIMIT`` (naming the double range), raise
+    a :class:`ConvergenceError`.
     Returns (sums, terms_used, previous, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
     (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     cps = _ladder(max_iter)
+    if len(cps) < 4:  # a point settles on four checkpoints, 184 terms
+        raise ConvergenceError(f"Nevanlinna series cannot settle within the {cps[-1]}-term cap")
     tab = _coefficients(rates, 2)
     carry = _start(tab, xs, 4 if derivs else 2)
     running = carry[:, :, 0, None] * tab.weights[0] + carry[:, :, 1, None] * tab.weights[1]
 
-    result, earlier = np.zeros_like(running), np.zeros_like(running)
+    result = np.zeros_like(running)
+    earlier = np.zeros_like(running)
     terms = np.zeros(xs.size, dtype=int)
     converged = np.zeros(xs.size, dtype=bool)
     active = np.arange(xs.size)
@@ -322,7 +325,9 @@ def nevanlinna_batch(
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     _require_finite(xs, "Nevanlinna points")
     nonzero = np.flatnonzero(xs)
-    out = [NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)] * xs.size
+    out = [
+        NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)
+    ] * xs.size
     if nonzero.size:
         sub = xs[nonzero]
         sums, terms, previous, converged = _nevanlinna_sums(
@@ -333,8 +338,8 @@ def nevanlinna_batch(
             achieved = np.abs(sums - previous).max(axis=(0, 2))
             worst = np.argmax(np.where(converged, -1.0, achieved))
             raise ConvergenceError(
-                f"Nevanlinna series did not stabilize within the {_ladder(tol.max_iter)[-1]}-term "
-                f"cap (achieved {achieved[worst]:.2e} at x = {sub[worst]:.6g})"
+                f"Nevanlinna series did not stabilize within the {_ladder(tol.max_iter)[-1]}-term cap "
+                f"(achieved {achieved[worst]:.2e} at x = {sub[worst]:.6g})"
             )
         vals, _ = _assemble(sums, sub)
         for i, (A, B, C, D), x, n in zip(
@@ -594,12 +599,14 @@ def nextremal_measure(
     g = pB + qD, a Newton pass once the step g/g' changes by at most
     ``tol.bound(s)``, and the mass pass once d changes by at most
     ``tol.bound(d)`` or every sum has settled as in
-    :func:`nevanlinna_batch`. The result is flagged ``normalized=False``: it
-    is a window of an infinite discrete measure. Raises :class:`ValueError`
+    :func:`nevanlinna_batch`. The scan and the mass pass read at most
+    ``tol.max_iter`` terms, the Newton passes at most 16384 of them. The
+    result is flagged ``normalized=False``: it is a window of an infinite
+    discrete measure. Raises :class:`ValueError`
     when a window bound is not finite or the window holds no spectral point,
     and :class:`ConvergenceError` when a bracket has not settled within 8
-    passes, a mass has not settled within ``tol.max_iter`` terms, which
-    bound every pass (naming its atom and the last checkpoint), or a refined
+    passes, a mass has not settled within ``tol.max_iter`` terms (naming its
+    atom and the last checkpoint), the budget is below 181 terms, or a refined
     root gives a nonpositive mass (naming the brackets of those roots).
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
@@ -641,11 +648,11 @@ def nextremal_measure(
         change = np.abs(d - d_prev) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(d))
         return change | _every_sum_settled(sums, previous, tol)
 
-    def g_pass(points: np.ndarray, settled, derivs: bool):
-        sums, _, _, _ = _nevanlinna_sums(rates, points, settled, tol.max_iter, derivs=derivs)
+    def g_pass(points: np.ndarray, settled, max_iter: int, derivs: bool):
+        sums, _, _, _ = _nevanlinna_sums(rates, points, settled, max_iter, derivs=derivs)
         return readings(sums, points)
 
-    scan = g_pass(xs, sign_known, False)[0]
+    scan = g_pass(xs, sign_known, tol.max_iter, False)[0]
     cross = np.flatnonzero(scan[:-1] * scan[1:] < 0)  # brackets [xs[cross], xs[cross + 1]]
     # Per bracket: its ends, their values, and which end the last pass moved.
     a, b, fa, fb = xs[cross], xs[cross + 1], scan[cross], scan[cross + 1]
@@ -656,7 +663,10 @@ def nextremal_measure(
         if not active.size:
             break
         i, xi = active, x[active]
-        g, dg, _ = g_pass(xi, step_known, True)
+        # Newton keeps to 16384 terms: past them a step test finer than the
+        # rounding of the series holds at chance checkpoints, and Newton can
+        # bounce between their readings instead of settling (ROADMAP item 4).
+        g, dg, _ = g_pass(xi, step_known, min(tol.max_iter, _BUDGET), True)
         left = np.sign(g) == np.sign(fa[i])
         # Illinois: an end kept twice in a row has its value halved, so that
         # false position does not stall next to it.
@@ -704,8 +714,8 @@ def nextremal_measure(
     if not converged.all():
         spread = np.abs(d - readings(previous, pts)[2]) / np.abs(d)
         raise ConvergenceError(
-            f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not settle "
-            f"within the {_ladder(tol.max_iter)[-1]}-term cap (reached {spread[~converged].max():.2e} "
+            f"N-extremal masses at {', '.join(f'{s:.10g}' for s in pts[~converged])} did not "
+            f"settle within the {_ladder(tol.max_iter)[-1]}-term cap (reached {spread[~converged].max():.2e} "
             f"relative, requested abs_tol {tol.abs_tol:.1e} / rel_tol {tol.rel_tol:.1e})"
         )
     masses = 1.0 / d

@@ -296,30 +296,35 @@ class TestTransformCommand:
 
     # The CLI asks for 1e-10, which 1e9i meets at 23173 terms, past a
     # 16384-term budget.
-    @pytest.mark.parametrize("x, says", [("0,1e9", "16384-term cap"), ("0,1e12", "double range")])
-    def test_series_failure_exit_5(self, capsys, x, says):
+    @pytest.mark.parametrize("x, budget, says", [
+        pytest.param("0,1e9", ["--max-iter", "16384"], "16384-term cap", id="0,1e9-16384-term cap"),
+        pytest.param("0,1e12", [], "double range", id="0,1e12-double range"),
+    ])
+    def test_series_failure_exit_5(self, capsys, x, budget, says):
         code, out, err = run_cli(
             capsys,
             "transform", "--family", "quartic", "--c", "0", "--mu", "0",
-            f"--x={x}", "--mode", "nevanlinna:0", "--max-iter", "16384",
+            f"--x={x}", "--mode", "nevanlinna:0", *budget,
         )
         assert code == 5
         assert out == ""
         assert err.startswith("error:") and says in err
 
     # A 200-term budget ends the ladder at checkpoint 181, before 4+3i
-    # settles (365 terms) and before the window's masses do.
+    # settles (365 terms) and before the window's masses do; a 100-term one
+    # ends it at 91, before any point can settle (four checkpoints).
+    @pytest.mark.parametrize("budget, cap", [("200", "181-term cap"), ("100", "91-term cap")])
     @pytest.mark.parametrize("argv", [
         ["transform", *Q0, "--x", "4,3", "--mode", "nevanlinna:0"],
         ["spectrum", *Q0, "--mode", "nextremal:0", "--window=-0.5,3000", "--out"],
     ])
-    def test_max_iter_bounds_the_series(self, capsys, tmp_path, argv):
+    def test_max_iter_bounds_the_series(self, capsys, tmp_path, argv, budget, cap):
         if argv[-1] == "--out":
             argv = [*argv, str(tmp_path / "krein_window.json")]
-        code, out, err = run_cli(capsys, *argv, "--max-iter", "200")
+        code, out, err = run_cli(capsys, *argv, "--max-iter", budget)
         assert code == 5
         assert out == ""
-        assert err.startswith("error:") and "181-term cap" in err
+        assert err.startswith("error:") and cap in err
 
     def test_default_budget_settles_past_16384_terms(self, capsys, qspec):
         # The default --max-iter of 100000 lets 1e9i settle, at 23173 terms.

@@ -769,7 +769,7 @@ class TestNextremalMeasure:
         "c, param, tol, atoms",
         [
             (0.0, 0.0, Tolerance(1e-13, 1e-13), 3),
-            (1.0, math.inf, Tolerance(1e-11, 0, 16384), 2),
+            (1.0, math.inf, Tolerance(1e-11, 0), 2),
             # B'D and BD' cancel at these atoms, so the rounding of d stays
             # above 1e-13 to the cap; their masses settle on every sum.
             (0.0, "alpha", Tolerance(1e-13, 1e-13), 4),
@@ -799,7 +799,7 @@ class TestNextremalMeasure:
         # error shows the last step at rounding level relative to |s|.
         alpha = alpha_limit(quartic0)
         with pytest.raises(ConvergenceError, match=r"\(last step -3.02e-10, [0-9.e-]+ of \|s\|") as info:
-            nextremal_measure(quartic0, alpha, window=(0.5, 21000), tol=Tolerance(1e-11, 0, 16384))
+            nextremal_measure(quartic0, alpha, window=(0.5, 21000), tol=Tolerance(1e-11, 0))
         assert float(re.search(r"e-10, ([0-9.e-]+) of", str(info.value)).group(1)) < 1e-13
 
     @pytest.mark.parametrize("param, window", [("alpha", (0.5, 21000)), (0.0, (-0.5, 11000))])
@@ -1005,13 +1005,6 @@ def test_unsettled_series_names_the_cap(quartic0):
         nevanlinna_eval(quartic0, 1e8j)
 
 
-def test_series_budget_below_the_default(quartic0):
-    # 4+3i settles at 365 terms; a 200-term budget ends the ladder at
-    # checkpoint 181, and the error names that cap.
-    with pytest.raises(ConvergenceError, match="181-term cap"):
-        nevanlinna_eval(quartic0, 4 + 3j, Tolerance(1e-11, 1e-11, 200))
-
-
 def test_series_budget_above_the_default(quartic0, qspec):
     # The default budget ends at checkpoint 16384; 1e8i settles at 23173
     # terms on a 92682-term one.
@@ -1029,6 +1022,16 @@ BUDGETED_CALLS = {
     "krein": lambda rates, tol: markov_like_limit(rates, 1e4j, "krein", tol),
     "modified_entries_dual": lambda rates, tol: modified_entries_dual(rates, 1e4j, tol),
 }
+
+
+@pytest.mark.parametrize("call", ["nevanlinna_eval", "nevanlinna_batch", "nextremal_measure"])
+@pytest.mark.parametrize("budget, cap", [(200, "181-term cap"), (100, "91-term cap")])
+def test_series_budget_below_the_default(quartic0, call, budget, cap):
+    # 4+3i settles at 365 terms, the window's masses at 727. A 200-term
+    # budget ends the ladder at checkpoint 181; a 100-term one at 91, short
+    # of the four checkpoints a point settles on. The error names the cap.
+    with pytest.raises(ConvergenceError, match=cap):
+        BUDGETED_CALLS[call](quartic0, Tolerance(1e-11, 1e-11, budget))
 
 
 @pytest.mark.parametrize("call", list(BUDGETED_CALLS))
