@@ -5,7 +5,11 @@ real arguments), the Taylor data of dn (in mpmath), the order-4
 trigonometric functions delta_l, the lemniscate constant (also from the
 AGM), and the Laplace transform of dn over one period. The Landen
 ladder is data of the modulus, built once per context; it stops where c_n
-stops decreasing (4-7 levels for every k^2).
+stops decreasing (4-7 levels for every k^2). So is a table of (sn, cn, dn)
+at the quadrature nodes the context has seen, up to _NODE_TABLE_MAX of
+them: the integrands of ``laplace_dn`` and of the quartic cn integrals read
+it, so a call at a new x computes only its exponential or delta_l factor
+at nodes already seen, with the values a fresh context gives.
 """
 from __future__ import annotations
 
@@ -17,6 +21,10 @@ from dataclasses import dataclass
 from .numerics import Tolerance, integrate
 
 _SQRT2 = math.sqrt(2.0)
+
+# Quadrature nodes whose (sn, cn, dn) a context keeps; wide sweeps of
+# laplace_dn over k^2 and x reach 2625 at one modulus.
+_NODE_TABLE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -44,6 +52,11 @@ class EllipticContext:
             a, b, c = 0.5 * (a + b), math.sqrt(a * b), c_next
             ratios.append(c / a)
         return 2.0 ** len(ratios) * a, tuple(reversed(ratios))
+
+    @functools.cached_property
+    def _nodes(self) -> dict[float, tuple[float, float, float]]:
+        # (sn, cn, dn) by quadrature node, filled by _node_scd.
+        return {}
 
 
 def _agm(a: float, b: float) -> float:
@@ -101,6 +114,18 @@ def jacobi_scd(ctx: EllipticContext, u: float) -> tuple[float, float, float]:
     sn, cn = math.sin(phi), math.cos(phi)
     dn = math.sqrt(1.0 - ctx.k2 * sn * sn)
     return s_sign * sn, c_sign * cn, dn
+
+
+def _node_scd(ctx: EllipticContext, u: float) -> tuple[float, float, float]:
+    """jacobi_scd(ctx, u) through the context's node table, which keeps the
+    first _NODE_TABLE_MAX nodes asked for."""
+    nodes = ctx._nodes
+    scd = nodes.get(u)
+    if scd is None:
+        scd = jacobi_scd(ctx, u)
+        if len(nodes) < _NODE_TABLE_MAX:
+            nodes[u] = scd
+    return scd
 
 
 def dn_taylor_moments(k2: float, nmax: int):
@@ -196,7 +221,7 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
     """Laplace transform of dn over [0, oo) for Re x > 0.
 
     By 2K-periodicity this is the single-period integral divided by
-    (1 - e^(-2xK)).
+    (1 - e^(-2xK)). dn is read from the context's node table.
     """
     x = complex(x)
     if not x.real > 0:
@@ -204,7 +229,7 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
     twoK = 2.0 * ctx.K
 
     def f(u: float) -> complex:
-        return jacobi_scd(ctx, u)[2] * cmath.exp(-x * u)
+        return _node_scd(ctx, u)[2] * cmath.exp(-x * u)
 
     num = integrate(f, 0.0, twoK, Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=4000))
     return num / (1.0 - cmath.exp(-x * twoK))

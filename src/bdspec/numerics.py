@@ -1,7 +1,8 @@
 """Shared numerical primitives.
 
-Adaptive Gauss-Legendre quadrature of smooth integrands, symmetric
-tridiagonal eigenvalues, and the one extrapolation rule for every limit that
+Adaptive Gauss-Legendre quadrature of smooth integrands (a 15-point rule
+held as Python floats, so an integrand is called with floats), symmetric
+tridiagonal eigenvalues (LAPACK ``dsterf``), and the one extrapolation rule for every limit that
 converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
 one tableau row per snapshot (:func:`neville_extend`), settled when the last
 two extrapolations agree within the tolerance (:func:`neville_limit`), which
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 
 class QuadratureError(RuntimeError):
@@ -65,8 +66,9 @@ class ConvergedLimit:
     converged: bool
 
 
-# 15-point Gauss-Legendre rule on [-1, 1]; full double precision from numpy.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# 15-point Gauss-Legendre rule on [-1, 1]; full double precision from numpy,
+# held as Python floats so that integrands receive floats, not numpy scalars.
+_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(15))
 
 
 def _gl15(f, a: float, b: float) -> complex:
@@ -141,9 +143,11 @@ def integrate(
 
 
 def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray:
-    """Sorted eigenvalues of a symmetric tridiagonal matrix.
+    """Sorted eigenvalues of a symmetric tridiagonal matrix, by LAPACK ``dsterf``
+    (the root-free QL/QR iteration).
 
-    Off-diagonal entries must be strictly positive (simple spectrum).
+    Entries must be finite and off-diagonal entries strictly positive
+    (simple spectrum). Raises ``LinAlgError`` where ``dsterf`` reports failure.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -153,9 +157,14 @@ def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray
         raise ValueError("offdiag must have length len(diag) - 1")
     if e.size and not np.all(e > 0):
         raise ValueError("off-diagonal entries must be strictly positive")
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise ValueError("diag and offdiag must be finite")
     if d.size == 1:
         return d.copy()
-    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+    vals, info = dsterf(d, e)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsterf failed (info = {info})")
+    return vals
 
 
 def neville_extend(hs: Sequence[float], row: list, y):

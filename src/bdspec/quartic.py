@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import DiscreteMeasure, PoleError
-from .elliptic import EllipticContext, delta4, jacobi_scd, lemniscate_K0, make_context
+from .elliptic import EllipticContext, _node_scd, delta4, lemniscate_K0, make_context
 from .numerics import Tolerance, integrate
 from .recurrence import BirthDeathRates, dual_rates, eval_f, pi_sequence
 
@@ -79,7 +79,7 @@ def _cn_integral(spec: QuarticSpec, l: int, rho: complex, tol: Tolerance) -> com
     ctx = spec.ctx_half
 
     def f(u: float) -> complex:
-        return delta4(l, rho * u / _SQRT2) * jacobi_scd(ctx, u)[1]
+        return delta4(l, rho * u / _SQRT2) * _node_scd(ctx, u)[1]
 
     return integrate(f, 0.0, K, tol) / _SQRT2
 

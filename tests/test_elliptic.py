@@ -8,9 +8,11 @@ import scipy.special as sp
 
 from bdspec import (
     delta4,
+    friedrichs_transform,
     dn_spectral_measure,
     dn_taylor_moments,
     jacobi_scd,
+    krein_transform,
     laplace_dn,
     lemniscate_K0,
     make_context,
@@ -19,6 +21,7 @@ from bdspec import (
     s_fraction,
     stieltjes_dn_rates,
 )
+from bdspec import elliptic
 
 from conftest import K0_REF, K_HALF_REF
 
@@ -269,6 +272,66 @@ class TestLaplaceDN:
     def test_domain(self, ctx_half):
         with pytest.raises(ValueError):
             laplace_dn(ctx_half, -1.0 + 2j)
+
+
+class TestNodeTable:
+    """(sn, cn, dn) kept per context at the quadrature nodes it has seen."""
+
+    XS = (0.7, 2.0 + 5.0j, 11.0 - 30.0j, 19.5 + 0.25j)
+    QXS = (0.1, 3.0 - 2.0j, -40.0 + 7.0j, 900.0j, 1e4 * cmath.exp(0.3j))
+
+    @staticmethod
+    def _bits(v):
+        return complex(v).real.hex(), complex(v).imag.hex()
+
+    def test_warm_calls_equal_cold_calls(self):
+        warm = make_context(0.8)
+        warm_spec = make_quartic_spec()
+        for x in self.XS + self.XS:
+            assert self._bits(laplace_dn(warm, x)) == self._bits(laplace_dn(make_context(0.8), x))
+        for x in self.QXS + self.QXS:
+            for fn in (friedrichs_transform, krein_transform):
+                cold = fn(make_quartic_spec(), x)
+                assert self._bits(fn(warm_spec, x)) == self._bits(cold)
+        assert warm._nodes and warm_spec.ctx_half._nodes
+
+    def _count(self, monkeypatch):
+        calls = []
+        scd = elliptic.jacobi_scd
+        monkeypatch.setattr(elliptic, "jacobi_scd", lambda ctx, u: calls.append(u) or scd(ctx, u))
+        return calls
+
+    def test_new_x_computes_only_new_nodes(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        ctx, spec = make_context(0.3), make_quartic_spec()
+        for table, call in (
+            (ctx._nodes, lambda x: laplace_dn(ctx, x)),
+            (spec.ctx_half._nodes, lambda x: friedrichs_transform(spec, x)),
+            (spec.ctx_half._nodes, lambda x: krein_transform(spec, x)),
+        ):
+            for x in (1.0, 3.0 + 40.0j, 1.0 + 1e-3j):
+                seen = set(table)
+                calls.clear()
+                call(x)
+                # one jacobi_scd per node not in the table before, none at a repeat
+                assert len(calls) == len(set(calls)) == len(table) - len(seen)
+                assert not seen.intersection(calls)
+            calls.clear()
+            call(1.0)
+            assert calls == []
+
+    def test_table_stops_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(elliptic, "_NODE_TABLE_MAX", 40)
+        calls = self._count(monkeypatch)
+        ctx = make_context(0.5)
+        first = laplace_dn(ctx, 2.0 + 3.0j)
+        assert len(ctx._nodes) == 40
+        calls.clear()
+        again = laplace_dn(ctx, 2.0 + 3.0j)
+        assert len(ctx._nodes) == 40
+        # nodes past the bound are computed at every call, to the same bits
+        assert calls and not set(ctx._nodes).intersection(calls)
+        assert self._bits(again) == self._bits(first) == self._bits(laplace_dn(make_context(0.5), 2.0 + 3.0j))
 
 
 def test_quartic_spec_consistency(qspec):

@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bdspec import (
     ConvergedLimit,
@@ -12,7 +13,7 @@ from bdspec import (
     quartic_rates,
     tridiag_eigen,
 )
-from bdspec.numerics import compensated_sum, neville_extend, neville_limit, richardson_sum
+from bdspec.numerics import _gl15, compensated_sum, neville_extend, neville_limit, richardson_sum
 
 from conftest import SUM_INV_MUPI_REF
 
@@ -56,6 +57,12 @@ class TestIntegrate:
             rhs = integrate(f, a, c_pt)
             assert abs(lhs - rhs) < 5e-12
 
+    def test_integrand_receives_floats(self):
+        seen = []
+        _gl15(lambda u: seen.append(u) or 1.0, 0.25, 3.0)
+        integrate(lambda u: seen.append(u) or math.exp(-u), 0.0, 40.0)
+        assert len(seen) > 15 and all(type(u) is float for u in seen)
+
     def test_budget_exhaustion_carries_estimate(self):
         # Oscillatory integrand far beyond an 8-subdivision budget.
         with pytest.raises(QuadratureError) as ei:
@@ -91,6 +98,19 @@ class TestTridiagEigen:
             tridiag_eigen([1.0, 2.0], [0.0])
         with pytest.raises(ValueError):
             tridiag_eigen([1.0, 2.0], [-0.5])
+
+    def test_matches_eigh_tridiagonal_sterf(self, rng):
+        # the routine eigh_tridiagonal runs for lapack_driver="sterf", bit for bit
+        for n in (2, 3, 20, 57, 100):
+            d = rng.normal(scale=10.0, size=n)
+            e = rng.uniform(1e-3, 5.0, size=n - 1)
+            ref = eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+            assert np.array_equal(tridiag_eigen(d, e), ref)
+
+    def test_rejects_nonfinite_entries(self):
+        for d, e in (([1.0, np.nan], [1.0]), ([np.inf, 2.0, 3.0], [1.0, 1.0]), ([1.0, 2.0], [np.inf])):
+            with pytest.raises(ValueError):
+                tridiag_eigen(d, e)
 
     def test_interlacing_deleted_row(self, rng):
         for _ in range(4):
