@@ -22,8 +22,9 @@ from .numerics import Tolerance, integrate
 
 _SQRT2 = math.sqrt(2.0)
 
-# Quadrature nodes whose (sn, cn, dn) a context keeps; wide sweeps of
-# laplace_dn over k^2 and x reach 2625 at one modulus.
+# Quadrature nodes whose (sn, cn, dn) a context keeps, about 0.8 MB: 300
+# laplace_dn calls with Re x, |Im x| <= 100 fill 1905 at k^2 <= 0.9 and 3825
+# at k^2 = 0.99.
 _NODE_TABLE_MAX = 4096
 
 

@@ -2,11 +2,12 @@
 
 Adaptive Gauss-Legendre quadrature of smooth integrands (a 15-point rule
 held as Python floats, so an integrand is called with floats), symmetric
-tridiagonal eigenvalues (LAPACK ``dsterf``), and the one extrapolation rule for every limit that
-converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
-one tableau row per snapshot (:func:`neville_extend`), settled when the last
-two extrapolations agree within the tolerance (:func:`neville_limit`), which
-:func:`richardson_sum` applies to the partial sums of a series.
+tridiagonal eigenvalues (LAPACK ``dsterf``), and the one extrapolation rule
+for every limit that converges like 1/n: Neville extrapolation to h = 0 of
+checkpoint snapshots, one tableau row per snapshot (:func:`neville_extend`),
+settled when the last two extrapolations agree within the tolerance
+(:func:`neville_limit`), which :func:`richardson_sum` applies to the partial
+sums of a series.
 """
 from __future__ import annotations
 
@@ -66,9 +67,23 @@ class ConvergedLimit:
     converged: bool
 
 
-# 15-point Gauss-Legendre rule on [-1, 1]; full double precision from numpy,
-# held as Python floats so that integrands receive floats, not numpy scalars.
-_GL_NODES, _GL_WEIGHTS = (a.tolist() for a in np.polynomial.legendre.leggauss(15))
+# 15-point Gauss-Legendre rule on [-1, 1]: numpy's leggauss(15) to the last
+# bit, written out as Python floats, so that integrands receive floats, not
+# numpy scalars, and importing this module makes no LAPACK call.
+_GL_NODES = [
+    -0.9879925180204854, -0.9372733924007058, -0.8482065834104272,
+    -0.7244177313601701, -0.5709721726085388, -0.3941513470775634,
+    -0.20119409399743451, 0.0, 0.20119409399743451, 0.3941513470775634,
+    0.5709721726085388, 0.7244177313601701, 0.8482065834104272,
+    0.9372733924007058, 0.9879925180204854,
+]
+_GL_WEIGHTS = [
+    0.030753241996117203, 0.0703660474881084, 0.10715922046717141,
+    0.13957067792615444, 0.16626920581699398, 0.1861610000155622,
+    0.1984314853271116, 0.2025782419255613, 0.1984314853271116,
+    0.1861610000155622, 0.16626920581699398, 0.13957067792615444,
+    0.10715922046717141, 0.0703660474881084, 0.030753241996117203,
+]
 
 
 def _gl15(f, a: float, b: float) -> complex:

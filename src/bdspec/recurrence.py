@@ -399,9 +399,10 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
             cut, rescale = hi - lo, False
             parts = np.abs(seg[:, :, 2:].view(float))
             # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
-            # inside, and so does the larger part of each entry in that range
-            # (an exactly zero part, as at real points, fails the first test);
-            # only otherwise (nan included) are the moduli needed.
+            # inside, and so does the larger part of each entry in that range:
+            # the second, costlier test passes the exactly zero parts of real
+            # points and real rows. Only otherwise (nan included) are the
+            # moduli needed.
             if not (_inside(parts) or _inside(np.maximum(parts[..., ::2], parts[..., 1::2]))):
                 mag = np.abs(seg[:, :, 1:])
                 if nrhs == 4:

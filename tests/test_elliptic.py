@@ -331,7 +331,8 @@ class TestNodeTable:
         assert len(ctx._nodes) == 40
         # nodes past the bound are computed at every call, to the same bits
         assert calls and not set(ctx._nodes).intersection(calls)
-        assert self._bits(again) == self._bits(first) == self._bits(laplace_dn(make_context(0.5), 2.0 + 3.0j))
+        cold = laplace_dn(make_context(0.5), 2.0 + 3.0j)
+        assert self._bits(again) == self._bits(first) == self._bits(cold)
 
 
 def test_quartic_spec_consistency(qspec):

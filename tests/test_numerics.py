@@ -13,7 +13,15 @@ from bdspec import (
     quartic_rates,
     tridiag_eigen,
 )
-from bdspec.numerics import _gl15, compensated_sum, neville_extend, neville_limit, richardson_sum
+from bdspec.numerics import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _gl15,
+    compensated_sum,
+    neville_extend,
+    neville_limit,
+    richardson_sum,
+)
 
 from conftest import SUM_INV_MUPI_REF
 
@@ -56,6 +64,10 @@ class TestIntegrate:
             lhs = integrate(f, a, b) + integrate(f, b, c_pt)
             rhs = integrate(f, a, c_pt)
             assert abs(lhs - rhs) < 5e-12
+
+    def test_rule_is_leggauss(self):
+        nodes, weights = np.polynomial.legendre.leggauss(15)
+        assert _GL_NODES == nodes.tolist() and _GL_WEIGHTS == weights.tolist()
 
     def test_integrand_receives_floats(self):
         seen = []
@@ -108,7 +120,8 @@ class TestTridiagEigen:
             assert np.array_equal(tridiag_eigen(d, e), ref)
 
     def test_rejects_nonfinite_entries(self):
-        for d, e in (([1.0, np.nan], [1.0]), ([np.inf, 2.0, 3.0], [1.0, 1.0]), ([1.0, 2.0], [np.inf])):
+        bad = (([1.0, np.nan], [1.0]), ([np.inf, 2.0, 3.0], [1.0, 1.0]), ([1.0, 2.0], [np.inf]))
+        for d, e in bad:
             with pytest.raises(ValueError):
                 tridiag_eigen(d, e)
 
