@@ -2,12 +2,11 @@
 
 Adaptive Gauss-Legendre quadrature of smooth integrands (a 15-point rule
 held as Python floats, so an integrand is called with floats), symmetric
-tridiagonal eigenvalues (LAPACK ``dsterf``), and the one extrapolation rule
-for every limit that converges like 1/n: Neville extrapolation to h = 0 of
-checkpoint snapshots, one tableau row per snapshot (:func:`neville_extend`),
-settled when the last two extrapolations agree within the tolerance
-(:func:`neville_limit`), which :func:`richardson_sum` applies to the partial
-sums of a series.
+tridiagonal eigenvalues, and the one extrapolation rule for every limit that
+converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
+one tableau row per snapshot (:func:`neville_extend`), settled when the last
+two extrapolations agree within the tolerance (:func:`neville_limit`), which
+:func:`richardson_sum` applies to the partial sums of a series.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dsterf
+from scipy.linalg import eigh_tridiagonal
 
 
 class QuadratureError(RuntimeError):
@@ -158,11 +157,9 @@ def integrate(
 
 
 def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray:
-    """Sorted eigenvalues of a symmetric tridiagonal matrix, by LAPACK ``dsterf``
-    (the root-free QL/QR iteration).
+    """Sorted eigenvalues of a symmetric tridiagonal matrix.
 
-    Entries must be finite and off-diagonal entries strictly positive
-    (simple spectrum). Raises ``LinAlgError`` where ``dsterf`` reports failure.
+    Off-diagonal entries must be strictly positive (simple spectrum).
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -172,14 +169,9 @@ def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray
         raise ValueError("offdiag must have length len(diag) - 1")
     if e.size and not np.all(e > 0):
         raise ValueError("off-diagonal entries must be strictly positive")
-    if not (np.isfinite(d).all() and np.isfinite(e).all()):
-        raise ValueError("diag and offdiag must be finite")
     if d.size == 1:
         return d.copy()
-    vals, info = dsterf(d, e)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"dsterf failed (info = {info})")
-    return vals
+    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
 
 
 def neville_extend(hs: Sequence[float], row: list, y):

@@ -366,12 +366,6 @@ def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
     return rows
 
 
-def _inside(parts: np.ndarray) -> bool:
-    # Every entry in [1e-150, 1e150 / 2]: a modulus of at most sqrt(2) times
-    # the larger of its parts stays inside [1e-150, 1e150].
-    return parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO
-
-
 def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
     """Fills ``rows`` (nrhs, points, ks) and ``exps`` (2, points, ks) with rows
     ``ks`` (ascending, none below ``lo``) at each point of ``xs``, continued
@@ -399,11 +393,8 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
             cut, rescale = hi - lo, False
             parts = np.abs(seg[:, :, 2:].view(float))
             # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
-            # inside, and so does the larger part of each entry in that range:
-            # the second, costlier test passes the exactly zero parts of real
-            # points and real rows. Only otherwise (nan included) are the
-            # moduli needed.
-            if not (_inside(parts) or _inside(np.maximum(parts[..., ::2], parts[..., 1::2]))):
+            # inside; only otherwise (nan included) are the moduli needed.
+            if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
                 mag = np.abs(seg[:, :, 1:])
                 if nrhs == 4:
                     mag = np.maximum(mag[:2], mag[2:])

@@ -24,7 +24,6 @@ from bdspec import (
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
-from bdspec import recurrence
 from bdspec.recurrence import _memo, eval_pq_mp
 from conftest import f_recurrence_mp
 
@@ -323,52 +322,6 @@ class TestEvalPQ:
                     assert np.array_equal(got.scaling_log[:, i], one.scaling_log)
                     if with_deriv:
                         assert np.array_equal(got.derivs[:, i], one.derivs)
-
-
-def _range_tests(monkeypatch, verdict=None):
-    # Records each result of the solver's cheap range test; with a verdict,
-    # returns it in place of the test's own.
-    seen = []
-    inside = recurrence._inside
-
-    def spy(parts):
-        seen.append(bool(inside(parts)))
-        return seen[-1] if verdict is None else verdict
-
-    monkeypatch.setattr(recurrence, "_inside", spy)
-    return seen
-
-
-def _moduli_only(monkeypatch, rates, n, xs):
-    # eval_pq with every segment sent through the moduli path.
-    with monkeypatch.context() as m:
-        _range_tests(m, verdict=False)
-        return eval_pq(rates, n, xs)
-
-
-class TestRangeTest:
-    def test_real_points_in_range_are_not_rescaled(self, monkeypatch, dn_half):
-        # Exactly zero imaginary parts fail the first test; the larger part of
-        # each entry passes the second, so the segment computes no moduli.
-        xs = np.array([0.5, 2.0, 7.0, 30.0])
-        ref = _moduli_only(monkeypatch, dn_half, 100, xs)
-        seen = _range_tests(monkeypatch)
-        got = eval_pq(dn_half, 100, xs)
-        assert seen == [False, True]
-        for a, b in zip(got, ref):
-            assert not a.scaling_log.any()
-            assert np.array_equal(a.values, b.values)
-
-    def test_rows_leaving_the_range_still_rescale(self, monkeypatch, dn_half):
-        xs = np.array([3e4, 0.5])
-        ref = _moduli_only(monkeypatch, dn_half, 2000, xs)
-        seen = _range_tests(monkeypatch)
-        got = eval_pq(dn_half, 2000, xs)
-        assert seen[:2] == [False, False]
-        for a, b in zip(got, ref):
-            assert (a.scaling_log[-1] != 0).all()
-            assert np.array_equal(a.values, b.values)
-            assert np.array_equal(a.scaling_log, b.scaling_log)
 
 
 @pytest.mark.filterwarnings("error")
