@@ -8,9 +8,9 @@ import scipy.special as sp
 
 from bdspec import (
     delta4,
-    friedrichs_transform,
     dn_spectral_measure,
     dn_taylor_moments,
+    friedrichs_transform,
     jacobi_scd,
     krein_transform,
     laplace_dn,
