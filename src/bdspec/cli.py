@@ -107,46 +107,38 @@ def build_rates(args) -> BirthDeathRates:
     if family is None:
         family = "custom" if (args.lam is not None or args.mu is not None) else None
     if family is None:
-        raise CliError("specify --family or custom --lambda/--mu expressions", EXIT_INPUT)
-    try:
-        if family == "stieltjes-dn":
-            return stieltjes_dn_rates(_require_float(args.k2, "--k2"))
-        if family == "stieltjes-cn":
-            return stieltjes_cn_rates(_require_float(args.k2, "--k2"))
-        if family == "generalized-c":
-            return generalized_c_rates(
-                _require_float(args.k2, "--k2"), _require_float(args.c, "--c")
-            )
-        if family == "quartic":
-            c = float(args.c) if args.c is not None else 0.0
-            mu = float(args.mu) if args.mu is not None else 0.0
-            return quartic_rates(c, mu)
-        if family == "custom":
-            if args.lam is None or args.mu is None:
-                raise ValueError("custom rates need both --lambda and --mu")
-            return BirthDeathRates(compile_rate_expr(args.lam), compile_rate_expr(args.mu))
-    except CliError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INPUT) from exc
-    raise CliError(f"unknown family {family!r}", EXIT_INPUT)
+        raise ValueError("specify --family or custom --lambda/--mu expressions")
+    if family == "stieltjes-dn":
+        return stieltjes_dn_rates(_require_float(args.k2, "--k2"))
+    if family == "stieltjes-cn":
+        return stieltjes_cn_rates(_require_float(args.k2, "--k2"))
+    if family == "generalized-c":
+        return generalized_c_rates(_require_float(args.k2, "--k2"), _require_float(args.c, "--c"))
+    if family == "quartic":
+        c = float(args.c) if args.c is not None else 0.0
+        mu = float(args.mu) if args.mu is not None else 0.0
+        return quartic_rates(c, mu)
+    # argparse's choices leave "custom" as the one other family
+    if args.lam is None or args.mu is None:
+        raise ValueError("custom rates need both --lambda and --mu")
+    return BirthDeathRates(compile_rate_expr(args.lam), compile_rate_expr(args.mu))
 
 
 def _require_float(value, flag: str) -> float:
     if value is None:
-        raise CliError(f"{flag} is required for this family", EXIT_INPUT)
+        raise ValueError(f"{flag} is required for this family")
     try:
         return float(value)
-    except ValueError as exc:
-        raise CliError(f"{flag} must be a number, got {value!r}", EXIT_INPUT) from exc
+    except ValueError:
+        raise ValueError(f"{flag} must be a number, got {value!r}") from None
 
 
 def _parse_pair(text: str, flag: str, form: str) -> tuple[float, float]:
     try:
         a, b = text.split(",")
         return float(a), float(b)
-    except ValueError as exc:
-        raise CliError(f"{flag} must be '{form}', got {text!r}", EXIT_INPUT) from exc
+    except ValueError:
+        raise ValueError(f"{flag} must be '{form}', got {text!r}") from None
 
 
 def _mode_param(mode: str) -> float:
@@ -154,9 +146,8 @@ def _mode_param(mode: str) -> float:
     text = mode.split(":", 1)[1]
     try:
         return math.inf if text == "oo" else float(text)
-    except ValueError as exc:
-        raise CliError(f"PARAM of --mode must be a number, inf or oo, got {text!r}",
-                       EXIT_INPUT) from exc
+    except ValueError:
+        raise ValueError(f"PARAM of --mode must be a number, inf or oo, got {text!r}") from None
 
 
 # ---------------------------------------------------------------- reporting
@@ -236,12 +227,9 @@ def cmd_transform(args) -> int:
     x = complex(*_parse_pair(args.x, "--x", "re,im"))
     tol = _tolerance_from(args)
     mode = args.mode
-    if mode == "markov":
-        res = markov_limit(rates, x, tol)
-        value, terms, converged = res.value, res.terms_used, res.converged
-        extra = {"last_increment": res.last_increment}
-    elif mode in ("friedrichs", "krein"):
-        res = markov_like_limit(rates, x, mode, tol)
+    if mode in ("markov", "friedrichs", "krein"):
+        res = (markov_limit(rates, x, tol) if mode == "markov"
+               else markov_like_limit(rates, x, mode, tol))
         value, terms, converged = res.value, res.terms_used, res.converged
         extra = {"last_increment": res.last_increment}
     elif mode.startswith("nevanlinna:"):
@@ -252,7 +240,7 @@ def cmd_transform(args) -> int:
         terms, converged = nv.terms_used, True
         extra = {"det_defect": nv.det_defect}
     else:
-        raise CliError(f"unknown mode {args.mode!r}", EXIT_INPUT)
+        raise ValueError(f"unknown mode {args.mode!r}")
     emit_report(
         "transform",
         _echo_inputs(args),
@@ -286,7 +274,7 @@ def cmd_spectrum(args) -> int:
             rates, param, convention=args.convention, window=window, tol=tol
         )
     else:
-        raise CliError(f"unknown spectrum mode {args.mode!r}", EXIT_INPUT)
+        raise ValueError(f"unknown spectrum mode {args.mode!r}")
 
     fmt = args.format
     if fmt is None:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import compensated_sum, tridiag_eigen
+from .numerics import _require_finite, compensated_sum, tridiag_eigen
 from .recurrence import BirthDeathRates, JacobiCoeffs, eval_pq, jacobi_from_rates
 
 
@@ -113,6 +113,7 @@ def j_fraction(jacobi: JacobiCoeffs, depth: int, x: complex) -> complex:
     if depth > jacobi.a.size:
         raise ValueError("depth exceeds available Jacobi coefficients")
     x = complex(x)
+    _require_finite(x, "x")
     a = jacobi.a[:depth].tolist()
     b2 = (jacobi.b[: depth - 1] ** 2).tolist()
     r = x - a[depth - 1]
@@ -138,6 +139,7 @@ def s_fraction(rates: BirthDeathRates, depth: int, x: complex) -> complex:
     if depth < 1:
         raise ValueError("depth must be positive")
     x = complex(x)
+    _require_finite(x, "x")
     npairs = (depth + 1) // 2
     lam, mu = rates.tabulate(npairs)
     coeffs = np.empty(2 * npairs)

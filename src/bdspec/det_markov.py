@@ -21,7 +21,7 @@ from scipy.special import roots_jacobi
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
 from .indet import DET_H, _require_verdict
-from .numerics import ConvergedLimit, QuadratureError, Tolerance
+from .numerics import ConvergedLimit, QuadratureError, Tolerance, _require_finite
 from .recurrence import BirthDeathRates, _coefficients, _extended_rows, _qp_ratios
 
 
@@ -37,8 +37,9 @@ def markov_limit(
     ``DeterminacyError`` unless the rates classify DET_H: elsewhere the ratios
     creep to a border limit algebraically, and the rule would stop short of it.
     """
-    _require_verdict(rates, (DET_H,))
     x = complex(x)
+    _require_finite(x, "x")
+    _require_verdict(rates, (DET_H,))
     if x.imag == 0:
         raise ValueError("markov_limit requires Im x != 0")
     tol = tol or Tolerance()
@@ -48,7 +49,7 @@ def markov_limit(
         r = _qp_ratios(_coefficients(rates, n + 1), x, np.arange(n + 1))
         inc1 = np.abs(r[8:] - r[7:-1])
         inc2 = np.abs(r[8:] - r[6:-2])
-        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(r[8:]))
+        bound = tol.bound(r[8:])
         done = np.flatnonzero((inc1 <= bound) & (inc2 <= bound))
         if done.size:
             k = done[0]
@@ -156,6 +157,7 @@ def generalized_ratio(
     if not c > 0:
         raise ValueError("c must be positive")
     x = complex(x)
+    _require_finite(x, "x")
     if not x.real > 0:
         raise ValueError("generalized_ratio requires Re x > 0")
     tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numerics import Tolerance, integrate
+from .numerics import Tolerance, _require_finite, integrate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -225,6 +225,7 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
     (1 - e^(-2xK)). dn is read from the context's node table.
     """
     x = complex(x)
+    _require_finite(x, "x")
     if not x.real > 0:
         raise ValueError("laplace_dn requires Re x > 0")
     twoK = 2.0 * ctx.K

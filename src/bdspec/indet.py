@@ -39,16 +39,17 @@ from .numerics import (
     ConvergedLimit,
     ConvergenceError,
     Tolerance,
+    _require_finite,
     neville_extend,
     richardson_sum,
 )
 from .recurrence import (
     _CHUNK,
+    _RESCALE_HI,
     BirthDeathRates,
     _advance,
     _coefficients,
     _log_columns,
-    _memo,
     _rescaled_rows,
     _start,
     _stieltjes_band,
@@ -57,8 +58,6 @@ from .recurrence import (
 DET_H = "DET_H"
 INDET_S_INDET_H = "INDET_S_INDET_H"
 DET_S_INDET_H = "DET_S_INDET_H"
-
-_GROWTH_LIMIT = 1e130
 
 
 def _ladder(top: int) -> list[int]:
@@ -70,6 +69,8 @@ def _ladder(top: int) -> list[int]:
 
 
 _BUDGET = 16384  # the term budget of every series and march here by default
+# The default tolerance of the Nevanlinna series, the dual series and the N-extremal measures.
+_SERIES_TOL = Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
 # Derivative passes an N-extremal bracket may take before its Newton iteration settles.
 _NEWTON_CAP = 8
 
@@ -149,7 +150,7 @@ def classify(rates: BirthDeathRates, nmax: int = 4000) -> Determinacy:
         raise ValueError("classification requires mu_0 = 0")
     if nmax < 100:
         raise ValueError("nmax must be at least 100")
-    memo = _memo(rates)
+    memo = rates._store
     key = ("determinacy", nmax)
     if key in memo:
         return memo[key]
@@ -202,12 +203,6 @@ def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> str:
     return det.verdict
 
 
-def _require_finite(values, what: str) -> None:
-    bad = np.asarray(values)[~np.isfinite(values)]
-    if bad.size:
-        raise ValueError(f"{what} must be finite, got {bad[0]}")
-
-
 def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: int, derivs: bool = False):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
@@ -219,7 +214,7 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
     the extrapolation of all the point's samples and ``previous`` the one
     before the last sample, so its result does not depend on the batch. A
     point settles on four checkpoints at the least (184 terms). A shorter
-    ladder, and rows past ``_GROWTH_LIMIT`` (naming the double range), raise
+    ladder, and rows past the kernel's 1e150 (naming the double range), raise
     a :class:`ConvergenceError`.
     Returns (sums, terms_used, previous, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
@@ -254,10 +249,10 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
             # A row past overflow makes every later row inf or nan, so the
             # carried rows show a segment that left the range before the
             # product below would meet it.
-            grown = ~np.all(np.abs(carry[:, idx]) <= _GROWTH_LIMIT, axis=(0, 2))
+            grown = ~np.all(np.abs(carry[:, idx]) <= _RESCALE_HI, axis=(0, 2))
             if grown.any():
                 raise ConvergenceError(
-                    f"Nevanlinna series rows pass {_GROWTH_LIMIT:.0e} within {hi} terms "
+                    f"Nevanlinna series rows pass {_RESCALE_HI:.0e} within {hi} terms "
                     f"at x = {xs[idx[grown]][0]:.6g}: the series leaves the double range there"
                 )
             # One (1, L) @ (L, 2) product per point keeps each point's sums
@@ -290,9 +285,7 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
 def _every_sum_settled(sums: np.ndarray, previous: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Per point of :func:`_nevanlinna_sums`: whether every extrapolated sum
     is within ``tol.bound`` of its value at the previous extrapolation."""
-    return np.all(
-        np.abs(sums - previous) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(sums)), axis=(0, 2)
-    )
+    return np.all(np.abs(sums - previous) <= tol.bound(sums), axis=(0, 2))
 
 
 def _assemble(sums: np.ndarray, xs: np.ndarray):
@@ -320,10 +313,10 @@ def nevanlinna_batch(
     its series leaves the double range, and :class:`ValueError` for a
     non-finite point.
     """
-    _require_verdict(rates, (INDET_S_INDET_H,))
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     _require_finite(xs, "Nevanlinna points")
+    _require_verdict(rates, (INDET_S_INDET_H,))
+    tol = tol or _SERIES_TOL
     nonzero = np.flatnonzero(xs)
     out = [
         NevanlinnaValue(A=0j, B=-1 + 0j, C=1 + 0j, D=0j, x=0j, terms_used=0, det_defect=0.0)
@@ -368,7 +361,7 @@ def alpha_limit(rates: BirthDeathRates, tol: Tolerance | None = None) -> float:
     """
     _require_verdict(rates, (INDET_S_INDET_H,))
     tol = tol or Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=300_000)
-    memo = _memo(rates)
+    memo = rates._store
     key = ("alpha", tol)
     if key in memo:
         return memo[key]
@@ -541,10 +534,10 @@ def modified_entries_dual(
     and the last row increment where the rows have not settled. The
     strongest cross-check of the direct Nevanlinna summation.
     """
-    _require_verdict(rates, (INDET_S_INDET_H,))
     x = complex(x)
     _require_finite(x, "x")
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
+    _require_verdict(rates, (INDET_S_INDET_H,))
+    tol = tol or _SERIES_TOL
     bound = Tolerance(min(tol.abs_tol, _ROW_TOL.abs_tol), min(tol.rel_tol, _ROW_TOL.rel_tol))
     for _, limits, change, e, _ in _border_march(rates, x, 0, tol.max_iter, False):
         if (np.frexp(np.abs(limits))[1] + e).max() > 1024:  # past the double range at 2^e
@@ -609,10 +602,10 @@ def nextremal_measure(
     atom and the last checkpoint), the budget is below 181 terms, or a refined
     root gives a nonpositive mass (naming the brackets of those roots).
     """
-    _require_verdict(rates, (INDET_S_INDET_H,))
-    tol = tol or Tolerance(abs_tol=1e-11, rel_tol=1e-11, max_iter=_BUDGET)
     lo, hi = window
     _require_finite(window, "window bounds")
+    _require_verdict(rates, (INDET_S_INDET_H,))
+    tol = tol or _SERIES_TOL
     if not lo < hi:
         raise ValueError("window must satisfy lo < hi")
     p, q = _pencil(param, convention, lambda: alpha_limit(rates))
@@ -637,7 +630,7 @@ def nextremal_measure(
         (g, dg, _), (g_prev, dg_prev, _) = readings(sums, points), readings(previous, points)
         with np.errstate(divide="ignore", invalid="ignore"):
             change = np.abs(g / dg - g_prev / dg_prev)
-        return change <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(points))
+        return change <= tol.bound(points)
 
     def mass_known(sums, previous, points):
         # Where B'D and BD' cancel, the rounding of d can stay above the
@@ -645,8 +638,7 @@ def nextremal_measure(
         # accurate, as at the Friedrichs atoms on (0.5, 21000) at c = 0 with
         # Tolerance(1e-13, 1e-13).
         d, d_prev = readings(sums, points)[2], readings(previous, points)[2]
-        change = np.abs(d - d_prev) <= np.maximum(tol.abs_tol, tol.rel_tol * np.abs(d))
-        return change | _every_sum_settled(sums, previous, tol)
+        return (np.abs(d - d_prev) <= tol.bound(d)) | _every_sum_settled(sums, previous, tol)
 
     def g_pass(points: np.ndarray, settled, max_iter: int, derivs: bool):
         sums, _, _, _ = _nevanlinna_sums(rates, points, settled, max_iter, derivs=derivs)
@@ -678,7 +670,7 @@ def nextremal_measure(
         with np.errstate(divide="ignore", invalid="ignore"):
             step = g / dg
         newton = xi - step
-        bound = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(newton))
+        bound = tol.bound(newton)
         # Newton where it stays in the bracket or moves less than the bound
         # (rounding can put such a step just past an end), false position
         # where it leaves.

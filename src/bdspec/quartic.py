@@ -19,10 +19,12 @@ import numpy as np
 
 from .contfrac import DiscreteMeasure, PoleError
 from .elliptic import EllipticContext, _node_scd, delta4, lemniscate_K0, make_context
-from .numerics import Tolerance, integrate
+from .numerics import Tolerance, _require_finite, integrate
 from .recurrence import BirthDeathRates, dual_rates, eval_f, pi_sequence
 
 _SQRT2 = math.sqrt(2.0)
+# The tolerance of every lemniscatic cn integral.
+_CN_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
 
 
 @dataclass(frozen=True)
@@ -74,14 +76,14 @@ def _root4(x: complex) -> complex:
     return cmath.exp(0.25 * cmath.log(x)) if x != 0 else 0.0j
 
 
-def _cn_integral(spec: QuarticSpec, l: int, rho: complex, tol: Tolerance) -> complex:
+def _cn_integral(spec: QuarticSpec, l: int, rho: complex) -> complex:
     K = spec.qperiod
     ctx = spec.ctx_half
 
     def f(u: float) -> complex:
         return delta4(l, rho * u / _SQRT2) * _node_scd(ctx, u)[1]
 
-    return integrate(f, 0.0, K, tol) / _SQRT2
+    return integrate(f, 0.0, K, _CN_TOL) / _SQRT2
 
 
 def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> complex:
@@ -89,12 +91,12 @@ def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> compl
     over sqrt(x) delta_l(x^(1/4) Kbar / sqrt2): the Friedrichs transform at
     l = 0, the Krein one at l = 2."""
     x = complex(x)
+    _require_finite(x, "x")
     rho = _root4(x)
     den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
     if den == 0:
         raise PoleError(f"{name} transform pole", point=x)
-    tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
-    num = _cn_integral(spec, 2 - l, rho, tol)
+    num = _cn_integral(spec, 2 - l, rho)
     return (num if l else -num) / den
 
 
@@ -201,11 +203,10 @@ def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport
     rho = _root4(x)
     sqx = rho * rho
     K = spec.qperiod
-    tol = Tolerance(abs_tol=1e-12, rel_tol=1e-12, max_iter=4000)
     d0 = delta4(0, rho * K / _SQRT2)
     d2 = delta4(2, rho * K / _SQRT2)
-    n2 = _cn_integral(spec, 2, rho, tol)
-    n0 = _cn_integral(spec, 0, rho, tol)
+    n2 = _cn_integral(spec, 2, rho)
+    n0 = _cn_integral(spec, 0, rho)
 
     base, dual, zero_dual = _base_systems()
     mu1 = base.mu(1)

@@ -18,18 +18,19 @@ dps=...)``) alone step the recurrence index by index: in stdlib ``decimal``
 arithmetic at dps + 2 digits, on a per-rates decimal table of a_k, b_k and
 1/b_k, with the results returned as mpmath numbers.
 ``eval_pq_mp`` is the independent reference the kernel is checked against.
+Every per-rates table sits in the store of the rates object, next to its
+rate table, with the classification and alpha that :mod:`bdspec.indet` keeps.
 """
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.linalg.lapack import ztbtrs
 
-from .numerics import ConvergenceError
+from .numerics import ConvergenceError, _require_finite
 
 _RESCALE_HI = 1e150
 _RESCALE_LO = 1e-150
@@ -48,7 +49,7 @@ class BirthDeathRates:
     rate), so any index is reachable and a table grows by one call each.
     Scalar-only callables go through :func:`custom_rates`. The rates are
     checked for n <= 1000 on construction and on every growth of the table
-    kept by :meth:`tabulate`.
+    kept by :meth:`tabulate`; ``_store`` keeps what is derived from them.
     """
 
     def __init__(
@@ -63,6 +64,7 @@ class BirthDeathRates:
         self.family = family
         self.params = dict(params or {})
         self._tab = np.empty((2, 0))
+        self._store: dict = {}
         self.tabulate(1000)
 
     def lam(self, n):
@@ -254,18 +256,6 @@ class _Coefficients(_Band):
     weights: np.ndarray
 
 
-# Per-rates memo, weakly keyed by the rates object: the coefficient table
-# ("table") and the Stieltjes band ("stieltjes"), rebuilt larger on demand;
-# the decimal table of each precision (("extended", dps)), grown in place;
-# the classification of each depth (("determinacy", nmax)), which the
-# determinacy gate of both halves reads; and alpha (keyed by its tolerance).
-_MEMO: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _memo(rates: BirthDeathRates) -> dict:
-    return _MEMO.setdefault(rates, {})
-
-
 def _log_columns(lam: np.ndarray, mu: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     """log pi_k and log|1/alpha_k| for k < size from a tabulation of the rates."""
     # Summed in extended precision, log pi_k carries the rounding of the
@@ -285,9 +275,9 @@ def _log_columns(lam: np.ndarray, mu: np.ndarray, size: int) -> tuple[np.ndarray
 
 
 def _coefficients(rates: BirthDeathRates, size: int) -> _Coefficients:
-    """The table of ``rates`` with at least ``size`` rows."""
-    memo = _memo(rates)
-    tab = memo.get("table")
+    """The table of ``rates`` with at least ``size`` rows, kept in the rates'
+    store under "table" and rebuilt larger on demand."""
+    tab = rates._store.get("table")
     if tab is None or tab.inv_b.size < size:
         lam, mu = rates.tabulate(size)
         b = np.sqrt(lam[:-1] * mu[1:])
@@ -297,7 +287,7 @@ def _coefficients(rates: BirthDeathRates, size: int) -> _Coefficients:
         with np.errstate(over="ignore"):
             p0 = sign * np.exp(0.5 * log_pi)
             q0 = -sign * np.exp(0.5 * log_pi + log_ainv)
-        tab = memo["table"] = _Coefficients(
+        tab = rates._store["table"] = _Coefficients(
             a_b=(lam[:-1] + mu[:-1]) / b,
             inv_b=1.0 / b,
             b_ratio=np.concatenate(([0.0], b[:-1] / b[1:])),
@@ -313,9 +303,9 @@ def _stieltjes_band(rates: BirthDeathRates, size: int) -> _Band:
     + 1/(m_2 z + ...))) at z = -x: y_(2n+1) = m_(n+1) z y_2n + y_(2n-1) and
     y_(2n+2) = l_(n+1) y_(2n+1) + y_2n, with m_(n+1) = pi_n and l_(n+1) =
     1/(lambda_n pi_n) from the log column. Rows 2n of (Q, P) are Q_n/P_n(0)
-    and P_n/P_n(0), reached without the cancelling difference x - a_n."""
-    memo = _memo(rates)
-    band = memo.get("stieltjes")
+    and P_n/P_n(0), reached without the cancelling difference x - a_n. Kept
+    in the rates' store under "stieltjes" and rebuilt larger on demand."""
+    band = rates._store.get("stieltjes")
     if band is None or band.inv_b.size < size:
         half = (size + 1) // 2
         lam, mu = rates.tabulate(half)
@@ -323,7 +313,7 @@ def _stieltjes_band(rates: BirthDeathRates, size: int) -> _Band:
         a_b, inv_b = np.zeros((2, 2 * half))
         inv_b[0::2] = -np.exp(log_pi)
         a_b[1::2] = -np.exp(-(np.log(lam[:half]) + log_pi))
-        band = memo["stieltjes"] = _Band(a_b, inv_b, np.broadcast_to(-1.0, 2 * half))
+        band = rates._store["stieltjes"] = _Band(a_b, inv_b, np.broadcast_to(-1.0, 2 * half))
     return band
 
 
@@ -435,7 +425,8 @@ def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
     """Rows ``ks`` (ascending) of (Q, P), and of (Q', P') when ``nrhs`` is 4, at
     each point of ``xs``, as the ``(rows, exps)`` that :func:`_rescaled_rows`
     fills from rows 0 and 1, over chunks of points of at most ``_CHUNK``
-    point-steps."""
+    point-steps. A point that is not finite raises ValueError."""
+    _require_finite(xs, "x")
     rows = np.empty((nrhs, xs.size, ks.size), dtype=complex)
     exps = np.zeros((2, xs.size, ks.size), dtype=int)
     start = _start(tab, xs, nrhs)
@@ -540,14 +531,14 @@ def pi_alpha(rates: BirthDeathRates, n: int) -> tuple[PolySequence, PolySequence
 def _extended_table(rates: BirthDeathRates, size: int, dps: int) -> tuple:
     """The decimal table of ``rates`` at dps + 2 digits with at least ``size``
     rows: its context and the lists a_k = lambda_k + mu_k, b_k =
-    sqrt(lambda_k mu_(k+1)) and 1/b_k, grown in place on demand."""
+    sqrt(lambda_k mu_(k+1)) and 1/b_k, kept in the rates' store under
+    ("extended", dps) and grown in place on demand."""
     import decimal
 
-    memo = _memo(rates)
-    tab = memo.get(("extended", dps))
+    tab = rates._store.get(("extended", dps))
     if tab is None:
         ctx = decimal.Context(prec=dps + 2, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
-        tab = memo[("extended", dps)] = (ctx, [], [], [])
+        tab = rates._store[("extended", dps)] = (ctx, [], [], [])
     ctx, a, b, inv_b = tab
     if len(a) < size:
         lam, mu = (list(map(decimal.Decimal, v.tolist())) for v in rates.tabulate(size))

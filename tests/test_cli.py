@@ -282,14 +282,11 @@ class TestTransformCommand:
         assert code == 2
 
     @pytest.mark.parametrize("mode, x", [
-        ("krein", "nan,1"), ("friedrichs", "1,inf"), ("nevanlinna:0", "inf,0"),
+        ("krein", "nan,1"), ("friedrichs", "1,inf"), ("nevanlinna:0", "inf,0"), ("markov", "1,nan"),
     ])
     def test_nonfinite_x_exit_2(self, capsys, mode, x):
-        code, out, err = run_cli(
-            capsys,
-            "transform", "--family", "quartic", "--c", "0", "--mu", "0",
-            f"--x={x}", "--mode", mode,
-        )
+        family = ["--family", "stieltjes-dn", "--k2", "0.5"] if mode == "markov" else Q0
+        code, out, err = run_cli(capsys, "transform", *family, f"--x={x}", "--mode", mode)
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "finite" in err
@@ -426,6 +423,18 @@ class TestSpectrumCommand:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "window" in err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--family", "stieltjes-cn", "--k2", "0.5", "--mode", "dn-measure"],
+        ["--family", "quartic", "--c", "0.25", "--mode", "border:friedrichs"],
+    ], ids=["dn-measure", "border"])
+    def test_family_conflict_exit_3(self, capsys, tmp_path, argv):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "spectrum", *argv, "--out", str(out_path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
         assert not out_path.exists()
 
     @pytest.mark.parametrize("window", ["0,inf", "-inf,10"])

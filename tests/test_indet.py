@@ -20,9 +20,16 @@ from bdspec import (
     classify,
     custom_rates,
     dual_rates,
+    eval_f,
     eval_pq,
     friedrichs_transform,
+    generalized_ratio,
+    j_fraction,
+    jacobi_from_rates,
     krein_transform,
+    laplace_dn,
+    make_context,
+    markov_iterates,
     markov_like_limit,
     markov_limit,
     modified_entries_dual,
@@ -33,6 +40,7 @@ from bdspec import (
     pi_alpha,
     pi_sequence,
     quartic_rates,
+    s_fraction,
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
@@ -848,6 +856,28 @@ def test_nonfinite_points_raise_value_error(quartic0, x):
             markov_like_limit(quartic0, x, mode)
     with pytest.raises(ValueError, match="finite"):
         modified_entries_dual(quartic0, x)
+
+
+@pytest.mark.parametrize("x", NONFINITE_XS)
+def test_determinate_entry_points_refuse_nonfinite_points(dn_half, qspec, x):
+    # Bad input, not nan values, a full budget of rows or a quadrature that
+    # does not stabilize.
+    ctx = make_context(0.5)
+    calls = {
+        "markov_limit": lambda: markov_limit(dn_half, x),
+        "markov_iterates": lambda: markov_iterates(dn_half, x, [10]),
+        "eval_pq": lambda: eval_pq(dn_half, 10, x),
+        "eval_f": lambda: eval_f(dn_half, 10, x),
+        "s_fraction": lambda: s_fraction(dn_half, 10, x),
+        "j_fraction": lambda: j_fraction(jacobi_from_rates(dn_half, 10), 10, x),
+        "laplace_dn": lambda: laplace_dn(ctx, x),
+        "generalized_ratio": lambda: generalized_ratio(ctx, 0.5, x),
+        "friedrichs_transform": lambda: friedrichs_transform(qspec, x),
+        "krein_transform": lambda: krein_transform(qspec, x),
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="finite"):
+            call()
 
 
 @pytest.mark.parametrize(

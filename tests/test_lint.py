@@ -242,6 +242,69 @@ def test_no_dynamic_code(path):
     assert dynamic_code_uses(path.read_text(encoding="utf-8")) == []
 
 
+def range_constants(source: str) -> list[str]:
+    """Numbers in module-level assignments whose magnitude is at least 1e100
+    or, nonzero, at most 1e-100: ``value (line N)``."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            found += [f"{c.value!r} (line {c.lineno})" for c in ast.walk(node.value)
+                      if isinstance(c, ast.Constant) and type(c.value) in (int, float)
+                      and c.value and not 1e-100 < abs(c.value) < 1e100]
+    return found
+
+
+def test_detects_range_constants():
+    src = (
+        "_A = 1e130\n_B: float = -1e-120\n_C = (0.0, 1e99, 2 ** 400, 10**100)\n"
+        "_D = Tolerance(1e-12, 1e-300)\n"
+        "def f():\n    return 1e200\n"
+    )
+    assert range_constants(src) == [
+        "1e+130 (line 1)", "1e-120 (line 2)", "1e-300 (line 4)"
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "recurrence.py"],
+                         ids=lambda p: p.name)
+def test_range_thresholds_live_in_the_kernel(path):
+    # The kernel's [1e-150, 1e150] is the one rescale range: a module that
+    # guards the double range reads recurrence._RESCALE_HI or _RESCALE_LO.
+    assert range_constants(path.read_text(encoding="utf-8")) == []
+
+
+def hand_written_bounds(source: str) -> list[str]:
+    """Calls ``max`` or ``<...>.maximum`` whose first argument is
+    ``<...>.abs_tol``: ``line N``."""
+    return sorted(
+        (f"line {n.lineno}" for n in ast.walk(ast.parse(source))
+         if isinstance(n, ast.Call) and n.args
+         and isinstance(n.args[0], ast.Attribute) and n.args[0].attr == "abs_tol"
+         and (isinstance(n.func, ast.Attribute) and n.func.attr == "maximum"
+              or isinstance(n.func, ast.Name) and n.func.id == "max")),
+        key=lambda s: int(s.split()[1]),
+    )
+
+
+def test_detects_hand_written_bounds():
+    src = (
+        "import numpy as np\n"
+        "a = np.maximum(tol.abs_tol, tol.rel_tol * np.abs(v))\n"
+        "b = max(self.abs_tol, 1.0)\n"
+        "c = np.maximum(np.ldexp(t.abs_tol, -e), 1.0)\n"
+        "d = np.maximum(x, y) + min(tol.abs_tol, 1.0)\n"
+        "def f(tol):\n    return numpy.maximum(tol.abs_tol, 0)\n"
+    )
+    assert hand_written_bounds(src) == ["line 2", "line 3", "line 7"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "numerics.py"],
+                         ids=lambda p: p.name)
+def test_settle_bounds_read_tolerance_bound(path):
+    # Tolerance.bound is the one settle bound, elementwise on arrays.
+    assert hand_written_bounds(path.read_text(encoding="utf-8")) == []
+
+
 VERDICTS = {"DET_H", "DET_S_INDET_H", "INDET_S_INDET_H"}
 
 

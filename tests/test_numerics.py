@@ -86,6 +86,12 @@ class TestIntegrate:
         assert ei.value.bound > 0
         assert abs(ei.value.estimate) < 10.0
 
+    def test_nonfinite_estimate_raises(self):
+        # The first rule's middle node is 0.5, so the first estimate is nan,
+        # which no error bound may accept.
+        with pytest.raises(QuadratureError, match=r"not finite on \[0, 1\]"):
+            integrate(lambda u: math.nan if abs(u - 0.5) < 1e-3 else 1.0, 0.0, 1.0)
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             integrate(lambda u: u, 1.0, 0.0)

@@ -24,7 +24,7 @@ from bdspec import (
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
-from bdspec.recurrence import _memo, eval_pq_mp
+from bdspec.recurrence import eval_pq_mp
 from conftest import f_recurrence_mp
 
 
@@ -262,7 +262,7 @@ class TestEvalPQ:
     def test_casorati_identity_extended(self, family, dn_half, quartic0, rng):
         import mpmath as mp
 
-        from bdspec.recurrence import _memo, eval_pq_mp
+        from bdspec.recurrence import eval_pq_mp
 
         rates = dn_half if family == "dn" else quartic0
         n = 50
@@ -434,20 +434,20 @@ def test_extended_table_kept_per_precision():
     tabulate = rates.tabulate
     rates.tabulate = lambda n: sizes.append(n) or tabulate(n)
     first = eval_pq_mp(rates, 80, 0.5 + 1j, 40)
-    tab = _memo(rates)[("extended", 40)]
+    tab = rates._store[("extended", 40)]
     assert eval_pq_mp(rates, 80, 0.5 + 1j, 40) == first
     assert eval_pq_mp(rates, 60, -2.0 + 0.1j, 40)[60] != first[60]
-    assert len(sizes) == 1 and _memo(rates)[("extended", 40)] is tab
+    assert len(sizes) == 1 and rates._store[("extended", 40)] is tab
     eval_pq_mp(rates, 80, 0.5 + 1j, 20)
-    other = _memo(rates)[("extended", 20)]
+    other = rates._store[("extended", 20)]
     assert len(sizes) == 2 and other is not tab
     assert (other[0].prec, tab[0].prec) == (22, 42)
     assert all(len(col) == 80 for col in tab[1:] + other[1:])
     eval_pq_mp(rates, 200, 0.5 + 1j, 40)
-    assert len(sizes) == 3 and _memo(rates)[("extended", 40)] is tab
+    assert len(sizes) == 3 and rates._store[("extended", 40)] is tab
     fresh = stieltjes_dn_rates(0.3)
     eval_pq_mp(fresh, 200, 0.5 + 1j, 40)
-    assert _memo(fresh)[("extended", 40)][1:] == tab[1:]
+    assert fresh._store[("extended", 40)][1:] == tab[1:]
 
 
 class TestEvalF:
