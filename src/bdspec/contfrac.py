@@ -6,12 +6,14 @@ power moments and JSON/CSV serialization.
 """
 from __future__ import annotations
 
+import contextlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _require_finite, compensated_sum, tridiag_eigen
+from .numerics import _require_finite, tridiag_eigen
 from .recurrence import BirthDeathRates, JacobiCoeffs, eval_pq, jacobi_from_rates
 
 
@@ -185,22 +187,32 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
     )
 
 
+def _fsum(terms: np.ndarray, what: str) -> float:
+    # The exactly rounded sum; past the double range fsum overflows or is not finite.
+    with contextlib.suppress(OverflowError, ValueError):
+        if math.isfinite(total := math.fsum(terms.tolist())):
+            return total
+    raise ValueError(f"{what} leaves the double range")
+
+
 def measure_stieltjes(m: DiscreteMeasure, x: complex) -> complex:
-    """sum_k mass_k / (x - support_k), accumulated small-to-large."""
+    """sum_k mass_k / (x - support_k), each part the exactly rounded sum of
+    the terms' parts (``math.fsum``); ValueError where x is not finite or a
+    sum leaves the double range."""
     x = complex(x)
+    _require_finite(x, "x")
     if x.imag == 0 and np.any(m.support == x.real):
         raise PoleError("Stieltjes transform evaluated on the support", point=x.real)
-    terms = m.mass / (x - m.support)
-    order = np.argsort(np.abs(terms))
-    re = compensated_sum(terms.real[order])
-    im = compensated_sum(terms.imag[order])
-    return complex(re, im)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = m.mass / (x - m.support)
+    what = f"the Stieltjes transform at {x}"
+    return complex(_fsum(terms.real, what), _fsum(terms.imag, what))
 
 
 def measure_moment(m: DiscreteMeasure, order: int) -> float:
-    """Power moment sum mass_k * support_k**order with compensated summation."""
+    """Power moment sum mass_k * support_k**order, the exactly rounded sum of
+    the terms (``math.fsum``); ValueError where it leaves the double range."""
     if order < 0:
         raise ValueError("order must be nonnegative")
-    terms = m.mass * m.support**order
-    idx = np.argsort(np.abs(terms))
-    return compensated_sum(terms[idx])
+    with np.errstate(over="ignore"):
+        return _fsum(m.mass * m.support**order, f"the moment of order {order}")

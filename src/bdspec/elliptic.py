@@ -187,28 +187,17 @@ def delta4(l: int, x: complex) -> complex:
     if l == 2:
         return cmath.sin(a) * cmath.sinh(a)
     if abs(z) <= 30.0:
-        total = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        term = z**l / math.factorial(l)
-        n = 0
-        while True:
-            t = total + term
-            if abs(total) >= abs(term):
-                comp += (total - t) + term
-            else:
-                comp += (term - t) + total
-            total = t
-            term = -term * z**4 / (
-                (4 * n + l + 1) * (4 * n + l + 2) * (4 * n + l + 3) * (4 * n + l + 4)
-            )
-            n += 1
-            if abs(term) <= 1e-20 * (abs(total) + 1.0) or n > 200:
+        # The running sum decides where to stop; the value is the exact sum, rounded once.
+        term, total, terms, z4 = z**l / math.factorial(l), 0.0 + 0.0j, [], z**4
+        for n in range(201):
+            terms.append(term)
+            total += term
+            m = 4 * n + l
+            term = -term * z4 / ((m + 1) * (m + 2) * (m + 3) * (m + 4))
+            if abs(term) <= 1e-20 * (abs(total) + 1.0):
                 break
-        return total + comp
-    acc = 0.0 + 0.0j
-    for w in _OMEGAS:
-        acc += w ** (-l) * cmath.exp(w * z)
-    return 0.25 * acc
+        return complex(math.fsum([t.real for t in terms]), math.fsum([t.imag for t in terms]))
+    return 0.25 * sum(w ** (-l) * cmath.exp(w * z) for w in _OMEGAS)
 
 
 def lemniscate_K0() -> float:
@@ -222,7 +211,9 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
     """Laplace transform of dn over [0, oo) for Re x > 0.
 
     By 2K-periodicity this is the single-period integral divided by
-    (1 - e^(-2xK)). dn is read from the context's node table.
+    1 - e^(-2xK), written 2 sin^2(b/2) - expm1(-a) cos b + i e^(-a) sin b
+    at 2xK = a + ib so that small x does not cancel. dn is read from the
+    context's node table.
     """
     x = complex(x)
     _require_finite(x, "x")
@@ -234,4 +225,6 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
         return _node_scd(ctx, u)[2] * cmath.exp(-x * u)
 
     num = integrate(f, 0.0, twoK, Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=4000))
-    return num / (1.0 - cmath.exp(-x * twoK))
+    a, b = x.real * twoK, x.imag * twoK
+    return num / complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(-a) * math.cos(b),
+                         math.exp(-a) * math.sin(b))

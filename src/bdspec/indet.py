@@ -448,8 +448,8 @@ def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int
     """
     xs = np.array([x])
     band = _stieltjes_band(rates, 2)
-    carry, unscaled = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
-    scale, e = unscaled, np.zeros((2, 1, 1), dtype=int)
+    carry, scale = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
+    e = np.zeros((2, 1, 1), dtype=int)
     hs, row, lo = [], [], 2
     for cp in _ladder(max_iter):
         first = 2 * cp + parity
@@ -461,8 +461,7 @@ def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int
         lo = first + 7
         if ratios:
             rows = np.stack([rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1]), np.ones((1, 4))])
-        # Until the first rescale, every exponent is 0 and the scale the one given.
-        elif scale is not unscaled:
+        elif (exps != e).any():
             top = exps.max(axis=2, keepdims=True)
             row = [entry * np.ldexp(1.0, e - top) for entry in row]
             rows, e = rows * np.ldexp(1.0, exps - top), top

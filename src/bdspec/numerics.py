@@ -14,7 +14,7 @@ import cmath
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -38,15 +38,15 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Absolute/relative tolerance pair plus an iteration budget."""
+    """Finite, nonnegative absolute/relative tolerance pair plus an iteration budget."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.abs_tol < math.inf and 0 <= self.rel_tol < math.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs_tol == 0 and self.rel_tol == 0:
             raise ValueError("at least one of abs_tol, rel_tol must be positive")
         if self.max_iter < 8:
@@ -272,17 +272,3 @@ def richardson_sum(
                 return ConvergedLimit(value, cp + 3, inc, True)
         cp *= 2
     return ConvergedLimit(value, partial.size, inc, False)
-
-
-def compensated_sum(values: Iterable[float]) -> float:
-    """Neumaier-compensated sum of real values."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp

@@ -19,7 +19,7 @@ import numpy as np
 
 from .contfrac import DiscreteMeasure, PoleError
 from .elliptic import EllipticContext, _node_scd, delta4, lemniscate_K0, make_context
-from .numerics import Tolerance, _require_finite, integrate
+from .numerics import ConvergenceError, Tolerance, _require_finite, integrate
 from .recurrence import BirthDeathRates, dual_rates, eval_f, pi_sequence
 
 _SQRT2 = math.sqrt(2.0)
@@ -93,10 +93,14 @@ def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> compl
     x = complex(x)
     _require_finite(x, "x")
     rho = _root4(x)
-    den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
-    if den == 0:
-        raise PoleError(f"{name} transform pole", point=x)
-    num = _cn_integral(spec, 2 - l, rho)
+    try:
+        den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
+        if den == 0:
+            raise PoleError(f"{name} transform pole", point=x)
+        num = _cn_integral(spec, 2 - l, rho)
+    except OverflowError:  # delta_l, beyond |x| ~ 1e11
+        raise ConvergenceError(f"{name} closed form leaves the double range at x = {x}; "
+                               "markov_like_limit reaches such x") from None
     return (num if l else -num) / den
 
 

@@ -362,7 +362,7 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
     from rows lo-2 and lo-1, ``carry`` (nrhs, points, 2) times ``2**scale``
     (2, points): solution r is ``rows[r] * 2**exps[r % 2]`` (a derivative
     shares its solution's exponent). Returns the carry and scale that
-    continue from ks[-1] + 1 (the scale given, where no row was rescaled).
+    continue from ks[-1] + 1.
 
     A segment, of at most ``_CHUNK`` point-steps, ends after the first row at
     which, for some point, a solution and its derivative leave [1e-150, 1e150]
@@ -485,7 +485,8 @@ def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySe
     F_n solves mu_{k+1} F_{k+1} = (lambda_k + mu_k - x) F_k
     - lambda_{k-1} F_{k-1}, with F_0 = 1, so that F_n(0) = pi_n; it is read
     off the kernel as F_n = (-1)^n sqrt(pi_n) P_n, the log sqrt(pi_n) going
-    into ``scaling_log``. ``shift=1`` yields the order-one associated family.
+    into ``scaling_log``. ``shift=1`` yields the order-one associated family,
+    whose rates and tables the store of ``rates`` keeps.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -493,7 +494,10 @@ def eval_f(rates: BirthDeathRates, n: int, x: complex, shift: int = 0) -> PolySe
         raise ValueError("shift must be nonnegative")
     if shift:
         base = rates
-        rates = BirthDeathRates(lambda k: base.lam(k + shift), lambda k: base.mu(k + shift))
+        rates = base._store.get(("shift", shift))
+        if rates is None:
+            rates = base._store[("shift", shift)] = BirthDeathRates(
+                lambda k: base.lam(k + shift), lambda k: base.mu(k + shift))
     P, _ = eval_pq(rates, max(n, 1), complex(x))
     half_log_pi = 0.5 * _coefficients(rates, n + 1).log_pi[: n + 1]
     return PolySequence(

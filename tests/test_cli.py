@@ -212,6 +212,17 @@ class TestTransformCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "vanished" in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_nonfinite_tolerance_exit_2(self, capsys, tol):
+        code, out, err = run_cli(
+            capsys,
+            "transform", "--family", "stieltjes-dn", "--k2", "0.5",
+            "--x", "0,1", "--mode", "markov", "--tol", tol,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: tolerances must be finite and nonnegative\n"
+
     def test_mode_conflict_exit_3(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -201,3 +202,34 @@ class TestMeasureOps:
         m = DiscreteMeasure(np.array([1.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             measure_moment(m, -1)
+
+    def test_moment_is_exactly_rounded(self):
+        vals = [-1e16, -2.71, 1e-8, 1.0, 3.14, 1e16]
+        m = DiscreteMeasure(np.array(vals), np.ones(6))
+        assert measure_moment(m, 1) == float(mp.fsum(vals))
+
+    def test_moment_past_double_range_raises(self):
+        m = DiscreteMeasure(np.array([1.0, 1e300]), np.array([0.5, 0.5]))
+        assert measure_moment(m, 1) == 5e299
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="double range"):
+                measure_moment(m, 2)
+
+    def test_transform_sums_are_exactly_rounded(self):
+        # Real parts +-5e15 around -0.275, which a plain sum loses.
+        m = DiscreteMeasure(np.array([-1.0, 0.3, 1.0]), np.array([1e16, 1.0, 1e16]))
+        terms = m.mass / (1j - m.support)
+        with mp.workdps(50):
+            ref = complex(float(mp.fsum(mp.mpf(t) for t in terms.real)),
+                          float(mp.fsum(mp.mpf(t) for t in terms.imag)))
+        assert measure_stieltjes(m, 1j) == ref
+        assert ref.real != sum(terms.real.tolist())
+
+    def test_transform_past_double_range_raises(self):
+        m = DiscreteMeasure(np.array([0.0, 1.0]), np.array([1.5e308, 1.5e308]))
+        for x in (-1.0, 1e-300j):  # the sum overflows; a term overflows
+            with pytest.raises(ValueError, match="double range"):
+                measure_stieltjes(m, x)
+        with pytest.raises(ValueError, match="finite"):
+            measure_stieltjes(m, complex(math.nan, 1.0))

@@ -273,6 +273,20 @@ class TestLaplaceDN:
         with pytest.raises(ValueError):
             laplace_dn(ctx_half, -1.0 + 2j)
 
+    @pytest.mark.parametrize("x", [1e-4, 1e-6, 1e-8, 1e-14, 1e-20, 1e-300, 1e-6 + 1e-6j])
+    def test_small_x_vs_fourier_series(self, ctx_half, x):
+        # dn u = pi/2K + (2 pi/K) sum q^n/(1 + q^2n) cos(n pi u/K), transformed
+        # termwise in 30 digits (q = e^-pi at k^2 = 1/2). 1 - e^(-2xK)
+        # cancels at small x, and rounds to 0 below x ~ 3e-17.
+        with mp.workdps(30):
+            z, K = mp.mpc(x), mp.ellipk(mp.mpf(0.5))
+            ref = mp.pi / (2 * K * z)
+            for n in range(1, 30):
+                w = n * mp.pi / K
+                ref += 2 * mp.pi / K * mp.exp(-n * mp.pi) / (1 + mp.exp(-2 * n * mp.pi)) * z / (z * z + w * w)
+            ref = complex(ref)
+        assert abs(laplace_dn(ctx_half, x) - ref) <= 1e-14 * abs(ref)
+
 
 class TestNodeTable:
     """(sn, cn, dn) kept per context at the quadrature nodes it has seen."""

@@ -339,3 +339,34 @@ def test_cli_leaves_determinacy_to_the_library():
     # The library's one gate decides every mode conflict; the CLI classifies
     # only to report a classification.
     assert determinacy_reads((SRC / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def identity_tests(source: str) -> list[str]:
+    """Comparisons by ``is`` or ``is not`` of which neither side is ``None``:
+    ``line N``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for i, op in enumerate(node.ops):
+                if isinstance(op, (ast.Is, ast.IsNot)) and not any(
+                        isinstance(s, ast.Constant) and s.value is None for s in sides[i:i + 2]):
+                    found.append(f"line {node.lineno}")
+    return found
+
+
+def test_detects_identity_tests():
+    src = (
+        "a = x is None\nb = None is not y\n"
+        "if scale is not unscaled:\n    pass\n"
+        "c = p is q is None\n"
+        "d = x == y\ne = x in y\n"
+    )
+    assert identity_tests(src) == ["line 3", "line 5"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_identity_only_against_none(path):
+    # Whether a value is the very object given is no part of any result:
+    # a decision reads the values, and ``is`` serves only ``None``.
+    assert identity_tests(path.read_text(encoding="utf-8")) == []

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -6,7 +7,9 @@ import pytest
 from scipy.optimize import brentq
 
 from bdspec import (
+    ConvergenceError,
     PoleError,
+    QuadratureError,
     Tolerance,
     alpha_limit,
     asymptotic_checks,
@@ -95,6 +98,33 @@ class TestTransforms:
         ]
         expected = [(2 * n + 1) * math.pi / K for n in range(4)]
         assert np.allclose(roots, expected, rtol=1e-9)
+
+
+    @pytest.mark.parametrize("x", [1e12 * cmath.exp(1j * a) for a in (0.05, 1.0, math.pi / 2)]
+                             + [1e20j], ids=lambda x: f"{x:.3g}")
+    @pytest.mark.parametrize("fn", [friedrichs_transform, krein_transform], ids=lambda f: f.__name__)
+    def test_past_the_double_range_raises_named_error(self, qspec, fn, x):
+        # delta_l overflows; the border limit, markov_like_limit, reaches x.
+        with pytest.raises(ConvergenceError, match="double range.*markov_like_limit"):
+            fn(qspec, x)
+
+    @pytest.mark.parametrize("x", [1e11 * cmath.exp(1j * math.pi)]
+                             + [3e11 * cmath.exp(1j * a) for a in (1.0, math.pi / 2, math.pi)],
+                             ids=lambda x: f"{x:.3g}")
+    def test_nonfinite_integrand_raises_quadrature_error(self, qspec, x):
+        for fn in (friedrichs_transform, krein_transform):
+            with pytest.raises(QuadratureError):
+                fn(qspec, x)
+
+    @pytest.mark.parametrize("r", [1e10, 1e11])
+    @pytest.mark.parametrize("a", [0.05, 1.0, math.pi / 2])
+    def test_below_the_range_returns_the_leading_term(self, qspec, quartic0, r, a):
+        # x F(x) - 1 ~ m_1 / x, with m_1 = lambda_0 + mu_0 = 12 the first
+        # moment of both border measures.
+        x = r * cmath.exp(1j * a)
+        lam0 = quartic0.lam(0)
+        for fn in (friedrichs_transform, krein_transform):
+            assert abs(x * fn(qspec, x) - 1 - lam0 / x) < 0.05 * lam0 / r
 
 
 class TestBorderMeasure:

@@ -24,6 +24,7 @@ from bdspec import (
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec import recurrence
 from bdspec.recurrence import eval_pq_mp
 from conftest import f_recurrence_mp
 
@@ -484,6 +485,24 @@ class TestEvalF:
             lhs = Q.value(k)
             rhs = (-1.0) ** (k - 1) * F1.value(k - 1) / (mu1 * math.sqrt(pis.value(k).real))
             assert abs(lhs / rhs - 1.0) < 1e-10
+
+    def test_shifted_rates_built_once(self, monkeypatch):
+        # The order-one associated rates sit in the store of the rates they
+        # shift, so a second call tabulates nothing again.
+        rates = stieltjes_dn_rates(0.5)
+        built = []
+
+        class Counted(BirthDeathRates):
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(recurrence, "BirthDeathRates", Counted)
+        first = eval_f(rates, 600, 1.5 + 1j, shift=1)
+        again = eval_f(rates, 600, 1.5 + 1j, shift=1)
+        assert len(built) == 1
+        assert np.array_equal(first.values, again.values)
+        assert np.array_equal(first.scaling_log, again.scaling_log)
 
     def test_markov_ratio_identity(self, quartic0):
         # Q_n/P_n = -F^(1)_(n-1) / (mu_1 F_n) termwise
