@@ -150,9 +150,10 @@ def generalized_ratio(
     is computed with a Gauss-Jacobi rule matching that exact weight, with
     the node count doubled until two estimates agree. Everything in a rule
     but the factor e^(-xu) is built once per (modulus, node count, exponent)
-    and kept in a bounded cache of 128 rules. Normalization uses math.gamma
-    for (2c)! and (2c-1)!. Raises QuadratureError at once when e^(-xu)
-    underflows at every node of the D rule, which leaves 0/0.
+    and kept in a bounded cache of 128 rules. The normalizations, (2c)! and
+    (2c-1)! and the rules' factors K^(2 sigma + 1)/(2K)^sigma, cancel in N/D
+    to K/(4c), so no c overflows them. Raises QuadratureError at once when
+    e^(-xu) underflows at every node of the D rule, which leaves 0/0.
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -161,22 +162,21 @@ def generalized_ratio(
     if not x.real > 0:
         raise ValueError("generalized_ratio requires Re x > 0")
     tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)
-    K = ctx.K
-    twoK = 2.0 * K
+    scale = ctx.K / (4.0 * c)
 
     def one(nn: int, sigma: float, col: int) -> complex:
         u, w, f = _jacobi_rule(ctx, nn, sigma, col)
-        return K ** (2 * sigma + 1) / twoK**sigma * np.sum(w * (f * np.exp(-x * u)))
+        return np.sum(w * (f * np.exp(-x * u)))
 
     def quad_pair(nn: int) -> complex:
-        num = one(nn, 2.0 * c, 2) / math.gamma(2.0 * c + 1.0)
-        den = one(nn, 2.0 * c - 1.0, 1) / math.gamma(2.0 * c)
+        num = one(nn, 2.0 * c, 2)
+        den = one(nn, 2.0 * c - 1.0, 1)
         if den == 0:
             raise QuadratureError(
                 f"generalized_ratio denominator is 0: e^(-xu) underflowed at Re x = {x.real:g}",
                 complex(num), math.nan,
             )
-        return num / den
+        return scale * num / den
 
     prev = None
     delta = math.inf

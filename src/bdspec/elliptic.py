@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .numerics import Tolerance, _require_finite, integrate
+from .numerics import ConvergenceError, Tolerance, _require_finite, integrate
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -213,7 +213,9 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
     By 2K-periodicity this is the single-period integral divided by
     1 - e^(-2xK), written 2 sin^2(b/2) - expm1(-a) cos b + i e^(-a) sin b
     at 2xK = a + ib so that small x does not cancel. dn is read from the
-    context's node table.
+    context's node table. Where the transform, about pi/(2 x K) near 0,
+    passes the double range (|x| below ~1e-308) it raises
+    :class:`ConvergenceError` naming the range.
     """
     x = complex(x)
     _require_finite(x, "x")
@@ -226,5 +228,8 @@ def laplace_dn(ctx: EllipticContext, x: complex) -> complex:
 
     num = integrate(f, 0.0, twoK, Tolerance(abs_tol=1e-13, rel_tol=1e-13, max_iter=4000))
     a, b = x.real * twoK, x.imag * twoK
-    return num / complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(-a) * math.cos(b),
-                         math.exp(-a) * math.sin(b))
+    value = num / complex(2.0 * math.sin(0.5 * b) ** 2 - math.expm1(-a) * math.cos(b),
+                          math.exp(-a) * math.sin(b))
+    if not cmath.isfinite(value):
+        raise ConvergenceError(f"laplace_dn leaves the double range at x = {x}")
+    return value

@@ -541,7 +541,7 @@ def modified_entries_dual(
     for _, limits, change, e, _ in _border_march(rates, x, 0, tol.max_iter, False):
         if (np.frexp(np.abs(limits))[1] + e).max() > 1024:  # past the double range at 2^e
             raise ConvergenceError(f"dual polynomial series leaves the double range at x = {x:.6g}")
-        if (change <= np.maximum(np.ldexp(bound.abs_tol, -e), bound.rel_tol * np.abs(limits))).all():
+        if (np.ldexp(change, e) <= bound.bound(np.ldexp(np.abs(limits), e))).all():
             break
     else:
         raise ConvergenceError(

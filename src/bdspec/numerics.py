@@ -5,8 +5,9 @@ held as Python floats, so an integrand is called with floats), symmetric
 tridiagonal eigenvalues, and the one extrapolation rule for every limit that
 converges like 1/n: Neville extrapolation to h = 0 of checkpoint snapshots,
 one tableau row per snapshot (:func:`neville_extend`), settled when the last
-two extrapolations agree within the tolerance (:func:`neville_limit`), which
-:func:`richardson_sum` applies to the partial sums of a series.
+two extrapolations agree within the tolerance. :func:`richardson_sum`
+applies it to the partial sums of a series; the Nevanlinna series and the
+border marches of :mod:`bdspec.indet` extend their own rows.
 """
 from __future__ import annotations
 
@@ -215,27 +216,6 @@ def neville_extend(hs: Sequence[float], row: list, y):
     return new, inc
 
 
-def neville_limit(hs: Sequence[float], ys: Sequence, tol: Tolerance):
-    """Limit at h = 0 of samples ``(h_i, y_i)`` of a quantity converging like
-    a power series in h, and whether it has settled.
-
-    The tableau of :func:`neville_extend` over all k samples gives the
-    extrapolation e_k and e_(k-1), that of the first k - 1 samples. Returns
-    ``(e_k, |e_k - e_(k-1)|, settled)`` with settled meaning that increment
-    is within ``tol.bound(e_k)``; below four samples the increment is inf.
-    Samples that are arrays of one shape give elementwise results; scalar
-    samples give a numpy complex, a ``float`` and a numpy bool.
-    """
-    vals = np.asarray(ys, dtype=complex)
-    if len(hs) != len(vals) or len(vals) == 0:
-        raise ValueError("need equally many abscissae and values")
-    row: list = []
-    for y in vals:
-        row, inc = neville_extend(hs, row, y)
-    value = row[-1][()]  # a numpy scalar from scalar samples
-    return value, inc, inc <= tol.bound(value)
-
-
 def richardson_sum(
     terms: Sequence[complex] | np.ndarray,
     tol: Tolerance | None = None,
@@ -249,11 +229,12 @@ def richardson_sum(
     fit in it; their average (which damps bounded-period oscillation) is the
     snapshot at h = 1/(cp + 1.5), which extends one Neville row
     (:func:`neville_extend`), and the sum stops at the first checkpoint
-    where the extrapolation has settled as in :func:`neville_limit`.
-    Intended for algebraically decaying terms; geometric series converge
-    before extrapolation matters. Without a settled checkpoint the result
-    has ``converged=False``, the last extrapolation (the plain sum below
-    three snapshots) and the whole budget.
+    (the fourth at the earliest) whose increment is within
+    ``tol.bound(value)``. Intended for algebraically decaying terms;
+    geometric series converge before extrapolation matters. Without a
+    settled checkpoint the result has ``converged=False``, the last
+    extrapolation (the plain sum below three snapshots) and the whole
+    budget.
     """
     tol = tol or Tolerance()
     partial = np.cumsum(np.asarray(terms, dtype=complex)[: tol.max_iter])

@@ -86,21 +86,29 @@ def _cn_integral(spec: QuarticSpec, l: int, rho: complex) -> complex:
     return integrate(f, 0.0, K, _CN_TOL) / _SQRT2
 
 
+def _parts(spec: QuarticSpec, x: complex, l: int, name: str) -> tuple[complex, complex, complex]:
+    """(sqrt(x), delta_l(x^(1/4) Kbar / sqrt2), the integral of
+    delta_(2-l)(x^(1/4) u / sqrt2) cn(u) du/sqrt2) at a finite ``x``: the
+    parts of the ``name`` (Friedrichs at l = 0, Krein at l = 2) closed form.
+    Raises ConvergenceError naming the double range where one overflows."""
+    _require_finite(x, "x")
+    rho = _root4(x)
+    try:
+        return rho * rho, delta4(l, rho * spec.qperiod / _SQRT2), _cn_integral(spec, 2 - l, rho)
+    except OverflowError:  # delta_l, beyond |x| ~ 1e11
+        raise ConvergenceError(f"{name} closed form leaves the double range at x = {x}; "
+                               "markov_like_limit reaches such x") from None
+
+
 def _border_transform(spec: QuarticSpec, x: complex, l: int, name: str) -> complex:
     """(l - 1) [integral of delta_(2-l)(x^(1/4) u / sqrt2) cn(u) du/sqrt2]
     over sqrt(x) delta_l(x^(1/4) Kbar / sqrt2): the Friedrichs transform at
     l = 0, the Krein one at l = 2."""
     x = complex(x)
-    _require_finite(x, "x")
-    rho = _root4(x)
-    try:
-        den = rho * rho * delta4(l, rho * spec.qperiod / _SQRT2)
-        if den == 0:
-            raise PoleError(f"{name} transform pole", point=x)
-        num = _cn_integral(spec, 2 - l, rho)
-    except OverflowError:  # delta_l, beyond |x| ~ 1e11
-        raise ConvergenceError(f"{name} closed form leaves the double range at x = {x}; "
-                               "markov_like_limit reaches such x") from None
+    sqx, d, num = _parts(spec, x, l, name)
+    den = sqx * d
+    if den == 0:
+        raise PoleError(f"{name} transform pole", point=x)
     return (num if l else -num) / den
 
 
@@ -199,18 +207,15 @@ def asymptotic_checks(spec: QuarticSpec, x: complex, n: int) -> AsymptoticReport
     where N2, N0 are the cn integrals of the border transforms. The measured
     dual prefactor F~_n sqrt(x)/(pi_n delta_2) is reported as well; it tends
     to 3 pi. The four sequences come from the double-precision kernel
-    (`eval_f`), pi_n from `pi_sequence`.
+    (`eval_f`), pi_n from `pi_sequence`. The closed forms are those of the
+    border transforms, with their errors: ValueError for an x that is not
+    finite, ConvergenceError naming the double range beyond |x| ~ 1e11.
     """
     if n < 500:
         raise ValueError("asymptotic checks need n >= 500")
     x = complex(x)
-    rho = _root4(x)
-    sqx = rho * rho
-    K = spec.qperiod
-    d0 = delta4(0, rho * K / _SQRT2)
-    d2 = delta4(2, rho * K / _SQRT2)
-    n2 = _cn_integral(spec, 2, rho)
-    n0 = _cn_integral(spec, 0, rho)
+    sqx, d0, n2 = _parts(spec, x, 0, "Friedrichs")
+    _, d2, n0 = _parts(spec, x, 2, "Krein")
 
     base, dual, zero_dual = _base_systems()
     mu1 = base.mu(1)

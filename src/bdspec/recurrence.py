@@ -208,26 +208,20 @@ def jacobi_from_rates(rates: BirthDeathRates, n: int) -> JacobiCoeffs:
 class PolySequence:
     """Evaluated polynomial sequence with per-index log scaling.
 
-    The true k-th value is ``values[k] * exp(scaling_log[k])`` (and likewise
-    for ``derivs``, which shares the same scaling). Evaluated at an array of
-    points, each ``[k]`` holds index k at every point. Reconstruction may
-    overflow for genuinely huge values; detecting that is the caller's task.
+    The true k-th value is ``values[k] * exp(scaling_log[k])``. Evaluated at
+    an array of points, each ``[k]`` holds index k at every point.
+    Reconstruction may overflow for genuinely huge values; :meth:`log_abs`
+    reads such a value's magnitude without it.
     """
 
     values: np.ndarray
     scaling_log: np.ndarray
-    derivs: np.ndarray | None = None
 
     def __len__(self):
         return len(self.values)
 
     def value(self, k: int) -> complex:
         return self.values[k] * np.exp(self.scaling_log[k])
-
-    def deriv(self, k: int) -> complex:
-        if self.derivs is None:
-            raise ValueError("sequence was evaluated without derivatives")
-        return self.derivs[k] * np.exp(self.scaling_log[k])
 
     def log_abs(self, k: int) -> float:
         with np.errstate(divide="ignore"):
@@ -357,23 +351,22 @@ def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
 
 
 def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
-    """Fills ``rows`` (nrhs, points, ks) and ``exps`` (2, points, ks) with rows
-    ``ks`` (ascending, none below ``lo``) at each point of ``xs``, continued
-    from rows lo-2 and lo-1, ``carry`` (nrhs, points, 2) times ``2**scale``
-    (2, points): solution r is ``rows[r] * 2**exps[r % 2]`` (a derivative
-    shares its solution's exponent). Returns the carry and scale that
+    """Fills ``rows`` and ``exps`` (2, points, ks) with rows ``ks`` (ascending,
+    none below ``lo``) of (Q, P) at each point of ``xs``, continued from rows
+    lo-2 and lo-1, ``carry`` (2, points, 2) times ``2**scale`` (2, points):
+    solution r is ``rows[r] * 2**exps[r]``. Returns the carry and scale that
     continue from ks[-1] + 1.
 
     A segment, of at most ``_CHUNK`` point-steps, ends after the first row at
-    which, for some point, a solution and its derivative leave [1e-150, 1e150]
-    over the last two rows; those carried rows are scaled by an exact power of
-    two back to [0.5, 1), and the next segment tries twice the length of the
-    one cut short. Every row is computed by the same operations wherever a
+    which, for some point, a solution leaves [1e-150, 1e150] over the last
+    two rows; those carried rows are scaled by an exact power of two back to
+    [0.5, 1), and the next segment tries twice the length of the one cut
+    short. Every row is computed by the same operations wherever a
     segment starts, so each point's rows and exponents are those of a lone
     evaluation. A row that overflows in one step raises
     :class:`ConvergenceError` naming the double range and the point.
     """
-    nrhs, n = carry.shape[0], int(ks[-1])
+    n = int(ks[-1])
     j = 0
     width = span = min(n - lo + 1, _CHUNK // xs.size)
     while lo <= n:
@@ -386,8 +379,6 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
             # inside; only otherwise (nan included) are the moduli needed.
             if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
                 mag = np.abs(seg[:, :, 1:])
-                if nrhs == 4:
-                    mag = np.maximum(mag[:2], mag[2:])
                 pair = np.maximum(mag[:, :, 1:], mag[:, :, :-1])
                 out = (pair > _RESCALE_HI) | (pair < _RESCALE_LO)
                 hit = out.any(axis=(0, 1))
@@ -416,20 +407,20 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
                     f"recurrence rows leave the double range in one step at x = {xs[lost][0]:.6g}"
                 )
             e = np.where(out[:, :, cut - 1], np.frexp(pair[:, :, cut - 1])[1], 0)
-            carry = carry * np.ldexp(1.0, -e)[np.arange(nrhs) % 2, :, None]
+            carry = carry * np.ldexp(1.0, -e)[:, :, None]
             scale = scale + e
     return carry, scale
 
 
-def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, nrhs: int = 2):
-    """Rows ``ks`` (ascending) of (Q, P), and of (Q', P') when ``nrhs`` is 4, at
-    each point of ``xs``, as the ``(rows, exps)`` that :func:`_rescaled_rows`
-    fills from rows 0 and 1, over chunks of points of at most ``_CHUNK``
-    point-steps. A point that is not finite raises ValueError."""
+def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray):
+    """Rows ``ks`` (ascending) of (Q, P) at each point of ``xs``, as the
+    ``(rows, exps)`` that :func:`_rescaled_rows` fills from rows 0 and 1,
+    over chunks of points of at most ``_CHUNK`` point-steps. A point that is
+    not finite raises ValueError."""
     _require_finite(xs, "x")
-    rows = np.empty((nrhs, xs.size, ks.size), dtype=complex)
+    rows = np.empty((2, xs.size, ks.size), dtype=complex)
     exps = np.zeros((2, xs.size, ks.size), dtype=int)
-    start = _start(tab, xs, nrhs)
+    start = _start(tab, xs, 2)
     head = np.searchsorted(ks, 2)
     rows[:, :, :head] = start[:, :, ks[:head]]
     step = max(1, _CHUNK // max(1, int(ks[-1]) - 1))
@@ -447,34 +438,24 @@ def _qp_ratios(tab: _Band, x: complex, ks) -> np.ndarray:
     return q / p * np.ldexp(1.0, eq - ep)
 
 
-def eval_pq(
-    rates: BirthDeathRates, n: int, x, with_deriv: bool = False
-) -> tuple[PolySequence, PolySequence]:
+def eval_pq(rates: BirthDeathRates, n: int, x) -> tuple[PolySequence, PolySequence]:
     """Evaluate P_0..P_n and Q_0..Q_n at ``x``, a point or a 1-D array of points.
 
-    Derivatives, when requested, come from the exactly differentiated
-    recurrence (no finite differences). At an array of points ``values[k]``,
-    ``scaling_log[k]`` and ``derivs[k]`` hold index k at every point, and each
-    point gets exactly what it gets on its own.
+    At an array of points ``values[k]`` and ``scaling_log[k]`` hold index k
+    at every point, and each point gets exactly what it gets on its own.
     """
     if n < 1:
         raise ValueError("n must be positive")
     xs = np.asarray(x, dtype=complex)
     if xs.ndim > 1:
         raise ValueError("x must be a point or a 1-D array of points")
-    rows, exps = _solve(
-        _coefficients(rates, n + 1), xs.reshape(-1), np.arange(n + 1), 4 if with_deriv else 2
-    )
+    rows, exps = _solve(_coefficients(rates, n + 1), xs.reshape(-1), np.arange(n + 1))
 
     def indexed(a):  # (points, n + 1) -> index first
         return a[0] if xs.ndim == 0 else a.T
 
     def seq(r):
-        return PolySequence(
-            values=indexed(rows[r]),
-            scaling_log=indexed(exps[r] * _LN2),
-            derivs=indexed(rows[r + 2]) if with_deriv else None,
-        )
+        return PolySequence(values=indexed(rows[r]), scaling_log=indexed(exps[r] * _LN2))
 
     return seq(1), seq(0)
 

@@ -18,6 +18,7 @@ from bdspec import (
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec.recurrence import eval_pq_mp
 
 
 class TestDiscreteMeasure:
@@ -161,17 +162,19 @@ class TestGaussMeasure:
     def test_weights_match_residue_form(self, dn_half, quartic0):
         # partial-fraction residues Q_n(x_k)/P_n'(x_k) agree with the
         # Christoffel-function weights wherever cancellation leaves them
-        # meaningful
+        # meaningful; P_n' is a central difference of the 40-digit
+        # recurrence, independent of the double kernel
+        n, h = 10, mp.mpf("1e-15")
         for rates in (dn_half, quartic0):
-            n = 10
             m = gauss_measure(rates, n)
             for xk, w in zip(m.support, m.mass):
                 if w < 1e-6 * m.mass.max():
                     continue
-                P, Q = eval_pq(rates, n, xk, with_deriv=True)
-                res = (Q.values[n] / P.derivs[n]).real * np.exp(
-                    Q.scaling_log[n] - P.scaling_log[n]
-                )
+                with mp.workdps(40):
+                    xk = mp.mpf(float(xk))
+                    (_, q), (up, _), (down, _) = (
+                        eval_pq_mp(rates, n, xk + s * h, 40)[n] for s in (0, 1, -1))
+                    res = complex(q / ((up - down) / (2 * h))).real
                 assert res == pytest.approx(w, rel=1e-8)
 
 

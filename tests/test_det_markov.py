@@ -247,6 +247,14 @@ class TestGeneralizedRatio:
         with pytest.raises(ValueError):
             generalized_ratio(ctx_half, 0.5, -1.0)
 
+    @pytest.mark.parametrize("c", [85.5, 200.0])
+    def test_large_c_matches_s_fraction(self, ctx_half, c):
+        # The normalizations cancel to K/(4c); each on its own, (2c)! among
+        # them, overflows from c = 85.5.
+        x = 1.3 + 0.4j
+        ref = s_fraction(generalized_c_rates(0.5, c), 800, x)
+        assert abs(generalized_ratio(ctx_half, c, x) - ref) <= 1e-12 * abs(ref)
+
     def test_underflow_raises_at_once(self, ctx_half):
         # e^(-xu) underflows at every node: the first pair of rules leaves
         # 0/0, reported without building the larger rules.

@@ -7,6 +7,7 @@ import pytest
 import scipy.special as sp
 
 from bdspec import (
+    ConvergenceError,
     delta4,
     dn_spectral_measure,
     dn_taylor_moments,
@@ -272,6 +273,13 @@ class TestLaplaceDN:
     def test_domain(self, ctx_half):
         with pytest.raises(ValueError):
             laplace_dn(ctx_half, -1.0 + 2j)
+
+    @pytest.mark.parametrize("x", [1e-310, 5e-324])
+    def test_past_the_double_range_says_so(self, ctx_half, x):
+        # about pi/(2 x K) near 0, which passes the double range below ~1e-308;
+        # 1e-300 still has a value (test_small_x_vs_fourier_series)
+        with pytest.raises(ConvergenceError, match="double range"):
+            laplace_dn(ctx_half, x)
 
     @pytest.mark.parametrize("x", [1e-4, 1e-6, 1e-8, 1e-14, 1e-20, 1e-300, 1e-6 + 1e-6j])
     def test_small_x_vs_fourier_series(self, ctx_half, x):

@@ -16,6 +16,7 @@ from bdspec import (
     PoleError,
     Tolerance,
     alpha_limit,
+    asymptotic_checks,
     border_measure,
     classify,
     custom_rates,
@@ -46,7 +47,7 @@ from bdspec import (
 )
 
 from bdspec import indet, recurrence
-from bdspec.numerics import neville_limit, richardson_sum
+from bdspec.numerics import neville_extend, richardson_sum
 from bdspec.recurrence import (
     _advance,
     _coefficients,
@@ -356,9 +357,13 @@ class TestMarkovLike:
         assert classify(rates).verdict == DET_S_INDET_H
         cps = sorted({20000 // 2**j for j in range(5)})
         ks = np.add.outer(cps, np.arange(4)).ravel()
+        hs = [1.0 / (cp + 1.5) for cp in cps]
         for x in (10 + 10j, -50 + 5j, 1e3 - 2e3j):
             ratios = _qp_ratios(_coefficients(rates, ks[-1] + 1), x, ks).reshape(-1, 4).mean(axis=1)
-            ref, _, _ = neville_limit([1.0 / (cp + 1.5) for cp in cps], ratios, Tolerance())
+            row = []
+            for r in ratios:
+                row, _ = neville_extend(hs, row, r)
+            ref = complex(row[-1])
             res = markov_like_limit(rates, x, "friedrichs")
             assert res.converged
             assert abs(res.value - ref) <= 1e-8 * abs(ref)
@@ -874,6 +879,7 @@ def test_determinate_entry_points_refuse_nonfinite_points(dn_half, qspec, x):
         "generalized_ratio": lambda: generalized_ratio(ctx, 0.5, x),
         "friedrichs_transform": lambda: friedrichs_transform(qspec, x),
         "krein_transform": lambda: krein_transform(qspec, x),
+        "asymptotic_checks": lambda: asymptotic_checks(qspec, x, 600),
     }
     for call in calls.values():
         with pytest.raises(ValueError, match="finite"):

@@ -20,6 +20,8 @@ MPMATH_USERS = {"eval_pq_mp", "markov_iterates", "dn_taylor_moments"}
 TEST_ONLY_SURFACE = {
     "custom_rates",
     "dn_taylor_moments",
+    "eval_pq_mp",
+    "log_abs",
     "measure_moment",
     "moment_asymptote",
     "pi_alpha",
@@ -155,11 +157,38 @@ def test_detects_uncalled_names():
     assert uncalled(["f", "g", "h", "j", "m"], [src]) == ["h", "j", "m"]
 
 
+def public_definitions(source: str) -> list[str]:
+    """Names that start with no underscore and that a source defines at
+    module level by ``def`` or ``class``, or as a method of such a class."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [n.name for n in node.body
+                      if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [n for n in names if not n.startswith("_")]
+
+
+def test_detects_public_definitions():
+    src = (
+        "X = 1\n"
+        "def f():\n    def inner():\n        pass\n"
+        "def _g():\n    pass\n"
+        "class C:\n    y = 2\n    def __init__(self):\n        pass\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def _h(self):\n        pass\n"
+        "class _D:\n    def m(self):\n        pass\n"
+    )
+    assert public_definitions(src) == ["f", "C", "size"]
+
+
 def test_public_names_have_callers():
-    # Every public function, class and constant is called from the library
-    # or the benchmark (its tests aside), or is listed as test-only surface;
-    # submodules are namespaces, not surface.
+    # Every public function, class, method and constant is called from the
+    # library or the benchmark (its tests aside), or is listed as test-only
+    # surface; submodules are namespaces, not surface.
     names = [n for n in bdspec.__all__ if not inspect.ismodule(getattr(bdspec, n))]
+    names += [n for p in MODULES for n in public_definitions(p.read_text(encoding="utf-8"))]
     bench = [p for p in sorted((ROOT / "bench").glob("*.py")) if not p.name.startswith("test_")]
     sources = [p.read_text(encoding="utf-8") for p in MODULES + bench]
     assert set(uncalled(names, sources)) == TEST_ONLY_SURFACE
@@ -274,12 +303,12 @@ def test_range_thresholds_live_in_the_kernel(path):
 
 
 def hand_written_bounds(source: str) -> list[str]:
-    """Calls ``max`` or ``<...>.maximum`` whose first argument is
-    ``<...>.abs_tol``: ``line N``."""
+    """Calls ``max`` or ``<...>.maximum`` whose first argument reads
+    ``<...>.abs_tol`` anywhere inside: ``line N``."""
     return sorted(
         (f"line {n.lineno}" for n in ast.walk(ast.parse(source))
          if isinstance(n, ast.Call) and n.args
-         and isinstance(n.args[0], ast.Attribute) and n.args[0].attr == "abs_tol"
+         and any(isinstance(a, ast.Attribute) and a.attr == "abs_tol" for a in ast.walk(n.args[0]))
          and (isinstance(n.func, ast.Attribute) and n.func.attr == "maximum"
               or isinstance(n.func, ast.Name) and n.func.id == "max")),
         key=lambda s: int(s.split()[1]),
@@ -295,7 +324,7 @@ def test_detects_hand_written_bounds():
         "d = np.maximum(x, y) + min(tol.abs_tol, 1.0)\n"
         "def f(tol):\n    return numpy.maximum(tol.abs_tol, 0)\n"
     )
-    assert hand_written_bounds(src) == ["line 2", "line 3", "line 7"]
+    assert hand_written_bounds(src) == ["line 2", "line 3", "line 4", "line 7"]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "numerics.py"],

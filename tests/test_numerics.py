@@ -16,7 +16,6 @@ from bdspec.numerics import (
     _GL_WEIGHTS,
     _gl15,
     neville_extend,
-    neville_limit,
     richardson_sum,
 )
 
@@ -132,7 +131,7 @@ class TestTridiagEigen:
 
 
 def _neville(hs, ys):
-    # The scalar Neville scheme that neville_limit replaced, in numpy scalars:
+    # The scalar Neville scheme, the reference for neville_extend, in numpy scalars:
     # numpy divides a complex by a real through its reciprocal, Python does not.
     vals = list(np.asarray(ys, dtype=complex))
     for j in range(1, len(vals)):
@@ -227,36 +226,41 @@ class TestRichardsonSum:
             assert (got.value, got.last_increment) == (short.value, short.last_increment)
 
 
+def _extended(hs, ys):
+    """The row and increment of neville_extend after every sample of ``ys``."""
+    row = []
+    for y in ys:
+        row, inc = neville_extend(hs, row, y)
+    return row, inc
+
+
 def test_neville_recovers_polynomial_limit():
     hs = [1.0 / n for n in (8, 16, 32, 64, 128)]
     ys = [3.0 - 2.0 * h + 5.0 * h**2 - h**3 for h in hs]
-    tol = Tolerance(abs_tol=1e-12, rel_tol=0.0)
-    value, inc, settled = neville_limit(hs, ys, tol)
-    assert abs(value - 3.0) < 1e-12
-    assert isinstance(value, complex)
+    row, inc = _extended(hs, ys)
+    assert abs(complex(row[-1]) - 3.0) < 1e-12 and inc < 1e-12
+    assert isinstance(inc, float)
     # array samples are extrapolated elementwise
-    arrays = [np.array([y, 2.0 * y, 1j * y]) for y in ys]
-    value, inc, settled = neville_limit(hs, arrays, tol)
-    assert np.allclose(value, [3.0, 6.0, 3j], rtol=0, atol=1e-11)
-    assert settled.shape == (3,) and settled.all()
+    row, inc = _extended(hs, [np.array([y, 2.0 * y, 1j * y]) for y in ys])
+    assert np.allclose(row[-1], [3.0, 6.0, 3j], rtol=0, atol=1e-11)
+    assert inc.shape == (3,) and (inc < 1e-11).all()
 
 
-def test_neville_limit_reads_prefix_extrapolations_off_one_tableau(rng):
-    # e_(k-1) is bit for bit the extrapolation of the first k - 1 samples
+def test_neville_extend_reads_prefix_extrapolations(rng):
+    # the increment is bit for bit |e_k - e_(k-1)|, e_(k-1) the extrapolation
+    # of the first k - 1 samples
     hs = [1.0 / (cp + 1.5) for cp in (64, 128, 256, 512, 1024, 2048)]
     ys = [complex(*rng.normal(size=2)) for _ in hs]
-    tol = Tolerance()
     for k in range(4, len(hs) + 1):
-        value, inc, settled = neville_limit(hs[:k], ys[:k], tol)
-        assert value == _neville(hs[:k], ys[:k])
-        assert inc == abs(value - _neville(hs[: k - 1], ys[: k - 1]))
-        assert settled == (inc <= tol.bound(value))
-    # below four samples there is no increment, so nothing settles
+        row, inc = _extended(hs, ys[:k])
+        assert complex(row[-1]) == _neville(hs[:k], ys[:k])
+        assert inc == abs(_neville(hs[:k], ys[:k]) - _neville(hs[: k - 1], ys[: k - 1]))
+    # below four samples there is no increment
     for k in (1, 2, 3):
-        value, inc, settled = neville_limit(hs[:k], [3.0] * k, tol)
-        assert value == 3.0 and inc == math.inf and not settled
-    _, inc, settled = neville_limit(hs[:3], [np.ones(2)] * 3, tol)
-    assert np.all(inc == math.inf) and not settled.any()
+        row, inc = _extended(hs, [3.0] * k)
+        assert complex(row[-1]) == 3.0 and inc == math.inf
+    _, inc = _extended(hs, [np.ones(2)] * 3)
+    assert np.all(inc == math.inf)
 
 
 def _rebuilt_tableau(hs, ys):
@@ -272,22 +276,19 @@ def _rebuilt_tableau(hs, ys):
 def test_neville_rows_match_the_rebuilt_tableau(rng):
     # One row extended per sample, as the Nevanlinna series and
     # richardson_sum keep it, gives the rebuilt tableau's value and
-    # neville_limit's value and increment bit for bit at every prefix.
+    # increment bit for bit at every prefix, and the scalar scheme's value.
     hs = [1.0 / (round(64 * 2 ** (j / 2)) + 1.5) for j in range(17)]
     ys = rng.normal(size=(17, 4, 3, 2)) + 1j * rng.normal(size=(17, 4, 3, 2))
-    tol = Tolerance(1e-11, 1e-11)
     row, scalar_row = [], []
     for k in range(1, len(hs) + 1):
         row, inc = neville_extend(hs, row, ys[k - 1])
-        value, ref_inc, _ = neville_limit(hs[:k], ys[:k], tol)
         ref, ref_prev = _rebuilt_tableau(hs[:k], ys[:k])
-        assert np.array_equal(row[-1], value) and np.array_equal(row[-1], ref)
-        assert np.array_equal(inc, ref_inc)
+        assert np.array_equal(row[-1], ref)
+        scalar_row, scalar_inc = neville_extend(hs, scalar_row, ys[k - 1, 0, 0, 0])
+        assert complex(scalar_row[-1]) == _neville(hs[:k], ys[:k, 0, 0, 0])
+        assert isinstance(scalar_inc, float)
         if k >= 4:
             assert np.array_equal(inc, np.abs(ref - ref_prev))
+            assert scalar_inc == abs(ref[0, 0, 0] - ref_prev[0, 0, 0])
         else:
-            assert np.all(inc == math.inf)
-        scalar_row, scalar_inc = neville_extend(hs, scalar_row, ys[k - 1, 0, 0, 0])
-        value, ref_inc, _ = neville_limit(hs[:k], ys[:k, 0, 0, 0], tol)
-        assert complex(scalar_row[-1]) == value == _neville(hs[:k], ys[:k, 0, 0, 0])
-        assert scalar_inc == ref_inc and isinstance(scalar_inc, float)
+            assert np.all(inc == math.inf) and scalar_inc == math.inf

@@ -102,9 +102,13 @@ class TestTransforms:
 
     @pytest.mark.parametrize("x", [1e12 * cmath.exp(1j * a) for a in (0.05, 1.0, math.pi / 2)]
                              + [1e20j], ids=lambda x: f"{x:.3g}")
-    @pytest.mark.parametrize("fn", [friedrichs_transform, krein_transform], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fn", [
+        friedrichs_transform, krein_transform,
+        pytest.param(lambda spec, x: asymptotic_checks(spec, x, 600), id="asymptotic_checks"),
+    ], ids=lambda f: f.__name__)
     def test_past_the_double_range_raises_named_error(self, qspec, fn, x):
         # delta_l overflows; the border limit, markov_like_limit, reaches x.
+        # asymptotic_checks reads the same closed forms.
         with pytest.raises(ConvergenceError, match="double range.*markov_like_limit"):
             fn(qspec, x)
 

@@ -278,14 +278,21 @@ class TestEvalPQ:
                     w = jc.b[k] * (pk * qk1 - pk1 * qk)
                     assert abs(complex(w) - 1.0) < 1e-10
 
-    def test_derivative_sequences(self, dn_half):
-        x = 0.8 + 0.3j
+    def test_derivative_sequences(self, dn_half, quartic0):
+        # The Nevanlinna series' derivative rows: with four right-hand sides
+        # _start and _advance carry (Q', P'), the recurrence differentiated
+        # exactly, which a central difference of (Q, P) confirms.
+        def rows_0_to_10(tab, xs, nrhs):
+            return recurrence._advance(tab, xs, recurrence._start(tab, xs, nrhs), 2, 11)
+
         h = 1e-6
-        P, Q = eval_pq(dn_half, 8, x, with_deriv=True)
-        Pp, _ = eval_pq(dn_half, 8, x + h)
-        Pm, _ = eval_pq(dn_half, 8, x - h)
-        fd = (Pp.value(8) - Pm.value(8)) / (2 * h)
-        assert abs(P.deriv(8) - fd) < 1e-6 * max(1.0, abs(fd))
+        for rates, xs in ((dn_half, [0.8 + 0.3j, -2.0 + 1j]), (quartic0, [3.0 + 4j])):
+            tab = recurrence._coefficients(rates, 12)
+            xs = np.array(xs)
+            primed = rows_0_to_10(tab, xs, 4)[2:]
+            fd = (rows_0_to_10(tab, xs + h, 2) - rows_0_to_10(tab, xs - h, 2)) / (2 * h)
+            assert primed.shape == fd.shape == (2, xs.size, 11)
+            assert np.all(np.abs(primed - fd) < 1e-6 * np.maximum(1.0, np.abs(fd)))
 
     def test_rescaling_keeps_values_finite(self, dn_half):
         P, Q = eval_pq(dn_half, 2000, 1j)
@@ -303,8 +310,7 @@ class TestEvalPQ:
             assert log_abs > 680
             assert abs(log_abs - seq.log_abs(2000)) < 1e-12 * log_abs
 
-    @pytest.mark.parametrize("with_deriv", [False, True])
-    def test_array_matches_points_exactly(self, dn_half, quartic0, with_deriv):
+    def test_array_matches_points_exactly(self, dn_half, quartic0):
         # Each point of a batch gets bit for bit what it gets alone, also when
         # the solver rescales some points (growth at 1j, -1e5 + 1e3j and 3e4;
         # decay at 0) and not others, and past one segment (n = 9000).
@@ -314,15 +320,13 @@ class TestEvalPQ:
             (quartic0, 300, [2.2 + 0.7j, -30 + 5j, 1e3 - 2e3j, 7.5]),
         ]
         for rates, n, xs in cases:
-            P, Q = eval_pq(rates, n, np.array(xs), with_deriv=with_deriv)
+            P, Q = eval_pq(rates, n, np.array(xs))
             assert P.values.shape == (n + 1, len(xs))
             for i, x in enumerate(xs):
-                P1, Q1 = eval_pq(rates, n, x, with_deriv=with_deriv)
+                P1, Q1 = eval_pq(rates, n, x)
                 for got, one in ((P, P1), (Q, Q1)):
                     assert np.array_equal(got.values[:, i], one.values)
                     assert np.array_equal(got.scaling_log[:, i], one.scaling_log)
-                    if with_deriv:
-                        assert np.array_equal(got.derivs[:, i], one.derivs)
 
 
 @pytest.mark.filterwarnings("error")
