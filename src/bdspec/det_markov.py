@@ -21,7 +21,7 @@ from scipy.special import roots_jacobi
 from .contfrac import DiscreteMeasure
 from .elliptic import EllipticContext, jacobi_scd
 from .indet import DET_H, _require_verdict
-from .numerics import ConvergedLimit, QuadratureError, Tolerance, _require_finite
+from .numerics import ConvergedLimit, ConvergenceError, QuadratureError, Tolerance, _require_finite
 from .recurrence import BirthDeathRates, _coefficients, _extended_rows, _qp_ratios
 
 
@@ -131,10 +131,19 @@ def _jacobi_rule(
     t, w = roots_jacobi(nn, sigma, sigma)
     u = K * (1.0 + t)
     f = np.empty(nn)
-    for i, ui in enumerate(u):
-        scd = jacobi_scd(ctx, ui)
-        msm = twoK * scd[0] / (ui * (twoK - ui))
-        f[i] = scd[col] * msm**sigma
+    with np.errstate(over="ignore"):
+        for i, ui in enumerate(u):
+            scd = jacobi_scd(ctx, ui)
+            msm = twoK * scd[0] / (ui * (twoK - ui))
+            f[i] = scd[col] * msm**sigma
+    if not np.isfinite(f).all():
+        # m(K) = 2/K, so m(u)^sigma overflows once sigma log(2/K) passes 709;
+        # sigma is 2c for N (col 2) and 2c - 1 for D (col 1).
+        c = (sigma + (col == 1)) / 2
+        raise ConvergenceError(
+            f"generalized_ratio node factor m(u)^{sigma:g} leaves the double range "
+            f"at c = {c:g} (k^2 = {ctx.k2:g}, {nn} nodes)"
+        )
     for a in (u, w, f):
         a.setflags(write=False)
     return u, w, f
@@ -153,7 +162,9 @@ def generalized_ratio(
     and kept in a bounded cache of 128 rules. The normalizations, (2c)! and
     (2c-1)! and the rules' factors K^(2 sigma + 1)/(2K)^sigma, cancel in N/D
     to K/(4c), so no c overflows them. Raises QuadratureError at once when
-    e^(-xu) underflows at every node of the D rule, which leaves 0/0.
+    e^(-xu) underflows at every node of the D rule, which leaves 0/0, and
+    :class:`ConvergenceError` naming c where a rule's node factor leaves the
+    double range (from c near 4550 at k^2 = 1/2).
     """
     if not c > 0:
         raise ValueError("c must be positive")

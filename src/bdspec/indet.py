@@ -213,9 +213,11 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
     caller's test over the points still running, holds for it: ``sums`` is
     the extrapolation of all the point's samples and ``previous`` the one
     before the last sample, so its result does not depend on the batch. A
-    point settles on four checkpoints at the least (184 terms). A shorter
-    ladder, and rows past the kernel's 1e150 (naming the double range), raise
-    a :class:`ConvergenceError`.
+    point settles on four checkpoints at the least (184 terms). The points,
+    carried rows, running sums and tableau row hold the points still
+    running alone, compacted at each checkpoint where some settle, so every
+    chunk is a slice of them. A shorter ladder, and rows past the kernel's
+    1e150 (naming the double range), raise a :class:`ConvergenceError`.
     Returns (sums, terms_used, previous, converged) over the batch;
     ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
     (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
@@ -232,38 +234,38 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
     earlier = np.zeros_like(running)
     terms = np.zeros(xs.size, dtype=int)
     converged = np.zeros(xs.size, dtype=bool)
-    active = np.arange(xs.size)
+    active = np.arange(xs.size)  # the running points' indices in the batch
     hs: list[float] = []
-    row: list = []  # the active points' row of the Neville tableau
+    row: list = []  # the running points' row of the Neville tableau
     lo = 2
     for cp in cps:
         hi = cp + 3
         if tab.inv_b.size < hi:  # every entry depends on its index alone
             tab = _coefficients(rates, min(2 * hi, cps[-1] + 3))
-        avg = np.empty((running.shape[0], active.size, 2), dtype=complex)
+        avg = np.empty_like(running)
         step = max(1, _CHUNK // (hi - lo))
-        for i0 in range(0, active.size, step):
-            idx = active[i0 : i0 + step]
-            rows = _advance(tab, xs[idx], carry[:, idx], lo, hi)[:, :, 2:]
-            carry[:, idx] = rows[:, :, -2:]
+        for i0 in range(0, xs.size, step):
+            at = slice(i0, i0 + step)
+            rows = _advance(tab, xs[at], carry[:, at], lo, hi)[:, :, 2:]
+            carry[:, at] = rows[:, :, -2:]
             # A row past overflow makes every later row inf or nan, so the
             # carried rows show a segment that left the range before the
             # product below would meet it.
-            grown = ~np.all(np.abs(carry[:, idx]) <= _RESCALE_HI, axis=(0, 2))
+            grown = ~np.all(np.abs(carry[:, at]) <= _RESCALE_HI, axis=(0, 2))
             if grown.any():
                 raise ConvergenceError(
                     f"Nevanlinna series rows pass {_RESCALE_HI:.0e} within {hi} terms "
-                    f"at x = {xs[idx[grown]][0]:.6g}: the series leaves the double range there"
+                    f"at x = {xs[at][grown][0]:.6g}: the series leaves the double range there"
                 )
             # One (1, L) @ (L, 2) product per point keeps each point's sums
             # independent of how many points share the chunk.
-            s = running[:, idx] + (rows[:, :, None, :-3] @ tab.weights[lo:cp])[:, :, 0]
+            s = running[:, at] + (rows[:, :, None, :-3] @ tab.weights[lo:cp])[:, :, 0]
             total = s
             for j in range(3):
                 s = s + rows[:, :, j - 3, None] * tab.weights[cp + j]
                 total = total + s
-            running[:, idx] = s
-            avg[:, i0 : i0 + step] = total / 4
+            running[:, at] = s
+            avg[:, at] = total / 4
         lo = hi
         terms[active] = hi
         hs.append(1.0 / (cp + 1.5))
@@ -273,12 +275,14 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
             continue
         result[:, active] = row[-1]
         earlier[:, active] = previous
-        done = settled(row[-1], previous, xs[active])
+        done = settled(row[-1], previous, xs)
         converged[active] = done
-        active = active[~done]
-        if not active.size:
+        if done.all():
             break
-        row = [entry[:, ~done] for entry in row]
+        if done.any():  # one compaction, so every chunk stays a slice
+            keep = ~done
+            active, xs, carry, running = active[keep], xs[keep], carry[:, keep], running[:, keep]
+            row = [entry[:, keep] for entry in row]
     return result, terms, earlier, converged
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from bdspec import (
     INDET_S_INDET_H,
+    ConvergenceError,
     DeterminacyError,
     QuadratureError,
     Tolerance,
@@ -254,6 +255,14 @@ class TestGeneralizedRatio:
         x = 1.3 + 0.4j
         ref = s_fraction(generalized_c_rates(0.5, c), 800, x)
         assert abs(generalized_ratio(ctx_half, c, x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("c", [5000.0, 1e4])
+    def test_node_factor_overflow_names_the_double_range(self, ctx_half, c):
+        # m(u)^(2c) passes the double range from c near 4550 at k^2 = 1/2 (at
+        # c = 4000 the call gives 0.35144-0.10814i); the error names c, and
+        # numpy never warns about the power.
+        with pytest.raises(ConvergenceError, match=f"double range at c = {c:g} "):
+            generalized_ratio(ctx_half, c, 1.3 + 0.4j)
 
     def test_underflow_raises_at_once(self, ctx_half):
         # e^(-xu) underflows at every node: the first pair of rules leaves

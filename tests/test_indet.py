@@ -969,6 +969,45 @@ def test_nevanlinna_schedule_over_the_plane(c, qspec):
             assert abs((nv.A * alpha - nv.C) / (nv.B * alpha - nv.D) - fr) <= 1e-12 * abs(fr)
 
 
+# A 96 point-step chunk holds one point per chunk from the first segment on
+# (65 rows), so points settle, and leave the series, across chunk boundaries.
+SMALL_CHUNK = 96
+
+
+def _at_both_chunks(monkeypatch, call):
+    """``call()`` at the kernel's chunk size, then at SMALL_CHUNK."""
+    wide = call()
+    monkeypatch.setattr(indet, "_CHUNK", SMALL_CHUNK)
+    return wide, call()
+
+
+def test_batch_bits_do_not_depend_on_the_chunk(quartic0, monkeypatch):
+    wide, narrow = _at_both_chunks(monkeypatch, lambda: nevanlinna_batch(quartic0, PLANE_XS))
+    assert len({nv.terms_used for nv in wide}) > 1  # points leave at different checkpoints
+    assert repr(wide) == repr(narrow)
+
+
+@pytest.mark.parametrize("param, window", [("alpha", (0.5, 21000.0)), (0.0, (-0.5, 11000.0))])
+def test_bench_window_bits_do_not_depend_on_the_chunk(quartic0, monkeypatch, param, window):
+    param = alpha_limit(quartic0) if param == "alpha" else param
+    wide, narrow = _at_both_chunks(
+        monkeypatch, lambda: nextremal_measure(quartic0, param, window=window)
+    )
+    assert wide.support.tobytes() == narrow.support.tobytes()
+    assert wide.mass.tobytes() == narrow.mass.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [recurrence._CHUNK, SMALL_CHUNK])
+@pytest.mark.parametrize("big", [1e12j, 8e9j])
+def test_growth_guard_names_its_point_in_a_batch(quartic0, monkeypatch, chunk, big):
+    # 1e12i leaves the range in the first segment, with every point running;
+    # 8e9i at 515 terms, after the other two settled at 365 and left.
+    monkeypatch.setattr(indet, "_CHUNK", chunk)
+    with pytest.raises(ConvergenceError, match=re.escape(f"at x = {big:.6g}: the series leaves")):
+        nevanlinna_batch(quartic0, [4 + 3j, 10 + 1j, big])
+
+
 # Low-discrepancy points of the wedge where `_stalls` puts the series'
 # rounding floor: |x| in [5e3, 1e5] within 6 degrees of the positive axis.
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
