@@ -14,9 +14,10 @@ border limits the ratio of the Q and P rows of the Stieltjes band, which
 they return, and for the dual series those rows (:func:`_border_march`).
 
 Everything here runs on the kernel of :mod:`bdspec.recurrence`: the
-Nevanlinna series advance one checkpoint segment at a time on its banded
-solver, and the border limits and the dual series once on its Stieltjes
-band; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
+Nevanlinna series advance on its banded solver, and the border limits and
+the dual series once on its Stieltjes band, each by one kernel call per
+block of checkpoints (:func:`_block_end`), which a chunk of point-steps
+bounds; ``classify`` and ``alpha_limit`` read pi_n and the partial sums
 1/alpha_n from its log columns. Every entry point here, and ``markov_limit``,
 passes one determinacy gate: it reads :func:`classify` at its default depth
 and raises :class:`DeterminacyError` for a family on the wrong side or an
@@ -29,6 +30,7 @@ the partial sums of the dual series for B - D/alpha and A - C/alpha.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -66,6 +68,15 @@ def _ladder(top: int) -> list[int]:
     while (cp := round(64 * 2 ** (len(cps) / 2))) <= top:
         cps.append(cp)
     return cps
+
+
+def _block_end(cps: list[int], i: int, fits) -> int:
+    """The end j of the block cps[i:j] of checkpoints solved in one go: the
+    first four checkpoints, then those up to twice the last one solved,
+    where ``fits(last checkpoint of the block)`` holds, and cps[i] alone
+    where it does not."""
+    j = min(4, len(cps)) if i == 0 else bisect.bisect_right(cps, 2 * cps[i - 1])
+    return j if fits(cps[j - 1]) else i + 1
 
 
 _BUDGET = 16384  # the term budget of every series and march here by default
@@ -206,21 +217,26 @@ def _require_verdict(rates: BirthDeathRates, accepted: tuple[str, ...]) -> str:
 def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: int, derivs: bool = False):
     """Extrapolated sums behind the four Nevanlinna series at a batch of points.
 
-    The recurrence advances by one :func:`_advance` per checkpoint segment and
-    chunk of points over ``_ladder(max_iter)``, on a table grown with it. Each
-    point extends its own row of the Neville tableau at every checkpoint and
-    stops at the first one where ``settled(sums, previous, xs)``, the
-    caller's test over the points still running, holds for it: ``sums`` is
-    the extrapolation of all the point's samples and ``previous`` the one
-    before the last sample, so its result does not depend on the batch. A
-    point settles on four checkpoints at the least (184 terms). The points,
-    carried rows, running sums and tableau row hold the points still
-    running alone, compacted at each checkpoint where some settle, so every
-    chunk is a slice of them. A shorter ladder, and rows past the kernel's
-    1e150 (naming the double range), raise a :class:`ConvergenceError`.
-    Returns (sums, terms_used, previous, converged) over the batch;
-    ``sums[r, i, c]`` has r over (Q, P[, Q', P']) and c over the weights
-    (Q_k(0), P_k(0)), and :func:`_assemble` turns it into (A, B, C, D).
+    The recurrence advances over ``_ladder(max_iter)`` by one
+    :func:`_advance` per block of checkpoints and chunk of points, on a
+    table grown with it: a block (:func:`_block_end`) holds several
+    checkpoints while the running points' rows fit in ``_CHUNK``
+    point-steps, and otherwise one, chunked over the points. Each point
+    extends its own row of the Neville tableau at every checkpoint, from
+    the block's rows up to it, and stops at the first one where
+    ``settled(sums, previous, xs)``, the caller's test over the points
+    still running, holds for it: ``sums`` is the extrapolation of all the
+    point's samples and ``previous`` the one before the last sample, so its
+    result does not depend on the batch or on the blocks. A point settles
+    on four checkpoints at the least (184 terms). The points, carried rows,
+    running sums, tableau row and block rows hold the points still running
+    alone, compacted at each checkpoint where some settle, so every chunk is
+    a slice of them. A shorter ladder, and rows past the kernel's 1e150
+    (naming the double range), raise a :class:`ConvergenceError`. Returns
+    (sums, terms_used, previous, converged) over the batch, written as the
+    points settle and at the last checkpoint; ``sums[r, i, c]`` has r over
+    (Q, P[, Q', P']) and c over the weights (Q_k(0), P_k(0)), and
+    :func:`_assemble` turns it into (A, B, C, D).
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=complex))
     cps = _ladder(max_iter)
@@ -237,53 +253,65 @@ def _nevanlinna_sums(rates: BirthDeathRates, xs: np.ndarray, settled, max_iter: 
     active = np.arange(xs.size)  # the running points' indices in the batch
     hs: list[float] = []
     row: list = []  # the running points' row of the Neville tableau
-    lo = 2
-    for cp in cps:
-        hi = cp + 3
-        if tab.inv_b.size < hi:  # every entry depends on its index alone
-            tab = _coefficients(rates, min(2 * hi, cps[-1] + 3))
-        avg = np.empty_like(running)
-        step = max(1, _CHUNK // (hi - lo))
-        for i0 in range(0, xs.size, step):
-            at = slice(i0, i0 + step)
-            rows = _advance(tab, xs[at], carry[:, at], lo, hi)[:, :, 2:]
-            carry[:, at] = rows[:, :, -2:]
-            # A row past overflow makes every later row inf or nan, so the
-            # carried rows show a segment that left the range before the
-            # product below would meet it.
-            grown = ~np.all(np.abs(carry[:, at]) <= _RESCALE_HI, axis=(0, 2))
-            if grown.any():
-                raise ConvergenceError(
-                    f"Nevanlinna series rows pass {_RESCALE_HI:.0e} within {hi} terms "
-                    f"at x = {xs[at][grown][0]:.6g}: the series leaves the double range there"
-                )
-            # One (1, L) @ (L, 2) product per point keeps each point's sums
-            # independent of how many points share the chunk.
-            s = running[:, at] + (rows[:, :, None, :-3] @ tab.weights[lo:cp])[:, :, 0]
-            total = s
-            for j in range(3):
-                s = s + rows[:, :, j - 3, None] * tab.weights[cp + j]
-                total = total + s
-            running[:, at] = s
-            avg[:, at] = total / 4
-        lo = hi
-        terms[active] = hi
-        hs.append(1.0 / (cp + 1.5))
-        previous = row[-1] if row else None
-        row, _ = neville_extend(hs, row, avg)
-        if len(row) < 4:  # no point settles on fewer than four checkpoints
-            continue
-        result[:, active] = row[-1]
-        earlier[:, active] = previous
-        done = settled(row[-1], previous, xs)
-        converged[active] = done
-        if done.all():
-            break
-        if done.any():  # one compaction, so every chunk stays a slice
-            keep = ~done
-            active, xs, carry, running = active[keep], xs[keep], carry[:, keep], running[:, keep]
-            row = [entry[:, keep] for entry in row]
-    return result, terms, earlier, converged
+    lo, i = 2, 0
+    while True:
+        j = _block_end(cps, i, lambda cp: xs.size * (cp + 3 - lo) <= _CHUNK)
+        block, i = cps[i:j], j
+        top = block[-1] + 3
+        if tab.inv_b.size < top:  # every entry depends on its index alone
+            tab = _coefficients(rates, min(2 * top, cps[-1] + 3))
+        # Rows lo0-2..top-1 of every running point, when the block holds
+        # several checkpoints; a row is computed by the same operations
+        # wherever a segment starts.
+        lo0, seg = lo, _advance(tab, xs, carry, lo, top) if len(block) > 1 else None
+        for cp in block:
+            hi = cp + 3
+            avg = np.empty_like(running)
+            step = max(1, _CHUNK // (hi - lo))
+            for i0 in range(0, xs.size, step):
+                at = slice(i0, i0 + step)
+                rows = (seg[:, at, lo - lo0 : hi - lo0 + 2] if seg is not None
+                        else _advance(tab, xs[at], carry[:, at], lo, hi))[:, :, 2:]
+                carry[:, at] = rows[:, :, -2:]
+                # A row past overflow makes every later row inf or nan, so the
+                # carried rows show a segment that left the range before the
+                # product below would meet it.
+                grown = ~np.all(np.abs(carry[:, at]) <= _RESCALE_HI, axis=(0, 2))
+                if grown.any():
+                    raise ConvergenceError(
+                        f"Nevanlinna series rows pass {_RESCALE_HI:.0e} within {hi} terms "
+                        f"at x = {xs[at][grown][0]:.6g}: the series leaves the double range there"
+                    )
+                # One (1, L) @ (L, 2) product per point keeps each point's sums
+                # independent of how many points share the chunk.
+                s = running[:, at] + (rows[:, :, None, :-3] @ tab.weights[lo:cp])[:, :, 0]
+                total = s
+                for k in range(3):
+                    s = s + rows[:, :, k - 3, None] * tab.weights[cp + k]
+                    total = total + s
+                running[:, at] = s
+                avg[:, at] = total / 4
+            lo = hi
+            hs.append(1.0 / (cp + 1.5))
+            previous = row[-1] if row else None
+            row, _ = neville_extend(hs, row, avg)
+            if len(row) < 4:  # no point settles on fewer than four checkpoints
+                continue
+            done = settled(row[-1], previous, xs)
+            # Every point still running stops at the last checkpoint.
+            stop = done | (cp == cps[-1])
+            if stop.any():
+                at = active[stop]
+                result[:, at], earlier[:, at], terms[at] = row[-1][:, stop], previous[:, stop], hi
+                converged[at] = done[stop]
+                if stop.all():
+                    return result, terms, earlier, converged
+                # one compaction, so every chunk stays a slice
+                keep = ~stop
+                active, xs, carry, running = active[keep], xs[keep], carry[:, keep], running[:, keep]
+                row = [entry[:, keep] for entry in row]
+                if seg is not None:
+                    seg = seg[:, keep]
 
 
 def _every_sum_settled(sums: np.ndarray, previous: np.ndarray, tol: Tolerance) -> np.ndarray:
@@ -440,7 +468,8 @@ _ROW_TOL = Tolerance(abs_tol=1e-12, rel_tol=1e-12)
 def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int, ratios: bool):
     """Extrapolations of the Q and P rows 2n + parity of the Stieltjes band at ``x``.
 
-    The band is solved by :func:`_rescaled_rows` one segment at a time over
+    The band is solved by :func:`_rescaled_rows` one block of checkpoints
+    (:func:`_block_end`, while its rows fit in ``_CHUNK``) at a time over
     the half-octave ladder up to ``max_iter`` (:func:`_ladder`). At each
     checkpoint cp the rows 2(cp + i) + parity (i < 4), brought to their
     largest power of two 2^e, are averaged and extend one Neville row each,
@@ -454,24 +483,28 @@ def _border_march(rates: BirthDeathRates, x: complex, parity: int, max_iter: int
     band = _stieltjes_band(rates, 2)
     carry, scale = _start(band, xs, 2), np.zeros((2, 1), dtype=int)
     e = np.zeros((2, 1, 1), dtype=int)
-    hs, row, lo = [], [], 2
-    for cp in _ladder(max_iter):
-        first = 2 * cp + parity
-        if band.inv_b.size <= first + 6:
-            band = _stieltjes_band(rates, 2 * (first + 7))
-        rows, exps = np.empty((2, 1, 4), dtype=complex), np.empty((2, 1, 4), dtype=int)
-        ks = np.arange(first, first + 8, 2)
+    cps = _ladder(max_iter)
+    hs, row, lo, i = [], [], 2, 0
+    while i < len(cps):
+        j = _block_end(cps, i, lambda cp: 2 * cp + parity + 7 - lo <= _CHUNK)
+        block, i = cps[i:j], j
+        ks = ((2 * np.array(block) + parity)[:, None] + np.arange(0, 8, 2)).ravel()
+        if band.inv_b.size <= ks[-1]:
+            band = _stieltjes_band(rates, 2 * (int(ks[-1]) + 1))
+        rows, exps = np.empty((2, 1, ks.size), dtype=complex), np.empty((2, 1, ks.size), dtype=int)
         carry, scale = _rescaled_rows(band, xs, ks, carry, scale, lo, rows, exps)
-        lo = first + 7
-        if ratios:
-            rows = np.stack([rows[0] / rows[1] * np.ldexp(1.0, exps[0] - exps[1]), np.ones((1, 4))])
-        elif (exps != e).any():
-            top = exps.max(axis=2, keepdims=True)
-            row = [entry * np.ldexp(1.0, e - top) for entry in row]
-            rows, e = rows * np.ldexp(1.0, exps - top), top
-        hs.append(1.0 / (cp + 1.5))
-        row, change = neville_extend(hs, row, sample := rows.sum(axis=2, keepdims=True) / 4)
-        yield cp, row[-1].ravel(), change.ravel(), e.ravel(), sample.ravel()
+        lo = int(ks[-1]) + 1
+        for m, cp in enumerate(block):
+            r, ex = rows[:, :, 4 * m : 4 * m + 4], exps[:, :, 4 * m : 4 * m + 4]
+            if ratios:
+                r = np.stack([r[0] / r[1] * np.ldexp(1.0, ex[0] - ex[1]), np.ones((1, 4))])
+            elif (ex != e).any():
+                top = ex.max(axis=2, keepdims=True)
+                row = [entry * np.ldexp(1.0, e - top) for entry in row]
+                r, e = r * np.ldexp(1.0, ex - top), top
+            hs.append(1.0 / (cp + 1.5))
+            row, change = neville_extend(hs, row, sample := r.sum(axis=2, keepdims=True) / 4)
+            yield cp, row[-1].ravel(), change.ravel(), e.ravel(), sample.ravel()
 
 
 def markov_like_limit(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 
 class QuadratureError(RuntimeError):
@@ -175,9 +175,14 @@ def integrate(
 
 
 def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray:
-    """Sorted eigenvalues of a symmetric tridiagonal matrix.
+    """Sorted eigenvalues of a symmetric tridiagonal matrix, by LAPACK
+    ``dsterf`` (the routine behind scipy's ``eigh_tridiagonal(...,
+    lapack_driver="sterf")``, called without that wrapper's per-call checks
+    and dispatch).
 
-    Off-diagonal entries must be strictly positive (simple spectrum).
+    Off-diagonal entries must be strictly positive (simple spectrum) and
+    every entry finite; ValueError otherwise, and LinAlgError where
+    ``dsterf`` does not converge.
     """
     d = np.asarray(diag, dtype=float)
     e = np.asarray(offdiag, dtype=float)
@@ -189,7 +194,14 @@ def tridiag_eigen(diag: Sequence[float], offdiag: Sequence[float]) -> np.ndarray
         raise ValueError("off-diagonal entries must be strictly positive")
     if d.size == 1:
         return d.copy()
-    return eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+    _require_finite(d, "diag")
+    _require_finite(e, "offdiag")
+    w, info = dsterf(d, e)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal sterf")
+    if info > 0:
+        raise np.linalg.LinAlgError(f"sterf did not converge (LAPACK info={info})")
+    return w
 
 
 def neville_extend(hs: Sequence[float], row: list, y):

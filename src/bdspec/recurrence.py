@@ -374,10 +374,19 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
         while True:
             seg = _advance(tab, xs, carry, lo, hi)
             cut, rescale = hi - lo, False
-            parts = np.abs(seg[:, :, 2:].view(float))
-            # Real and imaginary parts in [1e-150, 1e150 / 2] keep every row
-            # inside; only otherwise (nan included) are the moduli needed.
-            if not (parts.max() <= _RESCALE_HI / 2 and parts.min() >= _RESCALE_LO):
+            # Real and imaginary parts in [1e-150, 1e150 / 2], or exactly 0
+            # (at real points, and in the real Stieltjes Q rows 0-2), keep
+            # every pair of rows inside (a row that is 0 has a neighbour that
+            # is not, or the solution is 0 and its rescale is by 2^0); only
+            # otherwise (nan included) are the moduli needed. The carried
+            # rows are tested too: the whole segment is
+            # contiguous, and twice as fast to read. Less one, the bits of a
+            # 0 wrap to the largest uint64 and those of any other part give
+            # its predecessor, so their least is that of the nonzero parts.
+            parts = np.abs(seg.view(float))
+            bits = parts.view(np.uint64)
+            if not (parts.max() <= _RESCALE_HI / 2
+                    and np.subtract(bits, 1, out=bits).min().view(float) >= math.nextafter(_RESCALE_LO, 0)):
                 mag = np.abs(seg[:, :, 1:])
                 pair = np.maximum(mag[:, :, 1:], mag[:, :, :-1])
                 out = (pair > _RESCALE_HI) | (pair < _RESCALE_LO)

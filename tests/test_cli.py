@@ -334,6 +334,29 @@ class TestTransformCommand:
         assert out == ""
         assert err.startswith("error:") and cap in err
 
+    # Berg and Valent's cubic family at 10+10i: its border limits do not
+    # settle on the 92682-term ladder of the default --max-iter.
+    @pytest.mark.parametrize("mode, increment", [
+        ("friedrichs", "last_increment 1.61e-07"), ("krein", "last_increment 6.83e-06"),
+    ])
+    def test_unsettled_border_limit_exit_5(self, capsys, mode, increment):
+        code, out, err = run_cli(
+            capsys, "transform", "--lambda", "(3*n+1)^2*(3*n+2)", "--mu", "(3*n-1)*(3*n)^2",
+            "--x", "10,10", "--mode", mode,
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and "terms_used 92682" in err and increment in err
+
+    def test_unsettled_markov_limit_exit_5(self, capsys):
+        code, out, err = run_cli(
+            capsys, "transform", "--family", "stieltjes-dn", "--k2", "0.5", "--x", "0,1",
+            "--mode", "markov", "--max-iter", "8",
+        )
+        assert code == 5
+        assert out == ""
+        assert err.startswith("error:") and "terms_used 8" in err and "last_increment" in err
+
     def test_default_budget_settles_past_16384_terms(self, capsys, qspec):
         # The default --max-iter of 100000 lets 1e9i settle, at 23173 terms.
         code, out, _ = run_cli(capsys, "transform", *Q0, "--x=0,1e9", "--mode", "nevanlinna:0")

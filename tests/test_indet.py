@@ -972,12 +972,15 @@ def test_nevanlinna_schedule_over_the_plane(c, qspec):
 # A 96 point-step chunk holds one point per chunk from the first segment on
 # (65 rows), so points settle, and leave the series, across chunk boundaries.
 SMALL_CHUNK = 96
+# Below 64 point-steps, the rows of the smallest block past the first (91 and
+# 128), every block of the series and the border marches is one checkpoint.
+ONE_CHECKPOINT_CHUNK = 48
 
 
-def _at_both_chunks(monkeypatch, call):
-    """``call()`` at the kernel's chunk size, then at SMALL_CHUNK."""
+def _at_both_chunks(monkeypatch, call, chunk=SMALL_CHUNK):
+    """``call()`` at the kernel's chunk size, then at ``chunk``."""
     wide = call()
-    monkeypatch.setattr(indet, "_CHUNK", SMALL_CHUNK)
+    monkeypatch.setattr(indet, "_CHUNK", chunk)
     return wide, call()
 
 
@@ -995,6 +998,103 @@ def test_bench_window_bits_do_not_depend_on_the_chunk(quartic0, monkeypatch, par
     )
     assert wide.support.tobytes() == narrow.support.tobytes()
     assert wide.mass.tobytes() == narrow.mass.tobytes()
+
+
+def test_point_bits_do_not_depend_on_the_blocks(quartic0, monkeypatch):
+    # By default a lone point's blocks hold up to four checkpoints.
+    wide, narrow = _at_both_chunks(
+        monkeypatch, lambda: [nevanlinna_eval(quartic0, x) for x in PLANE_XS], ONE_CHECKPOINT_CHUNK
+    )
+    assert repr(wide) == repr(narrow)
+
+
+@pytest.mark.parametrize("chunk, ends", [
+    (recurrence._CHUNK, [184, 365]),
+    (SMALL_CHUNK, [67, 131, 184, 259, 365]),
+    (ONE_CHECKPOINT_CHUNK, [67, 94, 131, 184, 259, 365]),
+])
+def test_point_solves_one_block_at_a_time(quartic0, monkeypatch, chunk, ends):
+    # 4+3i settles at checkpoint 362: the blocks are the first four
+    # checkpoints and then 256 and 362, up to twice 181, where a chunk holds
+    # their rows, and one checkpoint where it does not.
+    his = []
+
+    def spying(tab, xs, carry, lo, hi):
+        his.append(hi)
+        return _advance(tab, xs, carry, lo, hi)
+
+    monkeypatch.setattr(indet, "_advance", spying)
+    monkeypatch.setattr(indet, "_CHUNK", chunk)
+    assert nevanlinna_eval(quartic0, 4 + 3j).terms_used == 365
+    assert his == ends
+
+
+@pytest.mark.parametrize("param, window", [("alpha", (0.5, 21000.0)), (0.0, (-0.5, 11000.0))])
+def test_bench_window_bits_do_not_depend_on_the_blocks(quartic0, monkeypatch, param, window):
+    # The Newton and mass passes run few enough points for blocks of
+    # several checkpoints by default.
+    param = alpha_limit(quartic0) if param == "alpha" else param
+    wide, narrow = _at_both_chunks(
+        monkeypatch, lambda: nextremal_measure(quartic0, param, window=window), ONE_CHECKPOINT_CHUNK
+    )
+    assert wide.support.tobytes() == narrow.support.tobytes()
+    assert wide.mass.tobytes() == narrow.mass.tobytes()
+
+
+# The four (c, x) of the benchmark's seed-1 border calls, and a point whose
+# rows leave [1e-150, 1e150] and rescale inside a block.
+BORDER_BLOCK_POINTS = [
+    (0.0, 0.7660587337702071 + 1.2571443807987028j),
+    (0.25, -2693.7013162341564 + 928.2992922877104j),
+    (0.5, -201.6298698411019 - 29.944438735621507j),
+    (1.0, 521.5873351157807 - 11705.921045115048j),
+    (0.0, 1e100 * cmath.exp(0.05j)),
+]
+
+
+def _border_outcomes():
+    out = []
+    for c, x in BORDER_BLOCK_POINTS:
+        rates = quartic_rates(c, 0.0)
+        for call in (lambda: markov_like_limit(rates, x, "friedrichs"),
+                     lambda: markov_like_limit(rates, x, "krein"),
+                     lambda: modified_entries_dual(rates, x)):
+            try:
+                out.append(repr(call()))
+            except ConvergenceError as exc:
+                out.append(f"ConvergenceError: {exc}")
+    return out
+
+
+def test_border_bits_do_not_depend_on_the_blocks(monkeypatch):
+    wide, narrow = _at_both_chunks(monkeypatch, _border_outcomes, ONE_CHECKPOINT_CHUNK)
+    assert wide == narrow
+
+
+@pytest.mark.parametrize("x", [10 + 10j, 1e100 * cmath.exp(0.05j)])
+def test_rescaled_rows_over_several_checkpoints(quartic0, x):
+    # One solve over the Stieltjes rows of the checkpoints 64 ... 724 gives
+    # the rows, exponents and carry of one solve per checkpoint; at
+    # 1e100 e^(0.05i) the rows rescale between checkpoints.
+    band = _stieltjes_band(quartic0, 2 * (724 + 4))
+    xs = np.array([x])
+    ks = 2 * np.array(indet._ladder(724))[:, None] + np.arange(0, 8, 2)
+
+    def solve(groups):
+        carry, scale, lo = _start(band, xs, 2), np.zeros((2, 1), dtype=int), 2
+        rows, exps = [], []
+        for g in groups:
+            rows.append(np.empty((2, 1, g.size), dtype=complex))
+            exps.append(np.empty((2, 1, g.size), dtype=int))
+            carry, scale = recurrence._rescaled_rows(band, xs, g, carry, scale, lo, rows[-1], exps[-1])
+            lo = g[-1] + 1
+        return np.concatenate(rows, axis=2), np.concatenate(exps, axis=2), carry, scale
+
+    one, each = solve([ks.ravel()]), solve(list(ks))
+    for a, b in zip(one, each):
+        assert a.tobytes() == b.tobytes()
+    rescaled = len(np.unique(one[1][1])) > 1  # P's exponent changes between checkpoints
+    assert rescaled == (abs(x) > 1e50)
 
 
 @pytest.mark.filterwarnings("error")

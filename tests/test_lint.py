@@ -116,6 +116,46 @@ def test_no_module_level_decimal_import(path):
     assert "<module>" not in importers(path.read_text(encoding="utf-8"), "decimal")
 
 
+# The scipy names the library may import: two LAPACK routines and one rule.
+SCIPY_NAMES = {"scipy.linalg.lapack.ztbtrs", "scipy.linalg.lapack.dsterf", "scipy.special.roots_jacobi"}
+
+
+def scipy_imports(source: str) -> list[str]:
+    """The dotted names under which a source imports from scipy, anywhere in
+    it: ``import scipy.linalg`` gives ``scipy.linalg``, ``from scipy.special
+    import roots_jacobi as rj`` gives ``scipy.special.roots_jacobi``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and node.module.split(".")[0] == "scipy":
+            found += [f"{node.module}.{a.name}" for a in node.names]
+    return found
+
+
+def test_detects_scipy_imports():
+    src = (
+        "import scipy\n"
+        "import numpy, scipy.linalg as la\n"
+        "from scipy import special\n"
+        "from scipy.linalg.lapack import ztbtrs, dgesv as solve\n"
+        "def f():\n    from scipy.special import roots_jacobi\n"
+        "import scipyx\nfrom .scipy import x\n"
+    )
+    assert scipy_imports(src) == [
+        "scipy", "scipy.linalg", "scipy.special", "scipy.linalg.lapack.ztbtrs",
+        "scipy.linalg.lapack.dgesv", "scipy.special.roots_jacobi",
+    ]
+
+
+def test_scipy_enters_as_named_routines_only():
+    # LAPACK ztbtrs and dsterf and scipy.special's roots_jacobi are all the
+    # library reads of scipy, so a loader of exactly these names can stand in
+    # for scipy's package imports.
+    found = {name for path in SRC.glob("*.py") for name in scipy_imports(path.read_text(encoding="utf-8"))}
+    assert found <= SCIPY_NAMES
+
+
 def loaded_after(statement: str, modules: list[str]) -> list[str]:
     """The ``modules`` in ``sys.modules`` after running ``statement`` in a
     fresh interpreter that imports bdspec from ``src/``."""

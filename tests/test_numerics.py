@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from bdspec import (
     ConvergedLimit,
     QuadratureError,
     Tolerance,
+    generalized_c_rates,
     integrate,
+    jacobi_from_rates,
     quartic_rates,
+    stieltjes_cn_rates,
+    stieltjes_dn_rates,
     tridiag_eigen,
 )
 from bdspec.numerics import (
@@ -118,6 +123,32 @@ class TestTridiagEigen:
             tridiag_eigen([1.0, 2.0], [0.0])
         with pytest.raises(ValueError):
             tridiag_eigen([1.0, 2.0], [-0.5])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            tridiag_eigen([1.0, bad, 2.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            tridiag_eigen([1.0, 2.0, 3.0], [1.0, bad])
+
+    @pytest.mark.parametrize("n", [20, 60, 80])
+    @pytest.mark.parametrize("rates", [
+        stieltjes_dn_rates(0.5), stieltjes_cn_rates(0.5), generalized_c_rates(0.5, 0.75),
+        quartic_rates(0.0, 0.0),
+    ], ids=["dn", "cn", "generalized-c", "quartic"])
+    def test_bits_of_scipy_sterf_driver(self, rates, n):
+        # LAPACK dsterf called directly gives what scipy's wrapper gives.
+        jc = jacobi_from_rates(rates, n)
+        d, e = jc.a, jc.b[: n - 1]
+        ev = tridiag_eigen(d, e)
+        assert ev.tobytes() == eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf").tobytes()
+
+    def test_bits_of_scipy_sterf_driver_on_random_matrices(self, rng):
+        for n in rng.integers(2, 150, size=40):
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3)
+            e = rng.uniform(1e-3, 5.0, size=n - 1)
+            ref = eigh_tridiagonal(d, e, eigvals_only=True, lapack_driver="sterf")
+            assert tridiag_eigen(d, e).tobytes() == ref.tobytes()
 
     def test_interlacing_deleted_row(self, rng):
         for _ in range(4):
