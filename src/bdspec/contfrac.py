@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import _require_finite, tridiag_eigen
-from .recurrence import BirthDeathRates, JacobiCoeffs, eval_pq, jacobi_from_rates
+from .recurrence import _LN2, BirthDeathRates, JacobiCoeffs, _coefficients, _solve, jacobi_from_rates
 
 
 class PoleError(ArithmeticError):
@@ -164,7 +164,9 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
     matrix). Masses are the Christoffel numbers, evaluated through the
     Christoffel-function identity 1/sum_{j<n} P_j(x_k)^2: a sum of squares,
     so the tail weights (which decay superexponentially for the elliptic
-    families) keep full relative accuracy and strict positivity. The
+    families) keep full relative accuracy and strict positivity. P_0..P_{n-1}
+    come from the recurrence kernel solving for P alone at the nodes, with
+    the rows and exponents it gives P when it solves for Q too. The
     equivalent partial-fraction residue Q_n(x_k)/P_n'(x_k) loses all
     relative precision below ~1e-9 of the leading weight; the test suite
     asserts agreement of the two forms where the residue is trustworthy.
@@ -173,11 +175,11 @@ def gauss_measure(rates: BirthDeathRates, n: int) -> DiscreteMeasure:
         raise ValueError("n must be positive")
     jc = jacobi_from_rates(rates, n)
     nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
-    pseq, _ = eval_pq(rates, n, nodes)
+    (rows,), (exps,) = _solve(_coefficients(rates, n + 1), nodes, np.arange(n), p_only=True)
     # A sum past double range gives a zero weight, which the positivity
-    # check of DiscreteMeasure refuses.
+    # check of DiscreteMeasure refuses. Index first, as eval_pq returns P.
     with np.errstate(over="ignore"):
-        sq = np.abs(pseq.values[:n]) ** 2 * np.exp(2.0 * pseq.scaling_log[:n])
+        sq = np.abs(rows.T) ** 2 * np.exp(2.0 * (exps.T * _LN2))
         weights = 1.0 / sq.sum(axis=0)
     return DiscreteMeasure(
         support=nodes,

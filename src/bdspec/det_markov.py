@@ -116,37 +116,37 @@ def dn_spectral_measure(ctx: EllipticContext, nmax: int) -> DiscreteMeasure:
 
 
 @functools.lru_cache(maxsize=128)
-def _jacobi_rule(
-    ctx: EllipticContext, nn: int, sigma: float, col: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # The x-independent part of one Gauss-Jacobi rule on [0, 2K]: nodes u,
-    # weights w and the node factor f = scd[col] * m(u)^sigma, where
+def _jacobi_rule(ctx: EllipticContext, nn: int, sigma: float, col: int) -> tuple[np.ndarray, np.ndarray]:
+    # The x-independent part of one Gauss-Jacobi rule on [0, 2K]: nodes u
+    # and each weight times the node factor scd[col] (m(u)/M)^sigma, where
     # m(u) = 2K sn(u)/(u(2K-u)) is the smooth positive part of sn once the
-    # endpoint zeros are factored out. One (sn, cn, dn) per node: jacobi_scd
-    # reflects u in (K, 2K] to 2K - u, which keeps sn and the sign change of
-    # cn at full relative accuracy. An entry at nn = 384 holds 9 KB, so the
-    # cache stays below 1.2 MB.
+    # endpoint zeros are factored out and M = m(K) = 2/K. The weights gather
+    # where the integrand (sn u)^sigma peaks, at u = K, where the factor is
+    # 1; the power and the weight are multiplied as logs, so that neither
+    # overflows or underflows at the far nodes where their product does
+    # not. The one M that N has more than D is all generalized_ratio
+    # multiplies back. One (sn, cn, dn) per node: jacobi_scd reflects u in
+    # (K, 2K] to 2K - u, which keeps sn and the sign change of cn at full
+    # relative accuracy. An entry at nn = 384 holds 6 KB, so the cache stays
+    # below 0.8 MB.
     K = ctx.K
-    twoK = 2.0 * K
-    t, w = roots_jacobi(nn, sigma, sigma)
-    u = K * (1.0 + t)
-    f = np.empty(nn)
-    with np.errstate(over="ignore"):
-        for i, ui in enumerate(u):
-            scd = jacobi_scd(ctx, ui)
-            msm = twoK * scd[0] / (ui * (twoK - ui))
-            f[i] = scd[col] * msm**sigma
-    if not np.isfinite(f).all():
-        # m(K) = 2/K, so m(u)^sigma overflows once sigma log(2/K) passes 709;
-        # sigma is 2c for N (col 2) and 2c - 1 for D (col 1).
+    with np.errstate(all="ignore"):  # the check below names what goes wrong
+        t, w = roots_jacobi(nn, sigma, sigma)
+        u = K * (1.0 + t)
+        scd = np.array([jacobi_scd(ctx, ui) for ui in u])
+        msm = K * K * scd[:, 0] / (u * (2.0 * K - u))
+        wf = scd[:, col] * np.exp(sigma * np.log(msm) + np.log(w))
+    if not np.isfinite(wf).all():
+        # scipy's nodes turn nan from c near 1.5e4 at 96 nodes; sigma is 2c
+        # for N (col 2) and 2c - 1 for D (col 1).
         c = (sigma + (col == 1)) / 2
         raise ConvergenceError(
-            f"generalized_ratio node factor m(u)^{sigma:g} leaves the double range "
-            f"at c = {c:g} (k^2 = {ctx.k2:g}, {nn} nodes)"
+            f"generalized_ratio's Gauss-Jacobi rule of {nn} nodes leaves the double range "
+            f"at c = {c:g} (k^2 = {ctx.k2:g})"
         )
-    for a in (u, w, f):
+    for a in (u, wf):
         a.setflags(write=False)
-    return u, w, f
+    return u, wf
 
 
 def generalized_ratio(
@@ -161,10 +161,11 @@ def generalized_ratio(
     but the factor e^(-xu) is built once per (modulus, node count, exponent)
     and kept in a bounded cache of 128 rules. The normalizations, (2c)! and
     (2c-1)! and the rules' factors K^(2 sigma + 1)/(2K)^sigma, cancel in N/D
-    to K/(4c), so no c overflows them. Raises QuadratureError at once when
-    e^(-xu) underflows at every node of the D rule, which leaves 0/0, and
-    :class:`ConvergenceError` naming c where a rule's node factor leaves the
-    double range (from c near 4550 at k^2 = 1/2).
+    to K/(4c), and the node factors' scale (2/K)^sigma to one 2/K, so no c
+    overflows them. Raises QuadratureError at once when e^(-xu) underflows
+    at every node of the D rule, which leaves 0/0, and
+    :class:`ConvergenceError` naming c and the node count where scipy's
+    Gauss-Jacobi rule is not finite (from c near 1.5e4 at 96 nodes).
     """
     if not c > 0:
         raise ValueError("c must be positive")
@@ -173,11 +174,11 @@ def generalized_ratio(
     if not x.real > 0:
         raise ValueError("generalized_ratio requires Re x > 0")
     tol = tol or Tolerance(abs_tol=1e-10, rel_tol=1e-10)
-    scale = ctx.K / (4.0 * c)
+    scale = 0.5 / c  # K/(4c) times the one 2/K that N has more than D
 
     def one(nn: int, sigma: float, col: int) -> complex:
-        u, w, f = _jacobi_rule(ctx, nn, sigma, col)
-        return np.sum(w * (f * np.exp(-x * u)))
+        u, wf = _jacobi_rule(ctx, nn, sigma, col)
+        return np.sum(wf * np.exp(-x * u))
 
     def quad_pair(nn: int) -> complex:
         num = one(nn, 2.0 * c, 2)

@@ -324,11 +324,12 @@ def _start(tab: _Band, xs: np.ndarray, nrhs: int) -> np.ndarray:
 
 def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
     """Rows lo-2..hi-1, shape (nrhs, points, hi - lo + 2), from rows lo-2 and
-    lo-1 in ``carry`` (nrhs, points, 2): Q and P, plus Q' and P' (the same
-    recurrence with source y_k/b_k) when nrhs is 4. All points form one
-    block-diagonal unit lower-triangular system of bandwidth 2, solved by
-    banded LAPACK. The carried rows are its first two (identity) rows, so a
-    row is computed by the same operations wherever a segment starts.
+    lo-1 in ``carry`` (nrhs, points, 2): P alone when nrhs is 1, Q and P when
+    it is 2, plus Q' and P' (the same recurrence with source y_k/b_k) when
+    it is 4. All points form one block-diagonal unit lower-triangular system
+    of bandwidth 2, solved by banded LAPACK for at most two solutions at a
+    time. The carried rows are its first two (identity) rows, so a row is
+    computed by the same operations wherever a segment starts.
     """
     n, L = xs.size, hi - lo + 2
     band = np.empty((n, L, 3), dtype=complex)  # the unit diagonal, band[:, :, 0], is not read
@@ -344,17 +345,19 @@ def _advance(tab: _Band, xs: np.ndarray, carry: np.ndarray, lo: int, hi: int):
                 rows[2:, :, 2:] = tab.inv_b[lo - 1 : hi - 1] * rows[:2, :, 1:-1]
         # rows[r:r+2] is C-contiguous, so its transpose is the Fortran-ordered
         # right-hand side that ztbtrs overwrites in place.
-        _, info = ztbtrs(ab, rows[r : r + 2].reshape(2, -1).T, uplo="L", diag="U", overwrite_b=1)
+        sol = rows[r : r + 2]
+        _, info = ztbtrs(ab, sol.reshape(len(sol), -1).T, uplo="L", diag="U", overwrite_b=1)
         if info != 0:
             raise ValueError(f"banded solve failed (info={info})")
     return rows
 
 
 def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
-    """Fills ``rows`` and ``exps`` (2, points, ks) with rows ``ks`` (ascending,
-    none below ``lo``) of (Q, P) at each point of ``xs``, continued from rows
-    lo-2 and lo-1, ``carry`` (2, points, 2) times ``2**scale`` (2, points):
-    solution r is ``rows[r] * 2**exps[r]``. Returns the carry and scale that
+    """Fills ``rows`` and ``exps`` (solutions, points, ks) with rows ``ks``
+    (ascending, none below ``lo``) of each solution, (Q, P) or P alone, at
+    each point of ``xs``, continued from rows lo-2 and lo-1, ``carry``
+    (solutions, points, 2) times ``2**scale`` (solutions, points): solution
+    r is ``rows[r] * 2**exps[r]``. Returns the carry and scale that
     continue from ks[-1] + 1.
 
     A segment, of at most ``_CHUNK`` point-steps, ends after the first row at
@@ -421,15 +424,17 @@ def _rescaled_rows(tab: _Band, xs, ks, carry, scale, lo: int, rows, exps):
     return carry, scale
 
 
-def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray):
-    """Rows ``ks`` (ascending) of (Q, P) at each point of ``xs``, as the
-    ``(rows, exps)`` that :func:`_rescaled_rows` fills from rows 0 and 1,
-    over chunks of points of at most ``_CHUNK`` point-steps. A point that is
-    not finite raises ValueError."""
+def _solve(tab: _Band, xs: np.ndarray, ks: np.ndarray, p_only: bool = False):
+    """Rows ``ks`` (ascending) of (Q, P), or of P alone with ``p_only``, at
+    each point of ``xs``, as the ``(rows, exps)`` that :func:`_rescaled_rows`
+    fills from rows 0 and 1, over chunks of points of at most ``_CHUNK``
+    point-steps. Each solution is rescaled on its own rows, so P's rows and
+    exponents are the same either way. A point that is not finite raises
+    ValueError."""
     _require_finite(xs, "x")
-    rows = np.empty((2, xs.size, ks.size), dtype=complex)
-    exps = np.zeros((2, xs.size, ks.size), dtype=int)
-    start = _start(tab, xs, 2)
+    start = _start(tab, xs, 2)[int(p_only):]
+    rows = np.empty((len(start), xs.size, ks.size), dtype=complex)
+    exps = np.zeros((len(start), xs.size, ks.size), dtype=int)
     head = np.searchsorted(ks, 2)
     rows[:, :, :head] = start[:, :, ks[:head]]
     step = max(1, _CHUNK // max(1, int(ks[-1]) - 1))

@@ -14,10 +14,13 @@ from bdspec import (
     jacobi_from_rates,
     measure_moment,
     measure_stieltjes,
+    quartic_rates,
     s_fraction,
     stieltjes_cn_rates,
     stieltjes_dn_rates,
 )
+from bdspec import recurrence
+from bdspec.numerics import tridiag_eigen
 from bdspec.recurrence import eval_pq_mp
 
 
@@ -176,6 +179,63 @@ class TestGaussMeasure:
                         eval_pq_mp(rates, n, xk + s * h, 40)[n] for s in (0, 1, -1))
                     res = complex(q / ((up - down) / (2 * h))).real
                 assert res == pytest.approx(w, rel=1e-8)
+
+
+def _christoffel_from_eval_pq(rates, n):
+    # The Christoffel sum as gauss_measure formed it from both solutions.
+    jc = jacobi_from_rates(rates, n)
+    nodes = tridiag_eigen(jc.a, jc.b[: n - 1])
+    P, _ = eval_pq(rates, n, nodes)
+    with np.errstate(over="ignore"):
+        sq = np.abs(P.values[:n]) ** 2 * np.exp(2.0 * P.scaling_log[:n])
+        weights = 1.0 / sq.sum(axis=0)
+    return DiscreteMeasure(support=nodes, mass=weights, normalized=True)
+
+
+def _outcome(build):
+    try:
+        m = build()
+    except ValueError as exc:
+        return str(exc)
+    return m.support.tobytes(), m.mass.tobytes()
+
+
+GAUSS_SWEEP = [
+    pytest.param(make, p, n, id=f"{name}-{p}-{n}")
+    for name, make, ps, ns in (
+        ("DN", stieltjes_dn_rates, (0.2, 0.5, 0.8), (20, 60, 100, 120)),
+        ("CN", stieltjes_cn_rates, (0.2, 0.5, 0.8), (20, 60, 100, 120)),
+        ("quartic", lambda c: quartic_rates(c, 0.0), (0.0, 0.5), (20, 60, 79)),
+    )
+    for p in ps
+    for n in ns
+]
+
+
+class TestGaussFromPAlone:
+    @pytest.mark.parametrize("make, param, n", GAUSS_SWEEP)
+    def test_bits_of_the_two_solution_sum(self, make, param, n):
+        # Support and masses bit for bit, or the same ValueError text (total
+        # mass off 1, or masses not positive where P is rescaled), as when
+        # the Christoffel sum read P from eval_pq's (Q, P) solve.
+        rates = make(param)
+        assert _outcome(lambda: gauss_measure(rates, n)) == _outcome(
+            lambda: _christoffel_from_eval_pq(rates, n))
+
+    def test_hands_ztbtrs_one_right_hand_side(self, dn_half, monkeypatch):
+        widths = []
+
+        def recording(ab, b, **kw):
+            widths.append(b.shape[1])
+            return real_ztbtrs(ab, b, **kw)
+
+        real_ztbtrs = recurrence.ztbtrs
+        monkeypatch.setattr(recurrence, "ztbtrs", recording)
+        gauss_measure(dn_half, 60)
+        assert widths and set(widths) == {1}
+        widths.clear()
+        eval_pq(dn_half, 60, 0.5)
+        assert set(widths) == {2}
 
 
 class TestMeasureOps:

@@ -248,20 +248,32 @@ class TestGeneralizedRatio:
         with pytest.raises(ValueError):
             generalized_ratio(ctx_half, 0.5, -1.0)
 
-    @pytest.mark.parametrize("c", [85.5, 200.0])
+    @pytest.mark.parametrize("c", [85.5, 200.0, 5000.0, 1e4])
     def test_large_c_matches_s_fraction(self, ctx_half, c):
         # The normalizations cancel to K/(4c); each on its own, (2c)! among
-        # them, overflows from c = 85.5.
+        # them, overflows from c = 85.5. Unscaled, m(u)^(2c) would pass the
+        # double range from c near 4550; the node factors are scaled by
+        # (2/K)^(2c), and 2/K is multiplied back once.
         x = 1.3 + 0.4j
         ref = s_fraction(generalized_c_rates(0.5, c), 800, x)
+        assert s_fraction(generalized_c_rates(0.5, c), 400, x) == pytest.approx(ref, rel=1e-15)
         assert abs(generalized_ratio(ctx_half, c, x) - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("c", [5000.0, 1e4])
-    def test_node_factor_overflow_names_the_double_range(self, ctx_half, c):
-        # m(u)^(2c) passes the double range from c near 4550 at k^2 = 1/2 (at
-        # c = 4000 the call gives 0.35144-0.10814i); the error names c, and
-        # numpy never warns about the power.
-        with pytest.raises(ConvergenceError, match=f"double range at c = {c:g} "):
+    @pytest.mark.parametrize("k2", [0.85, 0.9])
+    def test_large_c_past_k_of_two_matches_s_fraction(self, k2):
+        # K > 2 here, so m(K) = 2/K < 1 and m(u)^(2c) alone underflows at
+        # the nodes near K from c near 1400 (at k^2 = 0.9), which would
+        # leave the denominator 0.
+        x = 1.3 + 0.4j
+        ref = s_fraction(generalized_c_rates(k2, 4600.0), 800, x)
+        assert abs(generalized_ratio(make_context(k2), 4600.0, x) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("c", [1.5e4, 1e5])
+    def test_rule_past_double_range_names_c_and_nodes(self, ctx_half, c):
+        # scipy's 96-node Gauss-Jacobi rule turns nan from c near 14825 at
+        # k^2 = 1/2; the error names c and the node count, and numpy's
+        # warnings stay silent (they are errors under pytest's settings).
+        with pytest.raises(ConvergenceError, match=f"rule of 96 nodes leaves the double range at c = {c:g} "):
             generalized_ratio(ctx_half, c, 1.3 + 0.4j)
 
     def test_underflow_raises_at_once(self, ctx_half):

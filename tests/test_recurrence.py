@@ -25,6 +25,7 @@ from bdspec import (
     stieltjes_dn_rates,
 )
 from bdspec import recurrence
+from bdspec.numerics import tridiag_eigen
 from bdspec.recurrence import eval_pq_mp
 from conftest import f_recurrence_mp
 
@@ -620,3 +621,31 @@ def test_gauss_nodes_interlace(dn_half):
     z8, z9 = m8.support, m9.support
     for i in range(8):
         assert z9[i] < z8[i] < z9[i + 1]
+
+
+def _gauss_nodes(rates, n):
+    jc = jacobi_from_rates(rates, n)
+    return tridiag_eigen(jc.a, jc.b[: n - 1])
+
+
+@pytest.mark.parametrize("case", ["real nodes", "points across chunks", "rescaled real nodes", "rescaled point"])
+def test_p_alone_is_the_p_half(case, dn_half, quartic0, monkeypatch):
+    # _solve with p_only returns, bit for bit, the P half of the rows and
+    # exponents it returns for (Q, P): each solution is cut and rescaled on
+    # its own rows, wherever the other one is.
+    if case == "real nodes":
+        rates, n, xs = dn_half, 60, _gauss_nodes(dn_half, 60)
+    elif case == "points across chunks":
+        monkeypatch.setattr(recurrence, "_CHUNK", 100)  # 3 points a chunk at n = 40
+        rates, n = quartic0, 40
+        xs = np.array([2.2 + 0.7j, -30 + 5j, 1e3 - 2e3j, 7.5, 0.0, 1j, -4.0 - 0.5j])
+    elif case == "rescaled real nodes":  # the Christoffel sum raises here
+        rates, n, xs = dn_half, 120, _gauss_nodes(dn_half, 120)
+    else:
+        rates, n, xs = dn_half, 2000, np.array([1j])
+    tab, ks = recurrence._coefficients(rates, n + 1), np.arange(n)
+    rows, exps = recurrence._solve(tab, xs.astype(complex), ks)
+    p_rows, p_exps = recurrence._solve(tab, xs.astype(complex), ks, p_only=True)
+    assert p_rows.shape == p_exps.shape == (1, xs.size, n)
+    assert np.array_equal(p_rows, rows[1:]) and np.array_equal(p_exps, exps[1:])
+    assert p_exps.any() == case.startswith("rescaled")
